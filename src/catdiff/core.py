@@ -141,11 +141,29 @@ class Categorical:
         return f"Categorical({np.array2string(self.probs, precision=6)})"
 
 
+def check_row_totals(totals: np.ndarray) -> None:
+    """Raise FloatingPointError unless every row total is finite and > 0.
+
+    A total is non-finite exactly when some entry of its row is, so the
+    totals alone catch NaN and infinite entries as well as zero-mass rows.
+    """
+    ok = totals > 0.0
+    ok &= totals < np.inf
+    if not ok.all():
+        bad = np.argwhere(~ok)[0]
+        raise FloatingPointError(
+            f"row {tuple(int(i) for i in bad)} has total mass "
+            f"{totals[tuple(bad)]!r}; expected finite and > 0")
+
+
 def sample_rows(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Inverse-CDF sample of one index per row of a (..., N) probability
-    array. Scaling u by the row total tolerates 1-ulp normalization drift."""
+    array. Scaling u by the row total tolerates 1-ulp normalization drift.
+    Raises FloatingPointError on a row with a non-finite entry or with
+    total mass <= 0, instead of returning a plausible-looking index."""
     rows = np.asarray(rows, dtype=np.float64)
     cum = np.cumsum(rows, axis=-1)
+    check_row_totals(cum[..., -1])
     u = rng.random(rows.shape[:-1] + (1,)) * cum[..., -1:]
     idx = (cum < u).sum(axis=-1)
     return np.minimum(idx, rows.shape[-1] - 1).astype(np.int64)

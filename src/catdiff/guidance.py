@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_row_totals
+
 MODES = ("none", "cfg", "cbg_exact", "cbg_taylor")
 
 
@@ -54,11 +56,15 @@ def cfg_combine(cond_rows: np.ndarray, uncond_rows: np.ndarray,
     Log-space with max-subtraction; tokens at zero probability in either
     input get an -inf logit (mass 0), never NaN. The gamma = 0 and
     gamma = 1 endpoints return the corresponding input bit-exactly.
+    Raises FloatingPointError when an input row has a non-finite entry or
+    total mass <= 0.
     """
     cond = np.asarray(cond_rows, dtype=np.float64)
     uncond = np.asarray(uncond_rows, dtype=np.float64)
     if cond.shape != uncond.shape:
         raise ValueError(f"shape mismatch {cond.shape} vs {uncond.shape}")
+    check_row_totals(cond.sum(axis=-1))
+    check_row_totals(uncond.sum(axis=-1))
     if gamma == 0.0:
         return uncond.copy()
     if gamma == 1.0:

@@ -9,7 +9,7 @@ scale); novelty by set difference against the training data.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,41 +111,6 @@ def validity_novelty_property(samples, validator, train_set,
     if novel:
         out["property_mean"] = float(np.mean(list(novel.values())))
     return out
-
-
-def gamma_sweep(model, gammas, request_template, reference, rule_oracle,
-                num_classes: int, classifier=None, k: int = 2) -> list[dict]:
-    """One generation batch per gamma (shared base seed, one sub-batch per
-    class), scored for control accuracy, k-mer JS, and novelty."""
-    from .sampler import generate
-
-    rows = []
-    for gamma in gammas:
-        request = replace(request_template,
-                          guidance=replace(request_template.guidance,
-                                           gamma=float(gamma)))
-        all_samples, all_requested = [], []
-        for cls in range(num_classes):
-            req = replace(request,
-                          guidance=replace(request.guidance, target_class=cls),
-                          seed=request.seed + cls)
-            samples, _ = generate(req, model, classifier)
-            all_samples.append(samples)
-            all_requested.append(np.full(samples.shape[0], cls))
-        samples = np.concatenate(all_samples)
-        requested = np.concatenate(all_requested)
-        report = control_accuracy(samples, requested, rule_oracle, num_classes)
-        vnp = validity_novelty_property(
-            samples, lambda row: True, reference, lambda row: 0.0
-        )
-        rows.append({
-            "gamma": float(gamma),
-            "control_accuracy": report.accuracy,
-            "macro_recall": report.macro_recall,
-            "kmer_js": kmer_js(samples, reference, k),
-            "num_novel": vnp["num_novel"],
-        })
-    return rows
 
 
 def to_tsv(rows: list[dict]) -> str:

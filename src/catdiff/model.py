@@ -14,6 +14,11 @@ mask column of the logits to -inf so the predictor never emits mask.
 
 Time enters as the pair (alpha_t, 1 - alpha_t) through a learned 2 x d
 projection: the simplest injective encoding under a monotone schedule.
+
+Inference (denoise, denoise_batch, classify, classify_batch) runs one
+plain-NumPy trunk forward. The autodiff graphs (denoiser_logprob_rows,
+classifier_logprobs) serve only where a gradient is taken: training and
+classify_grad_wrt_onehot.
 """
 
 from __future__ import annotations
@@ -250,15 +255,17 @@ def init_classifier(
 # --------------------------------------------------------------- forward
 
 def _condition_indices(condition, num_classes: int, batch: int) -> np.ndarray:
-    """Map a condition (None/DROPPED/int/array) to embedding row indices;
-    row num_classes is the DROPPED row."""
+    """Map a condition (None/DROPPED/int/array) to embedding row indices.
+    Real labels lie in [0, num_classes); only None and DROPPED select the
+    unconditional row num_classes."""
     if condition is None or (isinstance(condition, str) and condition == DROPPED):
         return np.full(batch, num_classes, dtype=np.int64)
     idx = np.asarray(condition, dtype=np.int64)
     if idx.ndim == 0:
         idx = np.full(batch, int(idx), dtype=np.int64)
-    if np.any(idx < 0) or np.any(idx > num_classes):
-        raise ValueError(f"condition index out of range [0, {num_classes}]")
+    if np.any(idx < 0) or np.any(idx >= num_classes):
+        raise ValueError(f"condition label out of range [0, {num_classes}); "
+                         f"pass None or DROPPED for the unconditional row")
     return idx
 
 
@@ -275,8 +282,7 @@ def denoiser_logprob_rows(
         for i in range(len(params.hidden))
     ]
     batch = z_batch.shape[0]
-    alpha = np.atleast_1d(params.schedule.alpha(t))
-    time_in = np.stack([alpha, 1.0 - alpha], axis=1)  # (B, 2)
+    time_in = _time_features(params.schedule, t)                   # (B, 2)
 
     feats = ad.take(tok, z_batch)                                  # (B, L, d)
     feats = feats + ad.nmean(feats, axis=1, keepdims=True)
@@ -304,31 +310,80 @@ def constant_nodes(params) -> list:
     return [ad.constant(a) for _, a in params.arrays()]
 
 
+def _time_features(schedule: NoiseSchedule, t) -> np.ndarray:
+    """(alpha_t, 1 - alpha_t) as a (len(t), 2) array; a scalar t gives
+    one row."""
+    alpha = np.atleast_1d(schedule.alpha(t))
+    return np.stack([alpha, 1.0 - alpha], axis=1)
+
+
+def _trunk_forward(params, z_batch, t,
+                   cond_idx: np.ndarray | None = None,
+                   pool: bool = False) -> np.ndarray:
+    """Autodiff-free forward of the trunk both networks share: (B, L)
+    tokens to (B, L, out) head logits, or (B, out) with ``pool``, which
+    mean-pools the positions before the head (the classifier readout).
+    ``t`` is one time for the batch or one per example.
+
+    The features before the first linear map are a sum of table rows, so
+    the map is folded into each table (token, position, time, condition)
+    and the features are gathered already projected. The tables are
+    rebuilt on every call from the current parameter arrays: they are
+    small (N, L, 2 and K + 1 rows) and can never go stale.
+    """
+    z_batch = np.asarray(z_batch, dtype=np.int64)
+    if z_batch.ndim != 2 or z_batch.shape[1] != params.length:
+        raise ValueError(f"expected (B, {params.length}) latents, "
+                         f"got shape {z_batch.shape}")
+    length = params.length
+    maps = list(params.hidden) + [(params.output_head, None)]
+    w0, b0 = maps[0]
+    h = (params.token_embedding @ w0)[z_batch]                     # (B, L, d0)
+    per_seq = h.sum(axis=1, keepdims=True)                         # (B, 1, d0)
+    per_seq /= length
+    per_seq += (_time_features(params.schedule, t)
+                @ (params.time_projection @ w0))[:, None, :]
+    if cond_idx is not None:
+        per_seq += (params.condition_embedding @ w0)[cond_idx][:, None, :]
+    per_pos = params.position_encoding @ w0                        # (L, d0)
+    if b0 is not None:
+        per_pos += b0
+    h += per_seq
+    h += per_pos
+    for w, b in maps[1:]:
+        np.tanh(h, out=h)
+        if pool and b is None:  # the classifier pools before its head
+            h = h.sum(axis=1) / length
+            pool = False
+        h = (h.reshape(-1, h.shape[-1]) @ w).reshape(h.shape[:-1] + (-1,))
+        if b is not None:
+            h += b
+    return h.sum(axis=1) / length if pool else h
+
+
 def denoise(
     params: DenoiserParams, z_seq, t: float, condition=None
 ) -> np.ndarray:
     """Per-position clean-token distributions x_theta(z_t, t) as an
     (L, N) array of rows, each summing to 1."""
     z = check_sequence(z_seq, params.vocab)
-    if z.shape[0] != params.length:
-        raise ValueError(f"expected length {params.length}, got {z.shape[0]}")
-    cond = _condition_indices(condition, params.num_classes, 1)
-    node = denoiser_logprob_rows(
-        constant_nodes(params), params, z[None, :], np.array([t]), cond
-    )
-    return np.exp(node.value[0])
+    return denoise_batch(params, z[None, :], t, condition)[0]
 
 
 def denoise_batch(
     params: DenoiserParams, z_batch: np.ndarray, t, cond_idx
 ) -> np.ndarray:
-    """(B, L) latents to (B, L, N) probability rows, shared or per-example t."""
-    z_batch = np.asarray(z_batch, dtype=np.int64)
-    tb = np.broadcast_to(np.atleast_1d(np.asarray(t, dtype=np.float64)),
-                         (z_batch.shape[0],))
-    cond = _condition_indices(cond_idx, params.num_classes, z_batch.shape[0])
-    node = denoiser_logprob_rows(constant_nodes(params), params, z_batch, tb, cond)
-    return np.exp(node.value)
+    """(B, L) latents to (B, L, N) probability rows, shared or per-example
+    t. ``cond_idx`` is None/DROPPED (unconditional), a label, or one label
+    per example."""
+    cond = _condition_indices(cond_idx, params.num_classes, len(z_batch))
+    logits = _trunk_forward(params, z_batch, t, cond)
+    if params.kind == "absorbing":
+        logits[..., params.vocab.mask_index] = MASK_LOGIT
+    logits -= logits.max(axis=-1, keepdims=True)
+    probs = np.exp(logits, out=logits)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
 
 
 def denoise_with_copy_floor(
@@ -360,8 +415,7 @@ def classifier_logprobs(
         for i in range(len(params.hidden))
     ]
     batch = z_onehot.value.shape[0]
-    alpha = np.atleast_1d(params.schedule.alpha(t))
-    time_in = np.stack([alpha, 1.0 - alpha], axis=1)
+    time_in = _time_features(params.schedule, t)
 
     feats = ad.matmul(z_onehot, tok)                               # (B, L, d)
     feats = feats + ad.nmean(feats, axis=1, keepdims=True)
@@ -385,21 +439,16 @@ def one_hot_batch(z_batch: np.ndarray, n: int) -> np.ndarray:
 def classify(params: ClassifierParams, z_seq, t: float) -> np.ndarray:
     """Log p_phi(y | z_seq, t) over the K classes."""
     z = check_sequence(z_seq, params.vocab)
-    if z.shape[0] != params.length:
-        raise ValueError(f"expected length {params.length}, got {z.shape[0]}")
-    onehot = ad.constant(one_hot_batch(z[None, :], params.vocab.size))
-    node = classifier_logprobs(constant_nodes(params), params, onehot,
-                               np.array([t]))
-    return node.value[0]
+    return classify_batch(params, z[None, :], t)[0]
 
 
 def classify_batch(params: ClassifierParams, z_batch, t) -> np.ndarray:
-    z_batch = np.asarray(z_batch, dtype=np.int64)
-    tb = np.broadcast_to(np.atleast_1d(np.asarray(t, dtype=np.float64)),
-                         (z_batch.shape[0],))
-    onehot = ad.constant(one_hot_batch(z_batch, params.vocab.size))
-    node = classifier_logprobs(constant_nodes(params), params, onehot, tb)
-    return node.value
+    """(B, L) latents to (B, K) log class probabilities, shared or
+    per-example t."""
+    logits = _trunk_forward(params, z_batch, t, pool=True)
+    logits -= logits.max(axis=-1, keepdims=True)
+    logits -= np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+    return logits
 
 
 def classify_grad_wrt_onehot(
@@ -460,10 +509,6 @@ def _check_finite(grads: list) -> None:
             raise TrainingError(
                 f"non-finite gradient in array {i} at index {tuple(bad)}"
             )
-
-
-def adam_step(arrays, grads, state: AdamState, lr: float):
-    return state.step(arrays, grads, lr)
 
 
 # -------------------------------------------------------------- training

@@ -148,6 +148,18 @@ def test_sample_guidance_flag_validation(workdir, tmp_path, capsys):
     assert "outside" in err
 
 
+def test_sample_nonfinite_model_exits_three(workdir, tmp_path, capsys):
+    params = load_checkpoint(workdir / "ckpt.json")
+    params.output_head = np.full_like(params.output_head, np.nan)
+    save_checkpoint(params, tmp_path / "nan.json")
+    code = cli.main(["sample", "--checkpoint", str(tmp_path / "nan.json"),
+                     "--out", str(tmp_path / "s.txt"), "--num", "2",
+                     "--steps", "4"])
+    assert code == 3
+    assert "numeric failure" in capsys.readouterr().err
+    assert not (tmp_path / "s.txt").exists()
+
+
 def test_eval_reports_all_three_numbers(workdir, capsys):
     code = cli.main(["eval", "--checkpoint", str(workdir / "ckpt.json"),
                      "--data", str(workdir / "train.txt"),

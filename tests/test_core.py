@@ -178,6 +178,14 @@ def test_sample_rows_deterministic_rows():
     assert np.array_equal(out, [0, 2])
 
 
+@pytest.mark.parametrize("bad", [[np.nan, 0.5, 0.5], [0.0, 0.0, 0.0],
+                                 [np.inf, 0.5, 0.5], [0.5, -np.inf, 0.5]])
+def test_sample_rows_rejects_nonfinite_and_zero_mass_rows(bad):
+    rows = np.array([[0.2, 0.3, 0.5], bad])
+    with pytest.raises(FloatingPointError):
+        sample_rows(rows, np.random.default_rng(0))
+
+
 def test_sample_rows_frequencies_within_3_sigma():
     rng = np.random.default_rng(7)
     p = np.array([0.2, 0.3, 0.5])

@@ -94,6 +94,18 @@ def test_cfg_no_support_raises():
         G.cfg_combine(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), 0.5)
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("bad", [[np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5],
+                                 [0.0, 0.0, 0.0]])
+def test_cfg_rejects_nonfinite_and_zero_mass_rows(bad, gamma):
+    good = np.array([[0.2, 0.5, 0.3], [0.1, 0.1, 0.8]])
+    bad = np.array([[0.3, 0.3, 0.4], bad])
+    with pytest.raises(FloatingPointError):
+        G.cfg_combine(bad, good, gamma)
+    with pytest.raises(FloatingPointError):
+        G.cfg_combine(good, bad, gamma)
+
+
 def test_cfg_shape_mismatch():
     with pytest.raises(ValueError):
         G.cfg_combine(np.zeros((2, 3)), np.zeros((3, 3)), 0.5)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from catdiff import autodiff as ad
 from catdiff import model as M
 from catdiff.checkpoint import load_checkpoint, save_checkpoint
 from catdiff.core import NoiseSchedule, Vocabulary
@@ -63,9 +65,15 @@ def test_condition_changes_output():
 
 
 def test_condition_out_of_range():
-    params = tiny_denoiser()
+    params = tiny_denoiser()  # K = 2; row 2 is the DROPPED row
+    for label in (5, 2, -1):
+        with pytest.raises(ValueError):
+            M.denoise(params, [0, 1, 2, 0], 0.4, condition=label)
     with pytest.raises(ValueError):
-        M.denoise(params, [0, 1, 2, 0], 0.4, condition=5)
+        M.denoise_batch(params, np.zeros((2, 4)), 0.4, np.array([0, 2]))
+    z = [0, 1, 2, 0]
+    assert np.array_equal(M.denoise(params, z, 0.4, condition=M.DROPPED),
+                          M.denoise(params, z, 0.4, condition=None))
 
 
 def test_absorbing_mask_column_is_zero():
@@ -73,6 +81,104 @@ def test_absorbing_mask_column_is_zero():
     rows = M.denoise(params, [3, 1, 3, 2], 0.7)
     assert np.all(rows[:, 3] == 0.0)
     assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-12)
+
+
+# The inference forward is pinned to the autodiff graph the models train
+# on, evaluated on constant nodes.
+
+def _randomized(params, rng):
+    """Every array redrawn, so hidden biases are non-zero too."""
+    params.set_arrays([rng.standard_normal(a.shape) for _, a in params.arrays()])
+    return params
+
+
+def _latents_and_times(rng, batch, length, n, shared_t):
+    z = rng.integers(0, n, size=(batch, length))
+    t = rng.uniform(0.01, 0.99) if shared_t else rng.uniform(0.01, 0.99, batch)
+    return z, t, np.broadcast_to(t, (batch,)).copy()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["uniform", "absorbing"]),
+    st.sampled_from([0, 3]),
+    st.booleans(),
+    st.sampled_from([0, 1, 2]),
+    st.booleans(),
+    st.sampled_from([1, 7]),
+    st.integers(min_value=0, max_value=10 ** 6),
+)
+def test_denoise_batch_matches_autodiff_graph(kind, num_classes, use_labels,
+                                              n_layers, shared_t, batch, seed):
+    rng = np.random.default_rng(seed)
+    vocab = VOCAB4M if kind == "absorbing" else VOCAB3
+    params = _randomized(M.init_denoiser(vocab, 5, num_classes, 8, kind=kind,
+                                         n_layers=n_layers), rng)
+    z, t, t_rows = _latents_and_times(rng, batch, 5, vocab.size, shared_t)
+    labels = (rng.integers(0, num_classes, size=batch)
+              if use_labels and num_classes else None)
+    got = M.denoise_batch(params, z, t, labels)
+    rows = np.full(batch, num_classes) if labels is None else labels
+    want = np.exp(M.denoiser_logprob_rows(
+        M.constant_nodes(params), params, z, t_rows, rows).value)
+    assert got.shape == (batch, 5, vocab.size)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.max(np.abs(got.sum(axis=-1) - 1.0)) <= 1e-12
+    if kind == "absorbing":
+        assert np.all(got[..., vocab.mask_index] == 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([0, 1, 2]),
+    st.booleans(),
+    st.sampled_from([1, 7]),
+    st.integers(min_value=0, max_value=10 ** 6),
+)
+def test_classify_batch_matches_autodiff_graph(n_layers, shared_t, batch,
+                                               seed):
+    rng = np.random.default_rng(seed)
+    params = _randomized(M.init_classifier(VOCAB3, 5, 3, 8,
+                                           n_layers=n_layers), rng)
+    z, t, t_rows = _latents_and_times(rng, batch, 5, 3, shared_t)
+    got = M.classify_batch(params, z, t)
+    want = M.classifier_logprobs(
+        M.constant_nodes(params), params,
+        ad.constant(M.one_hot_batch(z, 3)), t_rows).value
+    assert got.shape == (batch, 3)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.max(np.abs(np.exp(got).sum(axis=-1) - 1.0)) <= 1e-12
+
+
+def test_inference_reads_current_parameters():
+    params = tiny_denoiser(seed=7)
+    clf = M.init_classifier(VOCAB3, 4, 3, 8, seed=7)
+    z = np.array([[0, 1, 2, 0]])
+    before = M.denoise_batch(params, z, 0.5, None)
+    before_clf = M.classify_batch(clf, z, 0.5)
+    for model in (params, clf):
+        model.set_arrays([a + 0.5 for _, a in model.arrays()])
+    after = M.denoise_batch(params, z, 0.5, None)
+    want = np.exp(M.denoiser_logprob_rows(
+        M.constant_nodes(params), params, z, np.array([0.5]),
+        np.array([2])).value)
+    assert not np.allclose(after, before)
+    assert np.max(np.abs(after - want)) <= 1e-12
+    assert not np.allclose(M.classify_batch(clf, z, 0.5), before_clf)
+
+
+def test_inference_builds_no_autodiff_nodes(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("inference built an autodiff Node")
+
+    params = tiny_denoiser(seed=8)
+    clf = M.init_classifier(VOCAB3, 4, 3, 8, seed=8)
+    monkeypatch.setattr(ad.Node, "__init__", refuse)
+    z = [0, 1, 2, 0]
+    M.denoise(params, z, 0.5, condition=1)
+    M.denoise_batch(params, np.array([z, z]), np.array([0.2, 0.7]), None)
+    M.classify(clf, z, 0.5)
+    M.classify_batch(clf, np.array([z, z]), 0.5)
 
 
 def test_copy_floor():

@@ -243,6 +243,20 @@ def test_generate_cfg_smoke_conditional_model():
     assert out.shape == (3, 4) and out.min() >= 0 and out.max() < 3
 
 
+@pytest.mark.parametrize("num_classes", [0, 2])
+def test_generate_rejects_dropped_row_as_target(num_classes):
+    # target K names the unconditional row, not a class; with K = 0 that
+    # is cfg on an unconditional model
+    model = M.init_denoiser(Vocabulary(3), length=4, num_classes=num_classes,
+                            d=8, kind="uniform", seed=20)
+    for mode in ("none", "cfg"):
+        req = S.SampleRequest(num_sequences=3, length=4, T=4,
+                              guidance=GuidanceConfig(
+                                  mode, gamma=2.0, target_class=num_classes))
+        with pytest.raises(ValueError):
+            S.generate(req, model)
+
+
 def test_argmax_decode_deterministic_and_distinct_from_sampling():
     den = TabularDenoiser(3, seed=22)
     den.n, den.kind = 3, "uniform"
