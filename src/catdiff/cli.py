@@ -201,7 +201,7 @@ def cmd_train(args) -> int:
     overrides = {key: getattr(args, key) for key in TRAIN_SCHEMA}
     cfg = resolve_train_config(parse_config(args.config), overrides)
     vocab = _resolve_vocab(cfg)
-    echo_config("train", {**cfg, "out": args.out, "threads": args.threads})
+    echo_config("train", {**cfg, "out": args.out})
 
     dataset = load_text_dataset(
         cfg["data"], vocab, cfg["length"], labels_path=cfg["labels"],
@@ -272,7 +272,7 @@ def cmd_sample(args) -> int:
         "checkpoint": args.checkpoint, "classifier": args.classifier,
         "num": args.num, "steps": args.steps, "guidance": args.guidance,
         "gamma": args.gamma, "label": args.label, "seed": args.seed,
-        "decode": args.decode, "out": args.out, "threads": args.threads,
+        "decode": args.decode, "out": args.out,
     })
     samples, diagnostics = sampler_mod.generate(request, model, classifier)
     sampler_mod.write_samples(args.out, samples, model.vocab, request)
@@ -289,30 +289,29 @@ def cmd_eval(args) -> int:
     prior = sampler_mod.model_prior(model)
     schedule = sampler_mod.model_schedule(model)
     num_classes = getattr(model, "num_classes", 0)
+    if args.mode == "exact":
+        try:
+            loss_mod.check_exact_budget(args.T, vocab.size, model.length)
+        except ValueError as exc:
+            raise UsageError(f"{exc}; rerun with --mode mc")
     dataset = load_text_dataset(
         args.data, vocab, model.length, labels_path=args.labels,
         num_classes=num_classes if args.labels is not None else None,
     )
-    if args.mode == "exact" and args.T * vocab.size ** model.length > 2e6:
-        raise UsageError("exact NELBO over this grid is too large to "
-                         "enumerate; rerun with --mode mc")
     echo_config("eval", {
         "checkpoint": args.checkpoint, "data": args.data,
         "labels": args.labels, "T": args.T, "mode": args.mode,
         "mc_samples": args.mc_samples, "seed": args.seed,
-        "threads": args.threads,
     })
-    rng = np.random.default_rng(args.seed)
-    total = 0.0
-    for i, row in enumerate(dataset.sequences):
-        cond = None
-        if dataset.labels is not None and num_classes > 0:
-            cond = int(dataset.labels[i])
-        total += loss_mod.nelbo_discrete(
-            row, model, args.T, prior, schedule, mode=args.mode, rng=rng,
-            mc_samples=args.mc_samples, condition=cond,
-        )
-    mean_nelbo = total / dataset.count
+    cond = dataset.labels \
+        if dataset.labels is not None and num_classes > 0 else None
+    per_seq = loss_mod.nelbo_discrete(
+        dataset.sequences, model, args.T, prior, schedule, mode=args.mode,
+        rng=np.random.default_rng(args.seed), mc_samples=args.mc_samples,
+        condition=cond,
+    )
+    # summed left to right, as when sequences were scored one at a time
+    mean_nelbo = sum(per_seq.tolist()) / dataset.count
     if not np.isfinite(mean_nelbo):
         raise NumericError(f"non-finite NELBO {mean_nelbo!r}")
     print(f"sequences = {dataset.count}")
@@ -342,7 +341,7 @@ def cmd_metrics(args) -> int:
         "samples": args.samples, "reference": args.reference, "k": args.k,
         "vocab": args.vocab, "n": args.n, "labels": args.labels,
         "rule": args.rule, "num_classes": args.num_classes,
-        "out": args.out, "threads": args.threads,
+        "out": args.out,
     })
     samples = load_text_dataset(args.samples, vocab,
                                 _line_length(args.samples))
@@ -397,12 +396,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_threads(sub) -> None:
-    sub.add_argument("--threads", type=_positive_int,
-                     default=os.cpu_count() or 1,
-                     help="worker threads (results do not depend on this)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="catdiff",
                      description="discrete-diffusion training, sampling, "
@@ -432,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--train-classifier", dest="train_classifier",
                        type=_cast_bool)
     train.add_argument("--classifier-out", dest="classifier_out")
-    _add_threads(train)
     train.set_defaults(func=cmd_train)
 
     sample = subs.add_parser("sample", help="generate sequences")
@@ -448,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--classifier")
     sample.add_argument("--decode", choices=sampler_mod.DECODES,
                         default="sample")
-    _add_threads(sample)
     sample.set_defaults(func=cmd_sample)
 
     evaluate = subs.add_parser("eval", help="NELBO, BPC, PPL on a dataset")
@@ -460,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--mc-samples", dest="mc_samples",
                           type=_positive_int, default=8)
     evaluate.add_argument("--seed", type=int, default=0)
-    _add_threads(evaluate)
     evaluate.set_defaults(func=cmd_eval)
 
     metrics = subs.add_parser("metrics", help="score samples vs a reference")
@@ -473,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument("--rule", choices=("majority_token", "prefix_class"))
     metrics.add_argument("--num-classes", dest="num_classes", type=int)
     metrics.add_argument("--out")
-    _add_threads(metrics)
     metrics.set_defaults(func=cmd_metrics)
 
     verify = subs.add_parser("verify", help="run the self-check suites")
@@ -481,7 +470,10 @@ def build_parser() -> argparse.ArgumentParser:
                         default="all")
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--json")
-    _add_threads(verify)
+    verify.add_argument("--threads", type=_positive_int,
+                        default=os.cpu_count() or 1,
+                        help="worker threads for the suites (results do not "
+                             "depend on this)")
     verify.set_defaults(func=cmd_verify)
     return parser
 

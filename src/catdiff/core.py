@@ -92,12 +92,15 @@ class Categorical:
         vec = np.asarray(probs, dtype=np.float64)
         if vec.ndim != 1:
             raise ValueError(f"probs must be 1-D, got shape {vec.shape}")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError("probs contain NaN or inf")
-        if np.any(vec < 0):
-            raise ValueError(f"negative probability entry: min={vec.min()}")
+        # Two reductions on the common path: a NaN or inf entry makes the
+        # total non-finite, which fails the sum test; the message names
+        # the first failing condition in the order finite, >= 0, sum.
         total = vec.sum()
-        if abs(total - 1.0) > PROB_SUM_ATOL:
+        if not (abs(total - 1.0) <= PROB_SUM_ATOL and vec.min() >= 0.0):
+            if not np.all(np.isfinite(vec)):
+                raise ValueError("probs contain NaN or inf")
+            if np.any(vec < 0):
+                raise ValueError(f"negative probability entry: min={vec.min()}")
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
         object.__setattr__(self, "probs", vec / total)
         self.probs.setflags(write=False)

@@ -7,10 +7,19 @@ Three mechanisms, all operating on per-position categorical rows:
   before they enter the posterior.
 * classifier-based (exact): tempering of the reverse distribution by
   p(y | single-token edit)^gamma, normalized over the N candidate
-  tokens at each position; costs one classifier call per candidate.
+  tokens at each position; costs one classifier call per (position,
+  token) slot, L*N in all, each over that slot's candidate for every
+  sequence of the batch.
 * classifier-based (Taylor): same transform, but the N candidate
   log-probs per position are linearized around the current latent
-  using one gradient with respect to the relaxed one-hot input.
+  using one gradient with respect to the relaxed one-hot input; one
+  gradient call for the whole batch.
+
+Both classifier-based transforms take one latent (L,) with its (L, N)
+rows, or a batch (B, L) with (B, L, N) rows, through the same code.
+The classifier protocol accepts either shape: ``log_probs(z, t)`` gives
+(K,) or (B, K) and ``grad_log_prob(z, t, y)`` gives (log p, gradient)
+per sequence.
 """
 
 from __future__ import annotations
@@ -84,19 +93,20 @@ def cbg_exact(classifier, z_t_seq, t_s: float, denoiser_rows: np.ndarray,
     """Temper each position's reverse row by p(y | single-token edit)^gamma.
 
     Candidate v at position l is the current latent with that one token
-    replaced; the classifier is evaluated on every candidate (exactly
-    L*N calls -- the cost contract holds even at gamma = 0).
+    replaced. Exactly L*N classifier calls, one per (l, v) slot over
+    every sequence's candidate at once; the cost contract holds even at
+    gamma = 0. ``z_t_seq`` is (L,) or (B, L), rows (L, N) or (B, L, N).
     """
     z = np.asarray(z_t_seq, dtype=np.int64)
     rows = np.asarray(denoiser_rows, dtype=np.float64)
-    length, n = rows.shape
-    log_phi = np.empty((length, n))
+    length, n = rows.shape[-2:]
+    log_phi = np.empty(rows.shape)
+    cand = z.copy()
     for pos in range(length):
-        cand = z.copy()
         for v in range(n):
-            cand[pos] = v
-            log_phi[pos, v] = float(classifier.log_probs(cand, t_s)[y])
-        cand[pos] = z[pos]
+            cand[..., pos] = v
+            log_phi[..., pos, v] = classifier.log_probs(cand, t_s)[..., y]
+        cand[..., pos] = z[..., pos]
     return _temper(rows, log_phi, gamma)
 
 
@@ -105,7 +115,7 @@ def cbg_taylor(classifier, z_t_seq, t_s: float, denoiser_rows: np.ndarray,
     """Like cbg_exact, with candidate log-probs linearized around z_t.
 
     log p(y | edit v at l) ~ log p(y | z_t) + (e_v - e_{z_l}) . grad_l,
-    one forward/backward pass total instead of L*N forward passes.
+    one gradient call for the whole batch instead of L*N forward calls.
     """
     z = np.asarray(z_t_seq, dtype=np.int64)
     rows = np.asarray(denoiser_rows, dtype=np.float64)
@@ -113,8 +123,9 @@ def cbg_taylor(classifier, z_t_seq, t_s: float, denoiser_rows: np.ndarray,
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != rows.shape:
         raise ValueError(f"gradient shape {grad.shape} != rows {rows.shape}")
-    at_current = np.take_along_axis(grad, z[:, None], axis=1)
-    log_phi = float(logp0) + grad - at_current
+    at_current = np.take_along_axis(grad, z[..., None], axis=-1)
+    log_phi = np.asarray(logp0, dtype=np.float64)[..., None, None] \
+        + grad - at_current
     return _temper(rows, log_phi, gamma)
 
 

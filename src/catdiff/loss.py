@@ -1,8 +1,12 @@
 """Training and evaluation objectives.
 
-Scalar evaluation paths (plain numpy, denoiser given as an object with a
-``.rows(z_seq, t, condition)`` method or a bare ``f(z_seq, t)`` callable)
-live alongside batched graph builders used by model.train.
+Evaluation paths (plain numpy; the denoiser is any object that
+``model.denoiser_rows`` accepts, one with ``rows_batch(z, t, condition)``
+or with the per-sequence ``rows(z_seq, t, condition)``) live alongside
+batched graph builders used by model.train. ``nelbo_discrete`` scores one
+sequence or a batch: mc mode evaluates every sampled latent of the batch
+in one denoiser call, exact mode one call per grid time over the
+enumerated latents of each sequence.
 
 Conventions, resolved once here:
 
@@ -29,8 +33,14 @@ import numpy as np
 from . import autodiff as ad
 from .core import NoiseSchedule
 from .forward import PriorSpec
+from .model import denoiser_rows
 
 _SUPPORT_EPS = 1e-300  # posterior entries below this count as off-support
+
+# Exact-mode NELBO: the most latents enumerated per sequence, T * N^L over
+# the grid. Each grid time holds its N^L latents and their rows in memory
+# at once, so this is also the memory bound.
+EXACT_LATENT_BUDGET = 10 ** 5
 
 OBJECTIVES = ("nelbo_discrete", "udlm_continuous", "mdlm_continuous", "sedd_form")
 
@@ -52,9 +62,8 @@ class LossSpec:
 
 
 def _rows(denoiser, z_seq, t, condition=None) -> np.ndarray:
-    if hasattr(denoiser, "rows"):
-        return np.asarray(denoiser.rows(z_seq, t, condition), dtype=np.float64)
-    return np.asarray(denoiser(z_seq, t), dtype=np.float64)
+    """(L, N) rows of one latent sequence."""
+    return denoiser_rows(denoiser, np.asarray(z_seq)[None], t, condition)[0]
 
 
 # ------------------------------------------------------------ KL building
@@ -81,76 +90,111 @@ def _kl(q: np.ndarray, p: np.ndarray) -> float:
 
 # ---------------------------------------------------------- discrete-time
 
+def check_exact_budget(T: int, n: int, length: int) -> None:
+    """Raise ValueError when an exact-mode NELBO would enumerate more than
+    EXACT_LATENT_BUDGET latents per sequence (N^L at each of T times)."""
+    if T * n ** length > EXACT_LATENT_BUDGET:
+        raise ValueError(
+            f"exact NELBO over T={T} grid times of {n}^{length} latents "
+            f"exceeds the budget of {EXACT_LATENT_BUDGET} latents")
+
+
 def nelbo_discrete(
     x_seq, denoiser, T: int, prior: PriorSpec, schedule: NoiseSchedule,
     mode: str = "exact", rng: np.random.Generator | None = None,
     mc_samples: int = 1, condition=None,
-) -> float:
+):
     """Discrete-time NELBO in nats per sequence over the grid t_i = i/T.
 
+    ``x_seq`` is one (L,) sequence, giving a float, or a (B, L) batch,
+    giving a (B,) array; ``condition`` is shared or one per sequence.
     exact mode enumerates every latent sequence z_t at every grid time,
-    weighting by the forward marginal (affordable only for small N^L);
-    mc mode samples (grid index, z_t) pairs.
+    weighting by the forward marginal (refused past EXACT_LATENT_BUDGET);
+    mc mode samples mc_samples (grid index, z_t) pairs per sequence,
+    drawing them sequence by sequence, so a batch consumes the rng
+    exactly as the same sequences scored one at a time.
     """
-    x_seq = np.asarray(x_seq, dtype=np.int64)
+    x = np.asarray(x_seq, dtype=np.int64)
+    single = x.ndim == 1
+    x = np.atleast_2d(x)
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown mode {mode!r}")
-    total = _prior_kl(x_seq, prior, schedule) + _reconstruction(x_seq, schedule)
     if mode == "exact":
-        for i in range(1, T + 1):
-            total += _exact_kl_term(x_seq, denoiser, i / T, (i - 1) / T,
-                                    prior, schedule, condition)
-        return total
-    if rng is None:
+        check_exact_budget(T, prior.size, x.shape[1])
+    elif rng is None:
         raise ValueError("mc mode needs an rng")
-    acc = 0.0
-    for _ in range(mc_samples):
+    per_row = np.ndim(condition) == 1
+    total = _prior_kl(x, prior, schedule) + _reconstruction(x, schedule)
+    if mode == "exact":
+        latents = np.array(
+            list(itertools.product(range(prior.size), repeat=x.shape[1])),
+            dtype=np.int64).reshape(-1, x.shape[1])
+        for b in range(x.shape[0]):
+            cond = condition[b] if per_row else condition
+            for i in range(1, T + 1):
+                total[b] += _exact_kl_term(x[b], latents, denoiser, i / T,
+                                           (i - 1) / T, prior, schedule, cond)
+    else:
+        cond = np.repeat(condition, mc_samples) if per_row else condition
+        total += _mc_kl_terms(x, denoiser, T, prior, schedule, rng,
+                              mc_samples, cond)
+    return float(total[0]) if single else total
+
+
+def _mc_kl_terms(x, denoiser, T, prior, schedule, rng, mc_samples,
+                 condition) -> np.ndarray:
+    """Mean over mc_samples draws of T * KL at a sampled grid rung, per
+    sequence. All draws come first, in sequence-then-sample order; then
+    one denoiser call and one KL evaluation cover every draw."""
+    num, length = x.shape
+    grid = np.empty(num * mc_samples, dtype=np.int64)
+    z = np.empty((num * mc_samples, length), dtype=np.int64)
+    for k in range(num * mc_samples):
         i = int(rng.integers(1, T + 1))
-        t, s = i / T, (i - 1) / T
-        z = _corrupt(x_seq, t, prior, schedule, rng)
-        rows = _rows(denoiser, z, t, condition)
-        acc += T * float(
-            _kl_rows(z[None, :], x_seq, rows[None, :, :], t, s, prior, schedule)[0]
-        )
-    return total + acc / mc_samples
+        grid[k] = i
+        z[k] = _corrupt(x[k // mc_samples], i / T, prior, schedule, rng)
+    t, s = grid / T, (grid - 1) / T
+    rows = denoiser_rows(denoiser, z, t, condition)
+    kls = _kl_rows(z, np.repeat(x, mc_samples, axis=0), rows, t, s, prior,
+                   schedule).reshape(num, mc_samples)
+    acc = np.zeros(num)
+    for m in range(mc_samples):
+        acc += T * kls[:, m]
+    return acc / mc_samples
 
 
-def _exact_kl_term(x_seq, denoiser, t, s, prior, schedule, condition) -> float:
-    """E_{q(z_t | x)} sum_l KL_l, by exhaustive enumeration of z_t."""
+def _exact_kl_term(x_seq, latents, denoiser, t, s, prior, schedule,
+                   condition) -> float:
+    """E_{q(z_t | x)} sum_l KL_l over the enumerated (N^L, L) latents: one
+    denoiser call over every latent the forward marginal can reach."""
     length = x_seq.shape[0]
-    n = prior.size
-    if n ** length > 10 ** 5:
-        raise ValueError(f"exact expectation over {n}^{length} latents refused")
     marg = _marginal_rows(x_seq, t, prior, schedule)  # (L, N)
-    latents = np.array(
-        list(itertools.product(range(n), repeat=length)), dtype=np.int64
-    ).reshape(n ** length, length)
     weights = np.prod(marg[np.arange(length)[None, :], latents], axis=1)
     live = weights > 0
-    rows_all = np.stack([
-        _rows(denoiser, z, t, condition) for z in latents[live]
-    ])
+    rows_all = denoiser_rows(denoiser, latents[live], t, condition)
     kls = _kl_rows(latents[live], x_seq, rows_all, t, s, prior, schedule)
     return float(weights[live] @ kls)
 
 
 def _kl_rows(
-    z: np.ndarray, x_seq: np.ndarray, rows: np.ndarray, t: float, s: float,
+    z: np.ndarray, x_seq: np.ndarray, rows: np.ndarray, t, s,
     prior: PriorSpec, schedule: NoiseSchedule,
 ) -> np.ndarray:
     """Per-sequence KL[q(z_s|z_t,x) || p_theta(z_s|z_t)] summed over
     positions, vectorized over a stack of latents: z (S, L), rows
-    (S, L, N) predicted clean distributions -> (S,)."""
+    (S, L, N) predicted clean distributions -> (S,). The clean sequence
+    x and the times t, s are shared by the stack or given one per latent
+    ((S, L) and (S,))."""
     pi = prior.pi.probs
     n = pi.shape[0]
-    a_t, a_s = schedule.alpha(t), schedule.alpha(s)
-    a_ts = schedule.alpha_ratio(t, s)
+    a_t, a_s, a_ts = (
+        np.reshape(a, (-1, 1)) for a in
+        (schedule.alpha(t), schedule.alpha(s), schedule.alpha_ratio(t, s)))
     z_oh = _onehot(z, n)
-    x_oh = np.zeros((x_seq.shape[0], n))
-    x_oh[np.arange(x_seq.shape[0]), x_seq] = 1.0
-    trans = a_ts * z_oh + (1.0 - a_ts) * pi[z][..., None]
-    q_num = trans * (a_s * x_oh[None] + (1.0 - a_s) * pi)
-    q_den = a_t * (z == x_seq[None, :]) + (1.0 - a_t) * pi[z]
+    x_oh = _onehot(np.broadcast_to(x_seq, z.shape), n)
+    trans = a_ts[..., None] * z_oh + (1.0 - a_ts[..., None]) * pi[z][..., None]
+    q_num = trans * (a_s[..., None] * x_oh + (1.0 - a_s[..., None]) * pi)
+    q_den = a_t * (z == x_seq) + (1.0 - a_t) * pi[z]
     if np.any(q_den <= 0):
         raise ValueError("latent with zero forward probability")
     q = q_num / q_den[..., None]
@@ -158,7 +202,8 @@ def _kl_rows(
     p_den = a_t * rows_at_z + (1.0 - a_t) * pi[z]
     if np.any(p_den <= 0):
         raise ValueError("predicted distribution gives the latent zero mass")
-    p = trans * (a_s * rows + (1.0 - a_s) * pi) / p_den[..., None]
+    p = trans * (a_s[..., None] * rows + (1.0 - a_s[..., None]) * pi) \
+        / p_den[..., None]
     support = q > _SUPPORT_EPS
     out = np.sum(
         np.where(support, q * (np.log(np.where(support, q, 1.0))
@@ -184,19 +229,19 @@ def _corrupt(x_seq, t, prior, schedule, rng) -> np.ndarray:
     return np.where(keep, x_seq, noise)
 
 
-def _prior_kl(x_seq, prior, schedule) -> float:
-    """KL[q(z_1 | x) || pi] per position, summed; zero when alpha(1) = 0."""
-    total = 0.0
-    for x in x_seq:
-        q = _marginal_rows(np.array([x]), 1.0, prior, schedule)[0]
-        total += _kl(q, prior.pi.probs)
-    return total
+def _prior_kl(x, prior, schedule) -> np.ndarray:
+    """KL[q(z_1 | x) || pi] per position, summed per sequence of the
+    (B, L) batch; zero when alpha(1) = 0. The per-position term depends
+    on the token alone, so it is read from an N-entry table."""
+    marg = _marginal_rows(np.arange(prior.size), 1.0, prior, schedule)
+    table = np.array([_kl(q, prior.pi.probs) for q in marg])
+    return table[x].sum(axis=1)
 
 
-def _reconstruction(x_seq, schedule) -> float:
+def _reconstruction(x, schedule) -> np.ndarray:
     # alpha(0) = 1 makes z_0 = x almost surely and the decode is a copy,
     # so -log p(x | z_0) = 0 identically.
-    return 0.0
+    return np.zeros(x.shape[0])
 
 
 # -------------------------------------------------------- continuous-time

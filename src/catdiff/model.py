@@ -93,7 +93,8 @@ class DenoiserParams:
             self.output_head.copy(),
         )
 
-    # Protocol used by sampler/guidance: per-sequence clean-token rows.
+    # Denoiser protocol (see denoiser_rows): clean-token rows per sequence
+    # or per batch.
     def rows(self, z_seq, t, condition=None) -> np.ndarray:
         return denoise(self, z_seq, t, condition)
 
@@ -137,7 +138,9 @@ class ClassifierParams:
         ]
         self.output_head = named["output_head"]
 
-    # Protocol used by guidance: log p(y | z_seq) at time t for all y.
+    # Classifier protocol used by guidance: log p(y | z) at time t for all
+    # y, for one (L,) sequence or a (B, L) batch, and the gradient of
+    # log p(y | z) with respect to the relaxed one-hot input.
     def log_probs(self, z_seq, t) -> np.ndarray:
         return classify(self, z_seq, t)
 
@@ -201,6 +204,25 @@ class ConstantDenoiser:
     def rows_batch(self, z_batch, t, cond_idx=None) -> np.ndarray:
         z = np.asarray(z_batch, dtype=np.int64)
         return np.tile(self.rows_table, (z.shape[0], 1, 1))
+
+
+def denoiser_rows(denoiser, z_batch, t, condition=None) -> np.ndarray:
+    """The denoiser protocol shared by sampler and loss: (B, L) latents to
+    (B, L, N) predicted clean-token rows. ``t`` and ``condition`` are one
+    value for the batch or one per row. An object with
+    ``rows_batch(z, t, condition)`` gets one call; an object with only the
+    per-sequence ``rows(z_seq, t, condition)`` gets one call per row."""
+    z = np.asarray(z_batch, dtype=np.int64)
+    if hasattr(denoiser, "rows_batch"):
+        return np.asarray(denoiser.rows_batch(z, t, condition),
+                          dtype=np.float64)
+    ts = np.asarray(t).tolist() if np.ndim(t) else [t] * len(z)
+    conds = (np.asarray(condition).tolist() if np.ndim(condition)
+             else [condition] * len(z))
+    return np.stack([
+        np.asarray(denoiser.rows(zb, tb, cb), dtype=np.float64)
+        for zb, tb, cb in zip(z, ts, conds)
+    ])
 
 
 def init_denoiser(
@@ -317,6 +339,21 @@ def _time_features(schedule: NoiseSchedule, t) -> np.ndarray:
     return np.stack([alpha, 1.0 - alpha], axis=1)
 
 
+def _token_batch(params, z_batch) -> np.ndarray:
+    """``z_batch`` as a (B, L) int64 array of the network's length whose
+    tokens all lie in [0, N). The forwards index tables by token, so an
+    unchecked -1 would silently read the last row (the mask row of an
+    absorbing vocabulary)."""
+    z = np.asarray(z_batch, dtype=np.int64)
+    if z.ndim != 2 or z.shape[1] != params.length:
+        raise ValueError(f"expected (B, {params.length}) latents, "
+                         f"got shape {z.shape}")
+    if z.size and (z.min() < 0 or z.max() >= params.vocab.size):
+        raise ValueError(f"token indices must lie in [0, {params.vocab.size})"
+                         f", got range [{z.min()}, {z.max()}]")
+    return z
+
+
 def _trunk_forward(params, z_batch, t,
                    cond_idx: np.ndarray | None = None,
                    pool: bool = False) -> np.ndarray:
@@ -331,10 +368,7 @@ def _trunk_forward(params, z_batch, t,
     rebuilt on every call from the current parameter arrays: they are
     small (N, L, 2 and K + 1 rows) and can never go stale.
     """
-    z_batch = np.asarray(z_batch, dtype=np.int64)
-    if z_batch.ndim != 2 or z_batch.shape[1] != params.length:
-        raise ValueError(f"expected (B, {params.length}) latents, "
-                         f"got shape {z_batch.shape}")
+    z_batch = _token_batch(params, z_batch)
     length = params.length
     maps = list(params.hidden) + [(params.output_head, None)]
     w0, b0 = maps[0]
@@ -366,8 +400,7 @@ def denoise(
 ) -> np.ndarray:
     """Per-position clean-token distributions x_theta(z_t, t) as an
     (L, N) array of rows, each summing to 1."""
-    z = check_sequence(z_seq, params.vocab)
-    return denoise_batch(params, z[None, :], t, condition)[0]
+    return denoise_batch(params, np.asarray(z_seq)[None], t, condition)[0]
 
 
 def denoise_batch(
@@ -437,9 +470,12 @@ def one_hot_batch(z_batch: np.ndarray, n: int) -> np.ndarray:
 
 
 def classify(params: ClassifierParams, z_seq, t: float) -> np.ndarray:
-    """Log p_phi(y | z_seq, t) over the K classes."""
-    z = check_sequence(z_seq, params.vocab)
-    return classify_batch(params, z[None, :], t)[0]
+    """Log p_phi(y | z, t) over the K classes: (K,) for one (L,) sequence,
+    (B, K) for a (B, L) batch."""
+    z = np.asarray(z_seq)
+    if z.ndim == 1:
+        return classify_batch(params, z[None], t)[0]
+    return classify_batch(params, z, t)
 
 
 def classify_batch(params: ClassifierParams, z_batch, t) -> np.ndarray:
@@ -454,15 +490,24 @@ def classify_batch(params: ClassifierParams, z_batch, t) -> np.ndarray:
 def classify_grad_wrt_onehot(
     params: ClassifierParams, z_seq, t: float, y: int
 ) -> tuple:
-    """(log p_phi(y | z_seq, t), d log p_phi / d input) with the input
-    treated as a relaxed one-hot L x N matrix. One forward + one backward."""
-    z = check_sequence(z_seq, params.vocab)
-    inp = ad.param(one_hot_batch(z[None, :], params.vocab.size))
+    """(log p_phi(y | z, t), d log p_phi(y | z, t) / d input) with each
+    input treated as a relaxed one-hot L x N matrix: (float, (L, N)) for
+    one (L,) sequence, ((B,), (B, L, N)) for a (B, L) batch.
+
+    One forward and one backward pass over the whole batch. The examples
+    do not interact, so the gradient of the summed log-probs with respect
+    to one example's input is exactly that example's own gradient."""
+    z = np.asarray(z_seq)
+    single = z.ndim == 1
+    z = _token_batch(params, z[None] if single else z)
+    inp = ad.param(one_hot_batch(z, params.vocab.size))
     logp = classifier_logprobs(constant_nodes(params), params, inp,
-                               np.array([t]))
-    target = ad.nsum(ad.gather_last(logp, np.array([y])))
-    (grad,) = ad.backprop(target, [inp])
-    return float(target.value), grad[0]
+                               np.full(z.shape[0], float(t)))
+    picked = ad.gather_last(logp, np.full(z.shape[0], y))
+    (grad,) = ad.backprop(ad.nsum(picked), [inp])
+    if single:
+        return float(picked.value[0]), grad[0]
+    return picked.value.copy(), grad
 
 
 # ------------------------------------------------------------ optimizers

@@ -17,6 +17,7 @@ import numpy as np
 from .core import NoiseSchedule, Vocabulary, sample_rows
 from .forward import PriorSpec, posterior_matrix
 from .guidance import GuidanceConfig, cbg_exact, cbg_taylor, cfg_combine
+from .model import denoiser_rows
 
 DECODES = ("sample", "argmax")
 
@@ -70,35 +71,22 @@ def _prior_batch(prior: PriorSpec, num: int, length: int,
     return sample_rows(rows, rng).reshape(num, length)
 
 
-def _x_rows(denoiser, z: np.ndarray, t: float, condition) -> np.ndarray:
-    """(B, L) latents -> (B, L, N) predicted clean-token rows."""
-    if hasattr(denoiser, "rows_batch"):
-        return np.asarray(denoiser.rows_batch(z, t, condition),
-                          dtype=np.float64)
-    if hasattr(denoiser, "rows"):
-        return np.stack([
-            np.asarray(denoiser.rows(zb, t, condition), dtype=np.float64)
-            for zb in z
-        ])
-    return np.stack([np.asarray(denoiser(zb, t), dtype=np.float64) for zb in z])
-
-
 def _guided_x_rows(denoiser, z, t, config: GuidanceConfig) -> np.ndarray:
     if config.mode == "cfg":
-        cond = _x_rows(denoiser, z, t, config.target_class)
-        uncond = _x_rows(denoiser, z, t, None)
+        cond = denoiser_rows(denoiser, z, t, config.target_class)
+        uncond = denoiser_rows(denoiser, z, t, None)
         return cfg_combine(cond, uncond, config.gamma)
     condition = config.target_class if config.mode == "none" else None
-    return _x_rows(denoiser, z, t, condition)
+    return denoiser_rows(denoiser, z, t, condition)
 
 
-def _apply_cbg(rows_batch, z, t_clf, config, classifier) -> np.ndarray:
+def _apply_cbg(post, z, t_clf, config, classifier) -> np.ndarray:
+    """Classifier-based tempering of the (B, L, N) posterior rows of the
+    (B, L) latents: one guidance call for the whole batch, so one
+    gradient call (Taylor) or L*N classifier calls (exact) per step."""
     transform = cbg_exact if config.mode == "cbg_exact" else cbg_taylor
-    out = np.empty_like(rows_batch)
-    for b in range(z.shape[0]):
-        out[b] = transform(classifier, z[b], t_clf, rows_batch[b],
-                           config.target_class, config.gamma)
-    return out
+    return transform(classifier, z, t_clf, post, config.target_class,
+                     config.gamma)
 
 
 def _step_batch(z, t, s, denoiser, config, rng, classifier, prior,

@@ -219,7 +219,7 @@ class OptimalDenoiser:
 
     def rows_batch(self, z_batch, t, cond_idx=None) -> np.ndarray:
         z = np.asarray(z_batch, dtype=np.int64)          # (B, L)
-        a = self.schedule.alpha(t)
+        a = np.reshape(self.schedule.alpha(t), (-1, 1, 1))  # shared or per row
         pi = self.prior.pi.probs
         per_pos = a * (self.support[None, :, :] == z[:, None, :]) \
             + (1.0 - a) * pi[z][:, None, :]              # (B, M, L)
@@ -260,7 +260,7 @@ class LeaveOneOutDenoiser:
     def rows_batch(self, z_batch, t, cond_idx=None) -> np.ndarray:
         z = np.asarray(z_batch, dtype=np.int64)          # (B, L)
         length = z.shape[1]
-        a = self.schedule.alpha(t)
+        a = np.reshape(self.schedule.alpha(t), (-1, 1, 1))  # shared or per row
         pi = self.prior.pi.probs
         per_pos = a * (self.support[None, :, :] == z[:, None, :]) \
             + (1.0 - a) * pi[z][:, None, :]              # (B, M, L)
@@ -392,30 +392,44 @@ class AffineClassifier:
         self.b = scale * rng.standard_normal(num_classes)
 
     def log_probs(self, z_seq, t) -> np.ndarray:
+        """(K,) for one (L,) sequence, (B, K) for a (B, L) batch."""
         z = np.asarray(z_seq, dtype=np.int64)
-        return self.b + self.w[:, np.arange(z.shape[0]), z].sum(axis=1)
+        picked = self.w[:, np.arange(z.shape[-1]), z]     # (K, ..., L)
+        return self.b + np.moveaxis(picked.sum(axis=-1), 0, -1)
 
     def grad_log_prob(self, z_seq, t, y: int):
         z = np.asarray(z_seq, dtype=np.int64)
-        logp0 = float(self.log_probs(z, t)[y])
-        return logp0, self.w[y].copy()
+        logp0 = self.log_probs(z, t)[..., y]
+        grad = np.broadcast_to(self.w[y], z.shape + self.w.shape[-1:])
+        return (float(logp0) if z.ndim == 1 else logp0), grad.copy()
 
 
 class CallCountingClassifier:
-    """Wrapper asserting the guidance cost contracts."""
+    """Wrapper asserting the guidance cost contracts: counts calls, and
+    the sequences (rows) those calls evaluate, one per sequence of a
+    (B, L) batch."""
 
     def __init__(self, inner):
         self.inner = inner
         self.log_prob_calls = 0
+        self.log_prob_rows = 0
         self.grad_calls = 0
+        self.grad_rows = 0
 
     def log_probs(self, z_seq, t):
         self.log_prob_calls += 1
+        self.log_prob_rows += _num_rows(z_seq)
         return self.inner.log_probs(z_seq, t)
 
     def grad_log_prob(self, z_seq, t, y):
         self.grad_calls += 1
+        self.grad_rows += _num_rows(z_seq)
         return self.inner.grad_log_prob(z_seq, t, y)
+
+
+def _num_rows(z_seq) -> int:
+    z = np.asarray(z_seq)
+    return 1 if z.ndim == 1 else z.shape[0]
 
 
 # ------------------------------------------------------- ctmc equivalences

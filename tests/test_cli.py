@@ -10,7 +10,7 @@ import catdiff.loss as L
 from catdiff.checkpoint import load_checkpoint, save_checkpoint
 from catdiff.core import Vocabulary
 from catdiff.data import gen_labeled_corpus, save_text_dataset
-from catdiff.model import ConstantDenoiser
+from catdiff.model import ConstantDenoiser, init_denoiser
 
 BASE_CONFIG = """\
 # small uniform run
@@ -199,6 +199,44 @@ def test_eval_exact_budget_guard(workdir, capsys):
                      "--T", "100000", "--mode", "exact"])
     assert code == 1
     assert "--mode mc" in capsys.readouterr().err
+
+
+def test_eval_exact_budget_checked_before_data(tmp_path, capsys, monkeypatch):
+    # N = 6, L = 7 at T = 4 passed the old command-line bound (T * N^L <=
+    # 2e6) and then failed inside the evaluation
+    vocab = Vocabulary(6)
+    params = init_denoiser(vocab, 7, 0, 4, kind="uniform", seed=0)
+    save_checkpoint(params, tmp_path / "wide.json")
+    (tmp_path / "wide.txt").write_text("abcdefa\n")
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("evaluation started past the budget")
+
+    monkeypatch.setattr(L, "nelbo_discrete", not_reached)
+    code = cli.main(["eval", "--checkpoint", str(tmp_path / "wide.json"),
+                     "--data", str(tmp_path / "wide.txt"),
+                     "--T", "4", "--mode", "exact"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "--mode mc" in captured.err and "budget" in captured.err
+    assert "resolved configuration" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--config", "c.txt", "--out", "o.json"],
+    ["sample", "--checkpoint", "c.json", "--out", "s.txt", "--num", "1",
+     "--steps", "1"],
+    ["eval", "--checkpoint", "c.json", "--data", "d.txt"],
+    ["metrics", "--samples", "s.txt", "--reference", "r.txt"],
+])
+def test_threads_only_on_verify(argv, capsys):
+    # only the verify suites run on worker threads; elsewhere the flag
+    # would be accepted and then ignored
+    code = cli.main(argv + ["--threads", "2"])
+    assert code == 1
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    verify = cli.build_parser().parse_args(["verify", "--threads", "3"])
+    assert verify.threads == 3
 
 
 def test_metrics_reports_and_writes_file(workdir, tmp_path, capsys):

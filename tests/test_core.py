@@ -105,6 +105,24 @@ def test_categorical_rejects_negative_and_nonfinite():
         Categorical([np.inf, 0.0])
 
 
+# Validation runs two reductions on the common path and works out which
+# check failed only on the failure path; the messages are unchanged.
+@pytest.mark.parametrize("vec, message", [
+    ([np.nan, 1.0], "probs contain NaN or inf"),
+    ([np.inf, 0.0], "probs contain NaN or inf"),
+    ([np.inf, -np.inf], "probs contain NaN or inf"),
+    ([np.nan, -1.0], "probs contain NaN or inf"),
+    ([1.1, -0.1], "negative probability entry: min=-0.1"),
+    ([-0.5, 0.5], "negative probability entry: min=-0.5"),
+    ([0.5, 0.6], f"probabilities sum to {np.float64(1.1)!r}, expected 1"),
+    ([], f"probabilities sum to {np.float64(0.0)!r}, expected 1"),
+])
+def test_categorical_error_messages(vec, message):
+    with pytest.raises(ValueError) as info, np.errstate(invalid="ignore"):
+        Categorical(vec)
+    assert str(info.value) == message
+
+
 def test_normalization_idempotent():
     c = Categorical.from_unnormalized([3.0, 1.0, 4.0])
     c2 = Categorical(c.probs)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catdiff import guidance as G
 from catdiff import model as M
@@ -177,6 +178,87 @@ def test_cbg_taylor_call_count():
         G.cbg_taylor(counter, z, 0.4, rows, 0, gamma)
         assert counter.grad_calls == 1
         assert counter.log_prob_calls == 0
+
+
+# The batched transforms (one (B, L) latent block per call) are pinned to
+# the literal per-sequence oracle and to the single-sequence route.
+
+def _batch_case(seed, batch, length, n):
+    rng = np.random.default_rng(seed)
+    z = rng.integers(0, n, size=(batch, length))
+    rows = np.stack([random_rows(rng, length, n, floor=1e-9)
+                     for _ in range(batch)])
+    return rng, z, rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([1, 2, 5]),
+    st.sampled_from([1, 3]),
+    st.sampled_from([2, 4]),
+    st.sampled_from(GAMMAS),
+    st.sampled_from(["s", "t"]),
+    st.integers(min_value=0, max_value=10 ** 6),
+)
+def test_batched_cbg_exact_matches_oracle_per_row(batch, length, n, gamma,
+                                                  time_of, seed):
+    rng, z, rows = _batch_case(seed, batch, length, n)
+    clf = M.init_classifier(Vocabulary(n), length, 3, 8, seed=seed,
+                            scale=0.5)
+    t = 0.3 if time_of == "s" else float(rng.uniform(0.05, 0.95))
+    y = int(rng.integers(3))
+    counter = CallCountingClassifier(clf)
+    got = G.cbg_exact(counter, z, t, rows, y, gamma)
+    assert got.shape == rows.shape
+    for b in range(batch):
+        want = tempered_token_oracle(clf, z[b], rows[b], y, gamma, t)
+        assert np.max(np.abs(got[b] - want)) <= 1e-12
+    assert counter.log_prob_calls == length * n
+    assert counter.log_prob_rows == length * n * batch
+    assert counter.grad_calls == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["mlp", "affine"]),
+    st.sampled_from([1, 2, 6]),
+    st.sampled_from([1, 3]),
+    st.sampled_from([2, 4]),
+    st.sampled_from(GAMMAS),
+    st.integers(min_value=0, max_value=10 ** 6),
+)
+def test_batched_cbg_taylor_matches_single_sequence_calls(kind, batch, length,
+                                                          n, gamma, seed):
+    rng, z, rows = _batch_case(seed, batch, length, n)
+    if kind == "mlp":
+        clf = M.init_classifier(Vocabulary(n), length, 3, 8, n_layers=1,
+                                seed=seed, scale=0.6)
+    else:
+        clf = AffineClassifier(3, length, n, seed=seed)
+    y = int(rng.integers(3))
+    counter = CallCountingClassifier(clf)
+    got = G.cbg_taylor(counter, z, 0.4, rows, y, gamma)
+    assert counter.grad_calls == 1 and counter.grad_rows == batch
+    assert counter.log_prob_calls == 0
+    single = np.stack([G.cbg_taylor(clf, z[b], 0.4, rows[b], y, gamma)
+                       for b in range(batch)])
+    assert np.max(np.abs(got - single)) <= 1e-12
+    if kind == "affine":  # linearization is exact for an affine log-prob
+        exact = G.cbg_exact(clf, z, 0.4, rows, y, gamma)
+        assert np.max(np.abs(got - exact)) <= 1e-9
+
+
+def test_affine_classifier_batch_matches_rows():
+    aff = AffineClassifier(3, 4, 5, seed=2)
+    z = np.random.default_rng(2).integers(0, 5, size=(6, 4))
+    batched = aff.log_probs(z, 0.5)
+    logp0, grad = aff.grad_log_prob(z, 0.5, 1)
+    assert batched.shape == (6, 3) and grad.shape == (6, 4, 5)
+    for b in range(6):
+        assert np.array_equal(batched[b], aff.log_probs(z[b], 0.5))
+        single_logp, single_grad = aff.grad_log_prob(z[b], 0.5, 1)
+        assert logp0[b] == single_logp
+        assert np.array_equal(grad[b], single_grad)
 
 
 def test_cbg_gamma_zero_returns_rows():

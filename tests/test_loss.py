@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catdiff import loss as L
-from catdiff.core import NoiseSchedule
+from catdiff import model as M
+from catdiff.core import NoiseSchedule, Vocabulary
 from catdiff.forward import PriorSpec, posterior
 from catdiff.verify import (
     OptimalDenoiser,
@@ -170,6 +174,106 @@ def test_nelbo_mc_unbiased_within_3_sigma():
     ])
     sem = draws.std(ddof=1) / np.sqrt(draws.size)
     assert abs(draws.mean() - exact) < 3 * sem
+
+
+# The batched NELBO (one denoiser call over every mc draw of a batch, one
+# per grid time over the enumerated latents in exact mode) is pinned to a
+# per-sequence, per-latent loop over the single-position KL.
+
+def _reference_nelbo(x, den, T, prior, mode, rng, mc_samples, labels):
+    """Per-sequence loop: the same rng draws in the same order, rows from
+    the per-sequence ``rows`` call, the KL one position at a time."""
+    out = []
+    for b, row in enumerate(x):
+        cond = None if labels is None else int(labels[b])
+
+        def kl_sum(z, t, s):
+            rows = den.rows(z, t, cond)
+            return sum(L.diffusion_kl(int(row[l]), int(z[l]), t, s, rows[l],
+                                      prior, SCHED) for l in range(len(row)))
+
+        if mode == "exact":
+            total = 0.0
+            for i in range(1, T + 1):
+                t, s = i / T, (i - 1) / T
+                a = SCHED.alpha(t)
+                for z in itertools.product(range(prior.size),
+                                           repeat=len(row)):
+                    z = np.array(z)
+                    w = np.prod(a * (z == row) + (1 - a) * prior.pi.probs[z])
+                    if w > 0:
+                        total += w * kl_sum(z, t, s)
+        else:
+            acc = 0.0
+            for _ in range(mc_samples):
+                i = int(rng.integers(1, T + 1))
+                t, s = i / T, (i - 1) / T
+                z = L._corrupt(row, t, prior, SCHED, rng)
+                acc += T * kl_sum(z, t, s)
+            total = acc / mc_samples
+        out.append(total)
+    return np.array(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["exact", "mc"]),
+    st.sampled_from(["uniform", "absorbing"]),
+    st.sampled_from(["params", "params_labeled", "tabular"]),
+    st.sampled_from([1, 4]),
+    st.sampled_from([1, 3]),
+    st.sampled_from([1, 3, 8]),
+    st.sampled_from([1, 3]),
+    st.integers(min_value=0, max_value=10 ** 6),
+)
+def test_batched_nelbo_matches_per_sequence_loop(mode, kind, den_kind, batch,
+                                                 length, T, mc_samples, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "absorbing":
+        vocab = Vocabulary(4, mask_index=3)
+        prior = PriorSpec.absorbing(vocab)
+    else:
+        vocab = Vocabulary(3)
+        prior = PriorSpec.uniform(3)
+    x = rng.integers(0, 3, size=(batch, length))
+    labels = None
+    if den_kind == "tabular":
+        den = TabularDenoiser(vocab.size, seed=seed, kind=kind,
+                              mask_index=vocab.mask_index)
+    else:
+        num_classes = 2 if den_kind == "params_labeled" else 0
+        den = M.init_denoiser(vocab, length, num_classes, 8, kind=kind,
+                              seed=seed, scale=0.8)
+        if num_classes:
+            labels = rng.integers(0, num_classes, size=batch)
+    got = L.nelbo_discrete(x, den, T, prior, SCHED, mode=mode,
+                           rng=np.random.default_rng(seed),
+                           mc_samples=mc_samples, condition=labels)
+    want = _reference_nelbo(x, den, T, prior, mode,
+                            np.random.default_rng(seed), mc_samples, labels)
+    assert got.shape == (batch,)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    single = L.nelbo_discrete(x[0], den, T, prior, SCHED, mode=mode,
+                              rng=np.random.default_rng(seed),
+                              mc_samples=mc_samples,
+                              condition=None if labels is None else labels[0])
+    assert isinstance(single, float)
+    assert abs(single - want[0]) <= 1e-12 * max(1.0, abs(want[0]))
+
+
+def test_exact_budget_is_checked_before_any_denoiser_call():
+    class Untouchable:
+        def rows(self, z_seq, t, condition=None):
+            raise AssertionError("denoiser called past the budget")
+
+    prior = PriorSpec.uniform(6)
+    with pytest.raises(ValueError, match="budget"):
+        L.nelbo_discrete(np.zeros(7, dtype=np.int64), Untouchable(), 1,
+                         prior, SCHED, mode="exact")
+    assert 16 * 4 ** 5 <= L.EXACT_LATENT_BUDGET < 6 ** 7
+    L.check_exact_budget(16, 4, 5)
+    with pytest.raises(ValueError, match="budget"):
+        L.check_exact_budget(2, 4, 8)
 
 
 def test_nelbo_mc_variance_scales_inversely_with_samples():

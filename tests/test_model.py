@@ -83,6 +83,33 @@ def test_absorbing_mask_column_is_zero():
     assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-12)
 
 
+# A token outside [0, N) must not wrap to another embedding row (-1 is the
+# mask row of an absorbing vocabulary) or escape as an IndexError.
+BAD_TOKENS = [[-1, 0, 1, 2], [0, 1, 2, 3], [0, 0, 0, 99]]
+
+
+@pytest.mark.parametrize("bad", BAD_TOKENS)
+def test_denoise_batch_rejects_out_of_range_tokens(bad):
+    params = tiny_denoiser()
+    with pytest.raises(ValueError, match="token"):
+        M.denoise_batch(params, np.array([[0, 1, 2, 0], bad]), 0.5, None)
+    absorbing = tiny_denoiser(kind="absorbing")
+    with pytest.raises(ValueError, match="token"):
+        M.denoise_batch(absorbing, np.array([[-1, 0, 1, 2]]), 0.5, None)
+
+
+@pytest.mark.parametrize("bad", BAD_TOKENS)
+def test_classifier_forwards_reject_out_of_range_tokens(bad):
+    clf = M.init_classifier(VOCAB3, 4, 2, 8, seed=1)
+    z = np.array([[0, 1, 2, 0], bad])
+    with pytest.raises(ValueError, match="token"):
+        M.classify_batch(clf, z, 0.5)
+    with pytest.raises(ValueError, match="token"):
+        clf.log_probs(z, 0.5)
+    with pytest.raises(ValueError, match="token"):
+        clf.grad_log_prob(z, 0.5, 0)
+
+
 # The inference forward is pinned to the autodiff graph the models train
 # on, evaluated on constant nodes.
 
@@ -236,6 +263,45 @@ def test_classify_grad_input_independent_when_trunk_constant():
     for z in ([0, 1, 2, 0], [2, 2, 2, 2]):
         _, grad = M.classify_grad_wrt_onehot(params, z, 0.5, 0)
         assert np.allclose(grad, 0.0, atol=1e-15)
+
+
+def test_classifier_protocol_batches_match_single_sequences():
+    # log_probs and grad_log_prob take a (B, L) block: one classifier
+    # call, one forward and one backward pass for the whole batch
+    params = M.init_classifier(VOCAB3, 4, 3, 8, seed=15, scale=0.6)
+    z = np.random.default_rng(15).integers(0, 3, size=(6, 4))
+    logp = params.log_probs(z, 0.35)
+    logp0, grad = params.grad_log_prob(z, 0.35, 2)
+    assert logp.shape == (6, 3) and logp0.shape == (6,)
+    assert grad.shape == (6, 4, 3)
+    for b in range(6):
+        assert np.max(np.abs(logp[b] - M.classify(params, z[b], 0.35))) \
+            <= 1e-12
+        single_logp, single_grad = M.classify_grad_wrt_onehot(
+            params, z[b], 0.35, 2)
+        assert abs(logp0[b] - single_logp) <= 1e-12
+        assert np.max(np.abs(grad[b] - single_grad)) <= 1e-12
+
+
+def test_denoiser_rows_stacks_per_sequence_rows():
+    # an object with only the per-sequence rows() gets one call per row,
+    # with that row's time and label
+    params = tiny_denoiser(seed=6, scale=0.6)
+
+    class RowsOnly:
+        def rows(self, z_seq, t, condition=None):
+            assert type(t) is float and condition in (None, 0, 1)
+            return M.denoise(params, z_seq, t, condition)
+
+    rng = np.random.default_rng(6)
+    z = rng.integers(0, 3, size=(5, 4))
+    t = rng.uniform(0.05, 0.95, size=5)
+    labels = rng.integers(0, 2, size=5)
+    for tt, cond in ((t, labels), (0.3, None), (0.3, 1)):
+        want = M.denoise_batch(params, z, tt, cond)
+        assert np.array_equal(M.denoiser_rows(params, z, tt, cond), want)
+        got = M.denoiser_rows(RowsOnly(), z, tt, cond)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(20))
