@@ -12,7 +12,8 @@ import json
 import numpy as np
 
 from .core import NoiseSchedule, Vocabulary
-from .model import ClassifierParams, ConstantDenoiser, DenoiserParams
+from .model import (ClassifierParams, ConstantDenoiser, DenoiserParams,
+                    init_classifier, init_denoiser)
 
 FORMAT_VERSION = 1
 
@@ -22,6 +23,7 @@ KIND_TAGS = {
     ("constant", "uniform"): "constant_uniform",
     ("constant", "absorbing"): "constant_absorbing",
 }
+REVERSE_TAGS = {tag: key for key, tag in KIND_TAGS.items()}
 
 
 def _model_kind(params) -> str:
@@ -76,7 +78,34 @@ def save_checkpoint(params, path: str) -> None:
         fh.write("\n")
 
 
+def _checked_arrays(doc: dict, expected: dict) -> dict:
+    """The document's arrays by name, each checked against the expected
+    shape (ValueError) and for finiteness (FloatingPointError)."""
+    named = {}
+    for name, flat in doc["params"]:
+        if name not in expected:
+            raise ValueError(f"unexpected array {name!r} in a "
+                             f"{doc['model_kind']} checkpoint")
+        arr = np.asarray(flat, dtype=np.float64)
+        shape = tuple(doc["shapes"].get(name, ()))
+        if shape != expected[name] or arr.size != np.prod(shape):
+            raise ValueError(
+                f"array {name!r} has shape {shape} and {arr.size} entries; "
+                f"the checkpoint's hyper and vocab need {expected[name]}")
+        if not np.all(np.isfinite(arr)):
+            raise FloatingPointError(f"array {name!r} has non-finite entries")
+        named[name] = arr.reshape(shape)
+    missing = [name for name in expected if name not in named]
+    if missing:
+        raise ValueError(f"checkpoint is missing array(s) {missing}")
+    return named
+
+
 def load_checkpoint(path: str):
+    """Read a checkpoint into the model it describes. Every array's name
+    and shape is checked against that model, freshly initialized from the
+    document's hyper and vocab (ValueError), and every entry for
+    finiteness (FloatingPointError)."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format_version") != FORMAT_VERSION:
@@ -94,40 +123,23 @@ def load_checkpoint(path: str):
         t_max=doc["schedule"]["t_max"],
     )
     hyper = doc["hyper"]
-    named = {}
-    for name, flat in doc["params"]:
-        shape = tuple(doc["shapes"][name])
-        arr = np.array(flat, dtype=np.float64).reshape(shape)
-        named[name] = arr
     kind_tag = doc["model_kind"]
-    if kind_tag in ("constant_uniform", "constant_absorbing"):
-        return ConstantDenoiser(
-            kind=kind_tag.removeprefix("constant_"), vocab=vocab,
-            rows_table=named["rows_table"], schedule=schedule,
-            num_classes=hyper["num_classes"],
-        )
-    hidden = [
-        (named[f"hidden_w{i}"], named[f"hidden_b{i}"])
-        for i in range(hyper["n_layers"])
-    ]
-    if kind_tag == "classifier":
-        return ClassifierParams(
-            vocab=vocab, length=hyper["length"],
-            num_classes=hyper["num_classes"], d=hyper["d"], schedule=schedule,
-            token_embedding=named["token_embedding"],
-            position_encoding=named["position_encoding"],
-            time_projection=named["time_projection"],
-            hidden=hidden, output_head=named["output_head"],
-        )
-    reverse_tags = {v: k for k, v in KIND_TAGS.items()}
-    if kind_tag not in reverse_tags:
+    if kind_tag != "classifier" and kind_tag not in REVERSE_TAGS:
         raise ValueError(f"unknown model_kind {kind_tag!r}")
-    return DenoiserParams(
-        kind=reverse_tags[kind_tag][1], vocab=vocab, length=hyper["length"],
-        num_classes=hyper["num_classes"], d=hyper["d"], schedule=schedule,
-        token_embedding=named["token_embedding"],
-        position_encoding=named["position_encoding"],
-        time_projection=named["time_projection"],
-        condition_embedding=named["condition_embedding"],
-        hidden=hidden, output_head=named["output_head"],
-    )
+    family, kind = REVERSE_TAGS.get(kind_tag, ("classifier", None))
+    if family == "constant":
+        named = _checked_arrays(
+            doc, {"rows_table": (hyper["length"], vocab.size)})
+        return ConstantDenoiser(
+            kind=kind, vocab=vocab, rows_table=named["rows_table"],
+            schedule=schedule, num_classes=hyper["num_classes"],
+        )
+    sizes = (vocab, hyper["length"], hyper["num_classes"], hyper["d"])
+    model = (init_classifier(*sizes, n_layers=hyper["n_layers"],
+                             schedule=schedule) if family == "classifier"
+             else init_denoiser(*sizes, kind=kind, n_layers=hyper["n_layers"],
+                                schedule=schedule))
+    expected = {name: arr.shape for name, arr in model.arrays()}
+    named = _checked_arrays(doc, expected)
+    model.set_arrays([named[name] for name in expected])
+    return model

@@ -4,9 +4,16 @@ The forward marginal interpolates between clean data and a prior pi:
 q(z_t | x) = Cat(alpha_t x + (1 - alpha_t) pi). The reverse-time posterior
 q(z_s | z_t, x) follows from Bayes over one interpolating transition.
 
-The general-pi posterior is implemented once; the uniform and absorbing
-closed forms are kept as separate fast paths and validated against it,
-since the specializations are where sign and normalization bugs creep in.
+Each computation is implemented once, batched over any leading shape:
+``marginal_rows`` (the forward marginal), ``corrupt`` (a draw of z_t) and
+the posterior, written as ``bayes_factors`` (the factors that do not
+depend on x) and ``bayes_posterior`` (their application to one-hot or
+substituted clean-token rows, arrays or autodiff nodes), which
+``posterior_matrix`` chains. The sampler, the losses and the scalar
+entry points ``marginal`` and ``posterior`` all go through them. The
+uniform and absorbing closed forms are only references that the general
+kernel is checked against, since the specializations are where sign and
+normalization bugs creep in.
 """
 
 from __future__ import annotations
@@ -70,14 +77,33 @@ class PriorSpec:
         return cls.uniform(vocab.size)
 
 
+def _per_row(value, ndim: int):
+    """A schedule value shared by every row (a float, returned as is), or
+    one value per leading row of an ndim-dimensional array, shaped to
+    broadcast against it."""
+    if isinstance(value, float):
+        return value
+    return value.reshape(value.shape + (1,) * (ndim - value.ndim))
+
+
+def marginal_rows(
+    x, t: float, prior: PriorSpec, schedule: NoiseSchedule
+) -> np.ndarray:
+    """q(z_t | x) = alpha_t onehot(x) + (1 - alpha_t) pi for integer tokens
+    x of any shape: (..., N) rows."""
+    x = np.asarray(x, dtype=np.int64)
+    n = prior.size
+    a_t = schedule.alpha(t)
+    rows = np.tile((1.0 - a_t) * prior.pi.probs, x.shape + (1,))
+    rows.reshape(-1, n)[np.arange(x.size), x.reshape(-1)] += a_t
+    return rows
+
+
 def marginal(
     x: int, t: float, prior: PriorSpec, schedule: NoiseSchedule
 ) -> Categorical:
-    """q(z_t | x) = Cat(alpha_t onehot(x) + (1 - alpha_t) pi)."""
-    a_t = schedule.alpha(t)
-    vec = (1.0 - a_t) * prior.pi.probs.copy()
-    vec[x] += a_t
-    return Categorical(vec)
+    """q(z_t | x) for one token."""
+    return Categorical(marginal_rows(x, t, prior, schedule))
 
 
 def sample_latent(
@@ -91,52 +117,93 @@ def sample_latent(
     return prior.pi.sample(rng)
 
 
-def sample_latent_seq(
-    x_seq: np.ndarray, t: float, prior: PriorSpec, schedule: NoiseSchedule,
+def corrupt(
+    x, t, prior: PriorSpec, schedule: NoiseSchedule,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Corrupt a whole sequence at time t, positions independent."""
-    x_seq = np.asarray(x_seq, dtype=np.int64)
-    a_t = schedule.alpha(t)
-    keep = rng.random(x_seq.shape) < a_t
-    noise = rng.choice(prior.size, size=x_seq.shape, p=prior.pi.probs)
-    return np.where(keep, x_seq, noise)
+    """Draw z_t ~ q(z_t | x) for every token of x, positions independent.
+
+    ``t`` is shared or one value per leading row of x. The draw order is
+    fixed: one uniform per token (keep x when below alpha_t), then one
+    prior token per token, whether it is used or not.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    keep = rng.random(x.shape) < _per_row(schedule.alpha(t), x.ndim)
+    noise = rng.choice(prior.size, size=x.shape, p=prior.pi.probs)
+    return np.where(keep, x, noise)
 
 
-def posterior_probs(
-    z_t: int,
-    x_row: np.ndarray,
-    t: float,
-    s: float,
+def bayes_factors(z, t, s, prior: PriorSpec, schedule: NoiseSchedule):
+    """The factors of q(z_s | z_t = z, x) that do not depend on x, for
+    latents z of any shape and t, s shared or one per leading row.
+
+    Returns (bridge, a_s, a_t, pi_z, pi): the (..., N) bridge rows
+    q(z_t = z | z_s = j) = a_ts 1[j=z] + (1 - a_ts) pi[z], then alpha at s,
+    alpha at t and pi[z], each shaped (..., 1) to broadcast against rows,
+    and the prior vector pi.
+    """
+    z = np.asarray(z, dtype=np.int64)
+    pi = prior.pi.probs
+    n = pi.shape[0]
+    a_s = _per_row(schedule.alpha(s), z.ndim + 1)
+    a_t = _per_row(schedule.alpha(t), z.ndim + 1)
+    a_ts = _per_row(schedule.alpha_ratio(t, s), z.ndim + 1)
+    pi_z = pi[z][..., None]
+    off = (1.0 - a_ts) * pi_z
+    bridge = np.repeat(off, n, axis=-1)
+    bridge.reshape(-1, n)[np.arange(z.size), z.reshape(-1)] = (
+        off + a_ts).reshape(-1)
+    return bridge, a_s, a_t, pi_z, pi
+
+
+def bayes_posterior(factors, z, x_rows, x_at_z=None):
+    """Bayes over one interpolating transition, for clean-token rows x
+    (one-hot, or any distribution substituted for it):
+
+        q(z_s = j | z_t = z, x) = bridge[j] (a_s x[j] + (1 - a_s) pi[j])
+                                  / (a_t x[z] + (1 - a_t) pi[z]).
+
+    ``factors`` come from ``bayes_factors`` for the latents z. ``x_at_z``,
+    the rows' entries at z shaped (..., 1), is read from x_rows when not
+    given. Only arithmetic operators touch x_rows, so an autodiff Node
+    works too (passing its own gather); plain arrays raise ValueError
+    where the latent has zero mass.
+    """
+    bridge, a_s, a_t, pi_z, pi = factors
+    if x_at_z is None:
+        z = np.asarray(z, dtype=np.int64)
+        x_at_z = x_rows.reshape(-1, pi.shape[0])[
+            np.arange(z.size), z.reshape(-1)].reshape(z.shape + (1,))
+    den = a_t * x_at_z + (1.0 - a_t) * pi_z
+    if isinstance(den, np.ndarray) and (den <= 0).any():
+        bad = tuple(int(i) for i in np.argwhere(den <= 0)[0][:-1])
+        raise ValueError(f"latent {np.asarray(z)[bad]} at position {bad} has "
+                         f"probability zero under the clean-token rows")
+    return bridge * (a_s * x_rows + (1.0 - a_s) * pi) / den
+
+
+def posterior_matrix(
+    z,
+    x_rows: np.ndarray,
+    t,
+    s,
     prior: PriorSpec,
     schedule: NoiseSchedule,
 ) -> np.ndarray:
-    """General-pi posterior q(z_s | z_t, x) as a raw probability vector.
+    """The posterior q(z_s | z_t = z, x) over a batch of latents.
 
-    ``x_row`` may be a one-hot vector (true posterior) or any probability
-    vector over clean tokens (the x-substituted reverse distribution used
-    by the sampler). Derived once from Bayes over the forward marginals:
-
-        num[j] = (a_ts 1[j=i] + (1-a_ts) pi[i]) * (a_s x_row[j] + (1-a_s) pi[j])
-        den    = a_t x_row[i] + (1-a_t) pi[i]
+    Latents z of any leading shape (a scalar included) with clean-token
+    rows x_rows of shape (..., N) give (..., N) posterior rows. Each row of
+    x_rows is a one-hot x (the true posterior) or any distribution over
+    clean tokens (the x-substituted reverse distribution of the sampler
+    and of the NELBO's model term). ``t`` and ``s`` are shared or one value
+    per leading row.
     """
-    pi = prior.pi.probs
-    n = pi.shape[0]
-    x_row = np.asarray(x_row, dtype=np.float64)
-    if x_row.shape != (n,):
-        raise ValueError(f"x_row shape {x_row.shape} does not match N={n}")
-    a_s = schedule.alpha(s)
-    a_t = schedule.alpha(t)
-    a_ts = schedule.alpha_ratio(t, s)
-    den = a_t * x_row[z_t] + (1.0 - a_t) * pi[z_t]
-    if den <= 0:
-        raise ValueError(
-            f"latent z_t={z_t} has probability zero under the forward process"
-        )
-    trans = np.full(n, (1.0 - a_ts) * pi[z_t])
-    trans[z_t] += a_ts
-    num = trans * (a_s * x_row + (1.0 - a_s) * pi)
-    return num / den
+    x_rows = np.asarray(x_rows, dtype=np.float64)
+    if x_rows.shape[-1:] != (prior.size,):
+        raise ValueError(f"x_rows shape {x_rows.shape} does not match "
+                         f"N={prior.size}")
+    return bayes_posterior(bayes_factors(z, t, s, prior, schedule), z, x_rows)
 
 
 def posterior(
@@ -144,8 +211,8 @@ def posterior(
     schedule: NoiseSchedule,
 ) -> Categorical:
     """Exact posterior q(z_s | z_t, x) for any prior, s <= t."""
-    vec = posterior_probs(z_t, _one_hot(x, prior.size), t, s, prior, schedule)
-    return Categorical(vec)
+    return Categorical(posterior_matrix(
+        z_t, Categorical.one_hot(x, prior.size).probs, t, s, prior, schedule))
 
 
 def posterior_uniform(
@@ -186,38 +253,3 @@ def posterior_absorbing(
     vec[x] = (a_s - a_t) / (1.0 - a_t)
     vec[mask] += (1.0 - a_s) / (1.0 - a_t)
     return Categorical(vec)
-
-
-def posterior_matrix(
-    z_seq: np.ndarray,
-    x_rows: np.ndarray,
-    t: float,
-    s: float,
-    prior: PriorSpec,
-    schedule: NoiseSchedule,
-) -> np.ndarray:
-    """Vectorized posterior over a sequence: (L,) latents x (L, N) clean
-    rows -> (L, N) posterior rows. Same arithmetic as posterior_probs."""
-    pi = prior.pi.probs
-    z_seq = np.asarray(z_seq, dtype=np.int64)
-    x_rows = np.asarray(x_rows, dtype=np.float64)
-    ell = z_seq.shape[0]
-    a_s = schedule.alpha(s)
-    a_t = schedule.alpha(t)
-    a_ts = schedule.alpha_ratio(t, s)
-    den = a_t * x_rows[np.arange(ell), z_seq] + (1.0 - a_t) * pi[z_seq]
-    if np.any(den <= 0):
-        bad = int(np.argmax(den <= 0))
-        raise ValueError(
-            f"position {bad}: latent {z_seq[bad]} has probability zero"
-        )
-    trans = np.repeat(((1.0 - a_ts) * pi[z_seq])[:, None], pi.shape[0], axis=1)
-    trans[np.arange(ell), z_seq] += a_ts
-    num = trans * (a_s * x_rows + (1.0 - a_s) * pi[None, :])
-    return num / den[:, None]
-
-
-def _one_hot(index: int, size: int) -> np.ndarray:
-    vec = np.zeros(size)
-    vec[index] = 1.0
-    return vec

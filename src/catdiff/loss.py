@@ -8,6 +8,13 @@ sequence or a batch: mc mode evaluates every sampled latent of the batch
 in one denoiser call, exact mode one call per grid time over the
 enumerated latents of each sequence.
 
+The forward process is not re-derived here: z_t comes from
+``forward.corrupt``, marginals from ``forward.marginal_rows``, and every
+posterior from ``forward.bayes_factors`` and ``forward.bayes_posterior``.
+A KL term computes the factors once and applies them to the one-hot x
+(q) and to the denoiser's rows (p), as arrays in evaluation and as
+autodiff nodes in the training NELBO.
+
 Conventions, resolved once here:
 
 * Discrete-time grid: t_i = i/T for i = 0..T. The reconstruction term
@@ -31,9 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .core import NoiseSchedule
-from .forward import PriorSpec
-from .model import denoiser_rows
+from .core import Categorical, NoiseSchedule
+from .forward import (PriorSpec, bayes_factors, bayes_posterior, corrupt,
+                      marginal_rows, posterior_matrix)
+from .model import denoiser_logprob_rows, denoiser_rows, one_hot_batch
 
 _SUPPORT_EPS = 1e-300  # posterior entries below this count as off-support
 
@@ -73,10 +81,9 @@ def diffusion_kl(
     prior: PriorSpec, schedule: NoiseSchedule,
 ) -> float:
     """KL[q(z_s | z_t, x) || q(z_s | z_t, x = x_theta)], one position."""
-    from .forward import posterior_probs, _one_hot
-
-    q = posterior_probs(z_t, _one_hot(x, prior.size), t, s, prior, schedule)
-    p = posterior_probs(z_t, x_theta_row, t, s, prior, schedule)
+    q = posterior_matrix(z_t, Categorical.one_hot(x, prior.size).probs, t, s,
+                         prior, schedule)
+    p = posterior_matrix(z_t, x_theta_row, t, s, prior, schedule)
     return _kl(q, p)
 
 
@@ -152,7 +159,7 @@ def _mc_kl_terms(x, denoiser, T, prior, schedule, rng, mc_samples,
     for k in range(num * mc_samples):
         i = int(rng.integers(1, T + 1))
         grid[k] = i
-        z[k] = _corrupt(x[k // mc_samples], i / T, prior, schedule, rng)
+        z[k] = corrupt(x[k // mc_samples], i / T, prior, schedule, rng)
     t, s = grid / T, (grid - 1) / T
     rows = denoiser_rows(denoiser, z, t, condition)
     kls = _kl_rows(z, np.repeat(x, mc_samples, axis=0), rows, t, s, prior,
@@ -168,7 +175,7 @@ def _exact_kl_term(x_seq, latents, denoiser, t, s, prior, schedule,
     """E_{q(z_t | x)} sum_l KL_l over the enumerated (N^L, L) latents: one
     denoiser call over every latent the forward marginal can reach."""
     length = x_seq.shape[0]
-    marg = _marginal_rows(x_seq, t, prior, schedule)  # (L, N)
+    marg = marginal_rows(x_seq, t, prior, schedule)  # (L, N)
     weights = np.prod(marg[np.arange(length)[None, :], latents], axis=1)
     live = weights > 0
     rows_all = denoiser_rows(denoiser, latents[live], t, condition)
@@ -184,26 +191,12 @@ def _kl_rows(
     positions, vectorized over a stack of latents: z (S, L), rows
     (S, L, N) predicted clean distributions -> (S,). The clean sequence
     x and the times t, s are shared by the stack or given one per latent
-    ((S, L) and (S,))."""
-    pi = prior.pi.probs
-    n = pi.shape[0]
-    a_t, a_s, a_ts = (
-        np.reshape(a, (-1, 1)) for a in
-        (schedule.alpha(t), schedule.alpha(s), schedule.alpha_ratio(t, s)))
-    z_oh = _onehot(z, n)
-    x_oh = _onehot(np.broadcast_to(x_seq, z.shape), n)
-    trans = a_ts[..., None] * z_oh + (1.0 - a_ts[..., None]) * pi[z][..., None]
-    q_num = trans * (a_s[..., None] * x_oh + (1.0 - a_s[..., None]) * pi)
-    q_den = a_t * (z == x_seq) + (1.0 - a_t) * pi[z]
-    if np.any(q_den <= 0):
-        raise ValueError("latent with zero forward probability")
-    q = q_num / q_den[..., None]
-    rows_at_z = np.take_along_axis(rows, z[..., None], axis=-1)[..., 0]
-    p_den = a_t * rows_at_z + (1.0 - a_t) * pi[z]
-    if np.any(p_den <= 0):
-        raise ValueError("predicted distribution gives the latent zero mass")
-    p = trans * (a_s[..., None] * rows + (1.0 - a_s[..., None]) * pi) \
-        / p_den[..., None]
+    ((S, L) and (S,)). The posterior's factors are computed once and
+    applied to the one-hot x (q) and to the predicted rows (p)."""
+    factors = bayes_factors(z, t, s, prior, schedule)
+    q = bayes_posterior(factors, z, one_hot_batch(
+        np.broadcast_to(x_seq, z.shape), prior.size))
+    p = bayes_posterior(factors, z, rows)
     support = q > _SUPPORT_EPS
     out = np.sum(
         np.where(support, q * (np.log(np.where(support, q, 1.0))
@@ -216,24 +209,11 @@ def _kl_rows(
     return out
 
 
-def _marginal_rows(x_seq, t, prior, schedule) -> np.ndarray:
-    a_t = schedule.alpha(t)
-    rows = np.tile((1.0 - a_t) * prior.pi.probs, (x_seq.shape[0], 1))
-    rows[np.arange(x_seq.shape[0]), x_seq] += a_t
-    return rows
-
-
-def _corrupt(x_seq, t, prior, schedule, rng) -> np.ndarray:
-    keep = rng.random(x_seq.shape) < schedule.alpha(t)
-    noise = rng.choice(prior.size, size=x_seq.shape, p=prior.pi.probs)
-    return np.where(keep, x_seq, noise)
-
-
 def _prior_kl(x, prior, schedule) -> np.ndarray:
     """KL[q(z_1 | x) || pi] per position, summed per sequence of the
     (B, L) batch; zero when alpha(1) = 0. The per-position term depends
     on the token alone, so it is read from an N-entry table."""
-    marg = _marginal_rows(np.arange(prior.size), 1.0, prior, schedule)
+    marg = marginal_rows(np.arange(prior.size), 1.0, prior, schedule)
     table = np.array([_kl(q, prior.pi.probs) for q in marg])
     return table[x].sum(axis=1)
 
@@ -295,7 +275,7 @@ def udlm_loss(
     acc = 0.0
     for _ in range(mc_samples):
         t = float(schedule.draw_t(rng))
-        z = _corrupt(x_seq, t, prior, schedule, rng)
+        z = corrupt(x_seq, t, prior, schedule, rng)
         rows = _rows(denoiser, z, t, condition)
         val = sum(
             udlm_integrand(int(x_seq[l]), int(z[l]), t, rows[l], schedule)
@@ -388,10 +368,9 @@ def training_loss_node(
     cond_idx: np.ndarray, rng: np.random.Generator,
 ) -> ad.Node:
     """One minibatch loss as a scalar Node; draws (t, z_t) internally."""
-    from .model import denoiser_logprob_rows
-
     schedule = params.schedule
-    n = params.vocab.size
+    prior = params.prior
+    n = prior.size
     batch = x.shape[0]
     parts = []
     for _ in range(spec.mc_samples_per_example):
@@ -401,10 +380,7 @@ def training_loss_node(
         else:
             t = schedule.draw_t(rng, size=batch)
             s = None
-        prior_probs = _prior_vec(params)
-        keep = rng.random(x.shape) < schedule.alpha(t)[:, None]
-        noise = rng.choice(n, size=x.shape, p=prior_probs)
-        z = np.where(keep, x, noise)
+        z = corrupt(x, t, prior, schedule, rng)
         rows = denoiser_logprob_rows(field_nodes, params, z, t, cond_idx)
         if spec.objective == "udlm_continuous":
             parts.append(_udlm_batch_node(rows, x, z, t, n, schedule))
@@ -415,25 +391,11 @@ def training_loss_node(
                                           params.vocab.mask_index))
         else:
             parts.append(_nelbo_mc_batch_node(rows, x, z, t, s, spec.T,
-                                              prior_probs, schedule))
+                                              prior, schedule))
     total = parts[0]
     for p in parts[1:]:
         total = total + p
     return total * (1.0 / len(parts))
-
-
-def _prior_vec(params) -> np.ndarray:
-    if params.kind == "absorbing":
-        vec = np.zeros(params.vocab.size)
-        vec[params.vocab.mask_index] = 1.0
-        return vec
-    return np.full(params.vocab.size, 1.0 / params.vocab.size)
-
-
-def _onehot(idx: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros(idx.shape + (n,))
-    np.put_along_axis(out, idx[..., None], 1.0, axis=-1)
-    return out
 
 
 def _udlm_batch_node(rows, x, z, t, n, schedule) -> ad.Node:
@@ -441,7 +403,7 @@ def _udlm_batch_node(rows, x, z, t, n, schedule) -> ad.Node:
     width = schedule.t_max - schedule.t_min
     a = schedule.alpha(t)[:, None, None]
     ap = schedule.alpha_prime(t)[:, None]
-    xb = n * a * _onehot(x, n) + (1.0 - a)            # (B, L, N) constant
+    xb = n * a * one_hot_batch(x, n) + (1.0 - a)      # (B, L, N) constant
     bl = np.arange(x.shape[0])[:, None], np.arange(x.shape[1])[None, :]
     xb_i = xb[bl[0], bl[1], z]                        # (B, L)
     xtheta = ad.exp(rows)
@@ -450,7 +412,7 @@ def _udlm_batch_node(rows, x, z, t, n, schedule) -> ad.Node:
     xbt_i = ad.gather_last(xbt, z)
     log_xbt_i = ad.gather_last(log_xbt, z)
     # sum_{j != i} (xb_j / xb_i) [log xbt_i - log xbt_j + log xb_j - log xb_i]
-    w = xb / xb_i[..., None] * (1.0 - _onehot(z, n))
+    w = xb / xb_i[..., None] * (1.0 - one_hot_batch(z, n))
     const_part = np.log(xb) - np.log(xb_i)[..., None]
     diff = ad.reshape(log_xbt_i, log_xbt_i.shape + (1,)) - log_xbt + const_part
     cross = ad.nsum(ad.mul(ad.constant(w), diff), axis=-1)          # (B, L)
@@ -464,10 +426,10 @@ def _sedd_batch_node(rows, x, z, t, n, schedule) -> ad.Node:
     width = schedule.t_max - schedule.t_min
     a = schedule.alpha(t)[:, None, None]
     rate = (-schedule.alpha_prime(t) / (n * schedule.alpha(t)))[:, None]
-    xb = n * a * _onehot(x, n) + (1.0 - a)
+    xb = n * a * one_hot_batch(x, n) + (1.0 - a)
     bl = np.arange(x.shape[0])[:, None], np.arange(x.shape[1])[None, :]
     xb_i = xb[bl[0], bl[1], z]
-    off = 1.0 - _onehot(z, n)
+    off = 1.0 - one_hot_batch(z, n)
     ratio = xb / xb_i[..., None]
     k_of_ratio = ratio * (np.log(ratio) - 1.0)
     xtheta = ad.exp(rows)
@@ -492,30 +454,14 @@ def _mdlm_batch_node(rows, x, z, t, schedule, mask_index) -> ad.Node:
     return width * ad.nmean(per_ex)
 
 
-def _nelbo_mc_batch_node(rows, x, z, t, s, T, prior_probs, schedule) -> ad.Node:
+def _nelbo_mc_batch_node(rows, x, z, t, s, T, prior, schedule) -> ad.Node:
     """T * KL[q(z_s|z_t,x) || p_theta(z_s|z_t)], one sampled grid rung."""
-    n = prior_probs.shape[0]
-    a_t = schedule.alpha(t)[:, None, None]
-    a_s = schedule.alpha(s)[:, None, None]
-    a_ts = np.where(schedule.alpha(s) > 0,
-                    schedule.alpha(t) / np.maximum(schedule.alpha(s), 1e-300),
-                    0.0)[:, None, None]
-    pi_z = prior_probs[z][..., None]                   # (B, L, 1)
-    trans = a_ts * _onehot(z, n) + (1.0 - a_ts) * pi_z
-    # true posterior (constant)
-    x_oh = _onehot(x, n)
-    q_num = trans * (a_s * x_oh + (1.0 - a_s) * prior_probs)
-    bl = np.arange(x.shape[0])[:, None], np.arange(x.shape[1])[None, :]
-    q_den = (a_t[..., 0] * x_oh[bl[0], bl[1], z]
-             + (1.0 - a_t[..., 0]) * prior_probs[z])
-    q = q_num / q_den[..., None]
+    factors = bayes_factors(z, t, s, prior, schedule)
+    q = bayes_posterior(factors, z, one_hot_batch(x, prior.size))  # constant
     # model posterior (Node), x replaced by the predicted distribution
     xtheta = ad.exp(rows)
-    p_num = ad.mul(ad.constant(trans),
-                   ad.mul(ad.constant(a_s), xtheta) + (1.0 - a_s) * prior_probs)
-    p_den = (ad.mul(ad.constant(a_t[..., 0]), ad.gather_last(xtheta, z))
-             + (1.0 - a_t[..., 0]) * prior_probs[z])
-    p = ad.div(p_num, ad.reshape(p_den, p_den.shape + (1,)))
+    x_at_z = ad.reshape(ad.gather_last(xtheta, z), z.shape + (1,))
+    p = bayes_posterior(factors, z, xtheta, x_at_z)
     support = (q > _SUPPORT_EPS).astype(np.float64)
     q_masked = q * support
     entropy = np.sum(q_masked * np.log(np.where(support > 0, q, 1.0)),

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .core import NoiseSchedule, Vocabulary, check_sequence
+from .forward import PriorSpec, corrupt
 
 DROPPED = "dropped"  # sentinel accepted wherever a condition index is
 
@@ -94,7 +95,11 @@ class DenoiserParams:
         )
 
     # Denoiser protocol (see denoiser_rows): clean-token rows per sequence
-    # or per batch.
+    # or per batch, and the forward prior the rows were trained against.
+    @property
+    def prior(self) -> PriorSpec:
+        return _kind_prior(self.kind, self.vocab)
+
     def rows(self, z_seq, t, condition=None) -> np.ndarray:
         return denoise(self, z_seq, t, condition)
 
@@ -195,6 +200,10 @@ class ConstantDenoiser:
     def length(self) -> int:
         return self.rows_table.shape[0]
 
+    @property
+    def prior(self) -> PriorSpec:
+        return _kind_prior(self.kind, self.vocab)
+
     def rows(self, z_seq, t, condition=None) -> np.ndarray:
         z = check_sequence(z_seq, self.vocab)
         if z.shape[0] != self.length:
@@ -204,6 +213,12 @@ class ConstantDenoiser:
     def rows_batch(self, z_batch, t, cond_idx=None) -> np.ndarray:
         z = np.asarray(z_batch, dtype=np.int64)
         return np.tile(self.rows_table, (z.shape[0], 1, 1))
+
+
+def _kind_prior(kind: str, vocab: Vocabulary) -> PriorSpec:
+    if kind == "absorbing":
+        return PriorSpec.absorbing(vocab)
+    return PriorSpec.uniform(vocab.size)
 
 
 def denoiser_rows(denoiser, z_batch, t, condition=None) -> np.ndarray:
@@ -419,22 +434,6 @@ def denoise_batch(
     return probs
 
 
-def denoise_with_copy_floor(
-    params: DenoiserParams, z_seq, t: float, condition=None,
-    t_floor: float = 1e-4,
-) -> np.ndarray:
-    """Below t_floor the uniform-noise predictor copies its input
-    (one-hot rows); elsewhere defers to denoise."""
-    if params.kind != "uniform":
-        raise ValueError("copy floor applies to uniform-noise models only")
-    if t <= t_floor:
-        z = check_sequence(z_seq, params.vocab)
-        rows = np.zeros((params.length, params.vocab.size))
-        rows[np.arange(params.length), z] = 1.0
-        return rows
-    return denoise(params, z_seq, t, condition)
-
-
 def classifier_logprobs(
     field_nodes: list, params: ClassifierParams,
     z_onehot: ad.Node, t: np.ndarray,
@@ -463,6 +462,7 @@ def classifier_logprobs(
 
 
 def one_hot_batch(z_batch: np.ndarray, n: int) -> np.ndarray:
+    """Integer tokens of any shape to (..., n) one-hot rows."""
     z_batch = np.asarray(z_batch, dtype=np.int64)
     out = np.zeros(z_batch.shape + (n,))
     np.put_along_axis(out, z_batch[..., None], 1.0, axis=-1)
@@ -511,18 +511,6 @@ def classify_grad_wrt_onehot(
 
 
 # ------------------------------------------------------------ optimizers
-
-def sgd_step(arrays: list, grads: list, lr: float, momentum_state=None,
-             momentum: float = 0.0) -> list:
-    """Plain (optionally momentum) SGD; mutates and returns arrays."""
-    _check_finite(grads)
-    for i, (a, g) in enumerate(zip(arrays, grads)):
-        if momentum_state is not None:
-            momentum_state[i] = momentum * momentum_state[i] + g
-            g = momentum_state[i]
-        a -= lr * g
-    return arrays
-
 
 class AdamState:
     """Adam with beta = (0.9, 0.999), bias-corrected."""
@@ -637,8 +625,6 @@ def train_classifier(
 ) -> tuple:
     """Train the classifier on noised latents: draw t uniform over the
     clamped range, corrupt x to z_t, minimize -log p_phi(y | z_t, t)."""
-    from .forward import PriorSpec
-
     x_all, y_all = _as_xy(dataset)
     if x_all.size == 0:
         raise TrainingError("empty dataset")
@@ -660,9 +646,7 @@ def train_classifier(
             idx = order[start:start + batch_size]
             x, y = x_all[idx], y_all[idx]
             t = schedule.draw_t(rng, size=x.shape[0])
-            keep = rng.random(x.shape) < schedule.alpha(t)[:, None]
-            noise = rng.choice(vocab.size, size=x.shape, p=prior.pi.probs)
-            z = np.where(keep, x, noise)
+            z = corrupt(x, t, prior, schedule, rng)
             nodes = param_nodes(params)
             onehot = ad.constant(one_hot_batch(z, vocab.size))
             logp = classifier_logprobs(nodes, params, onehot, t)

@@ -39,18 +39,15 @@ class SampleRequest:
 
 
 def model_prior(denoiser) -> PriorSpec:
-    """The forward prior a denoiser was trained against, inferred from
-    whichever attributes the object exposes."""
+    """The forward prior a denoiser was trained against: its ``prior``,
+    else one built from its ``kind``, ``n`` and ``mask_index``."""
     if hasattr(denoiser, "prior"):
         return denoiser.prior
     if getattr(denoiser, "kind", "uniform") == "absorbing":
-        if hasattr(denoiser, "vocab"):
-            return PriorSpec.absorbing(denoiser.vocab)
         return PriorSpec.absorbing(
             Vocabulary(denoiser.n, mask_index=denoiser.mask_index)
         )
-    n = denoiser.vocab.size if hasattr(denoiser, "vocab") else denoiser.n
-    return PriorSpec.uniform(n)
+    return PriorSpec.uniform(denoiser.n)
 
 
 def model_schedule(denoiser) -> NoiseSchedule:
@@ -91,16 +88,12 @@ def _apply_cbg(post, z, t_clf, config, classifier) -> np.ndarray:
 
 def _step_batch(z, t, s, denoiser, config, rng, classifier, prior,
                 schedule) -> np.ndarray:
-    num, length = z.shape
-    n = prior.size
     x_rows = _guided_x_rows(denoiser, z, t, config)
-    post = posterior_matrix(
-        z.reshape(-1), x_rows.reshape(-1, n), t, s, prior, schedule
-    ).reshape(num, length, n)
+    post = posterior_matrix(z, x_rows, t, s, prior, schedule)
     if config.needs_classifier:
         t_clf = s if config.classifier_time == "s" else t
         post = _apply_cbg(post, z, t_clf, config, classifier)
-    return sample_rows(post.reshape(-1, n), rng).reshape(num, length)
+    return sample_rows(post, rng)
 
 
 def reverse_step(z_t_seq, t: float, s: float, denoiser,
@@ -126,18 +119,14 @@ def _decode_batch(z, t, denoiser, config, rng, classifier, prior, schedule,
     bridge times the guided x-row, so absorbing models keep every unmasked
     token and fill residual masks from x, while uniform models copy z with
     probability -> 1 as T grows."""
-    num, length = z.shape
-    n = prior.size
     x_rows = _guided_x_rows(denoiser, z, t, config)
-    post = posterior_matrix(
-        z.reshape(-1), x_rows.reshape(-1, n), t, 0.0, prior, schedule
-    ).reshape(num, length, n)
+    post = posterior_matrix(z, x_rows, t, 0.0, prior, schedule)
     if config.needs_classifier:
         t_clf = 0.0 if config.classifier_time == "s" else t
         post = _apply_cbg(post, z, t_clf, config, classifier)
     if final_decode == "argmax":
         return np.argmax(post, axis=-1)
-    return sample_rows(post.reshape(-1, n), rng).reshape(z.shape)
+    return sample_rows(post, rng)
 
 
 def _count_edits(old, new, prior) -> np.ndarray:

@@ -323,10 +323,10 @@ def exact_reverse_nll(
     x_seq = np.asarray(x_seq, dtype=np.int64)
     length = x_seq.shape[0]
     n = prior.size
-    states = enumerate_sequences(n, length)
-    num_states = states.shape[0]
+    num_states = n ** length
     if num_states ** 2 * T > 10 ** 7:
         raise ValueError("path marginalization budget exceeded")
+    states = enumerate_sequences(n, length)
     mu = np.array([np.prod(prior.pi.probs[st]) for st in states])
     for i in range(T, 0, -1):
         t, s = i / T, (i - 1) / T
@@ -445,7 +445,7 @@ def ctmc_tv_sweep(kind: str, gamma: float, seed: int, dts,
     dt -> 0. Returns (dts, tvs) for slope fitting.
     """
     from . import ctmc, guidance
-    from .forward import posterior_probs
+    from .forward import posterior_matrix
 
     if schedule is None:
         schedule = NoiseSchedule()
@@ -483,9 +483,9 @@ def ctmc_tv_sweep(kind: str, gamma: float, seed: int, dts,
     for dt in dts:
         s = t - dt
         if kind == "cfg":
-            post = posterior_probs(z, guided_x, t, s, prior, schedule)
+            post = posterior_matrix(z, guided_x, t, s, prior, schedule)
         else:
-            raw = posterior_probs(z, uncond_row, t, s, prior, schedule)
+            raw = posterior_matrix(z, uncond_row, t, s, prior, schedule)
             post = guidance.cbg_exact(clf, np.array([z]), s, raw[None, :],
                                       0, gamma)[0]
         euler = ctmc.euler_step_distribution(z, guided_rate, dt)
@@ -831,7 +831,7 @@ def _checks_guidance(seed: int) -> list:
 
 def _checks_ctmc(seed: int) -> list:
     from . import ctmc
-    from .forward import posterior_probs
+    from .forward import posterior_matrix
 
     sched = NoiseSchedule()
     dts = np.geomspace(1e-5, 3e-4, 9)
@@ -863,7 +863,7 @@ def _checks_ctmc(seed: int) -> list:
         pr = PriorSpec.uniform(3)
         tvs = []
         for dt in dts:
-            post = posterior_probs(z, row, t, t - dt, pr, sched)
+            post = posterior_matrix(z, row, t, t - dt, pr, sched)
             post = post / post.sum()
             eul = ctmc.euler_step_distribution(z, rev, dt)
             tvs.append(0.5 * float(np.abs(post - eul).sum()))

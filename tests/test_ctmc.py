@@ -4,7 +4,7 @@ from scipy import stats
 
 from catdiff import ctmc
 from catdiff.core import NoiseSchedule
-from catdiff.forward import PriorSpec, posterior_probs
+from catdiff.forward import PriorSpec, posterior_matrix
 from catdiff.verify import ctmc_tv_sweep, fitted_exponent
 
 SCHED = NoiseSchedule()
@@ -137,7 +137,7 @@ def test_euler_matches_posterior_to_second_order(seed):
     prior = PriorSpec.uniform(3)
     tvs = []
     for dt in DTS:
-        post = posterior_probs(z, row, t, t - dt, prior, SCHED)
+        post = posterior_matrix(z, row, t, t - dt, prior, SCHED)
         post = post / post.sum()
         tvs.append(0.5 * np.abs(post - ctmc.euler_step_distribution(z, rev, dt)).sum())
     tvs = np.array(tvs)

@@ -5,16 +5,15 @@ from hypothesis import given, settings, strategies as st
 from catdiff.core import Categorical, NoiseSchedule, Vocabulary
 from catdiff.forward import (
     PriorSpec,
+    corrupt,
     marginal,
     posterior,
     posterior_absorbing,
     posterior_matrix,
-    posterior_probs,
     posterior_uniform,
     sample_latent,
-    sample_latent_seq,
 )
-from catdiff.verify import bayes_posterior_oracle
+from catdiff.verify import bayes_posterior_oracle, substituted_posterior_oracle
 
 SCHED = NoiseSchedule()
 
@@ -58,7 +57,7 @@ def test_sample_latent_uniform_full_noise_frequencies():
     n = 4
     pr = PriorSpec.uniform(n)
     rng = np.random.default_rng(123)
-    draws = sample_latent_seq(np.zeros(1_000_000, dtype=np.int64), 1.0, pr, SCHED, rng)
+    draws = corrupt(np.zeros(1_000_000, dtype=np.int64), 1.0, pr, SCHED, rng)
     sigma = np.sqrt((1 / n) * (1 - 1 / n) / draws.size)
     for k in range(n):
         assert abs((draws == k).mean() - 1 / n) < 3 * sigma
@@ -69,11 +68,31 @@ def test_sample_latent_seq_mixture_rate():
     pr = PriorSpec.uniform(3)
     rng = np.random.default_rng(5)
     x = np.zeros(500_000, dtype=np.int64)
-    z = sample_latent_seq(x, 0.4, pr, SCHED, rng)
+    z = corrupt(x, 0.4, pr, SCHED, rng)
     # P(z=0) = alpha + (1-alpha)/3 = 0.6 + 0.4/3
     expect = 0.6 + 0.4 / 3
     sigma = np.sqrt(expect * (1 - expect) / x.size)
     assert abs((z == 0).mean() - expect) < 3 * sigma
+
+
+def test_corrupt_per_row_t_replays_documented_draws():
+    # one uniform per token (keep x below alpha of its row's t), then one
+    # prior token per token, in row-major order
+    pr = PriorSpec.general(Categorical([0.2, 0.3, 0.5]))
+    x = np.array([[0, 1, 2, 0], [2, 2, 1, 0], [1, 0, 0, 2]])
+    t = np.array([0.1, 0.5, 0.9])
+    z = corrupt(x, t, pr, SCHED, np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    uniforms = rng.random(x.shape)
+    noise = rng.choice(3, size=x.shape, p=pr.pi.probs)
+    for b in range(3):
+        for l in range(4):
+            keep = uniforms[b, l] < 1.0 - t[b]
+            assert z[b, l] == (x[b, l] if keep else noise[b, l])
+    # a shared t is the same draw as that t repeated per row
+    shared = corrupt(x, 0.5, pr, SCHED, np.random.default_rng(8))
+    per_row = corrupt(x, np.full(3, 0.5), pr, SCHED, np.random.default_rng(8))
+    assert np.array_equal(shared, per_row)
 
 
 # ---------------------------------------------------------------- posterior
@@ -179,17 +198,59 @@ def test_marginal_consistency_chapman_kolmogorov():
                 assert np.max(np.abs(acc - qs)) < 1e-11
 
 
-def test_posterior_matrix_matches_scalar_path():
-    rng = np.random.default_rng(42)
-    n, ell = 4, 6
-    pr = PriorSpec.uniform(n)
-    z_seq = rng.integers(0, n, size=ell)
-    x_rows = rng.dirichlet(np.ones(n), size=ell)
-    got = posterior_matrix(z_seq, x_rows, 0.7, 0.3, pr, SCHED)
-    for i in range(ell):
-        ref = posterior_probs(int(z_seq[i]), x_rows[i], 0.7, 0.3, pr, SCHED)
-        assert np.max(np.abs(got[i] - ref)) < 1e-14
-    assert np.allclose(got.sum(axis=1), 1.0, atol=1e-12)
+def _prior(kind, n, rng):
+    if kind == "uniform":
+        return PriorSpec.uniform(n)
+    if kind == "absorbing":
+        return PriorSpec.absorbing(Vocabulary(n, mask_index=n - 1))
+    return PriorSpec.general(Categorical.from_unnormalized(rng.random(n) + 0.05))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=5),
+    kind=st.sampled_from(["uniform", "absorbing", "general"]),
+    shape=st.sampled_from([(), (5,), (3, 4)]),
+    per_row=st.booleans(),
+    one_hot=st.booleans(),
+    seed=st.integers(min_value=0, max_value=10 ** 6),
+)
+def test_posterior_matrix_matches_oracles(n, kind, shape, per_row, one_hot,
+                                          seed):
+    """The one posterior kernel against the literal-Bayes oracles, entry by
+    entry: one-hot rows against bayes_posterior_oracle, arbitrary rows
+    against substituted_posterior_oracle, over scalar, (L,) and (B, L)
+    latents with t and s shared or one per leading row."""
+    rng = np.random.default_rng(seed)
+    pr = _prior(kind, n, rng)
+    lead = shape[:1] if per_row and shape else ()
+    s = np.asarray(rng.uniform(0.01, 0.49, size=lead))
+    t = np.asarray(rng.uniform(s + 0.01, 0.99))
+    s_at = np.broadcast_to(s.reshape(s.shape + (1,) * (len(shape) - s.ndim)),
+                           shape)
+    t_at = np.broadcast_to(t.reshape(t.shape + (1,) * (len(shape) - t.ndim)),
+                           shape)
+    if one_hot:
+        x = rng.integers(n - (kind == "absorbing"), size=shape)
+        rows = np.eye(n)[x]
+        # latents drawn from the forward marginal are reachable
+        z = corrupt(x, t, pr, SCHED, rng)
+    else:
+        rows = rng.dirichlet(np.ones(n), size=shape)
+        z = rng.integers(n, size=shape)
+    shared = not lead
+    got = posterior_matrix(z, rows, float(t) if shared else t,
+                           float(s) if shared else s, pr, SCHED)
+    assert got.shape == shape + (n,)
+    for idx in np.ndindex(*shape):
+        ti, si, zi = float(t_at[idx]), float(s_at[idx]), int(z[idx])
+        if one_hot:
+            ref = bayes_posterior_oracle(zi, int(x[idx]), ti, si, pr,
+                                         SCHED).probs
+        else:
+            ref = substituted_posterior_oracle(zi, rows[idx], ti, si, pr,
+                                               SCHED)
+        assert np.max(np.abs(got[idx] - ref)) < 1e-12
 
 
 def test_posterior_matrix_absorbing_distribution_rows():

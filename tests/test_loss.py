@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from catdiff import loss as L
 from catdiff import model as M
 from catdiff.core import NoiseSchedule, Vocabulary
-from catdiff.forward import PriorSpec, posterior
+from catdiff.forward import PriorSpec, corrupt, posterior, posterior_matrix
 from catdiff.verify import (
     OptimalDenoiser,
     PerfectDenoiser,
@@ -53,8 +53,7 @@ def test_kl_worked_example_two_term():
     # and the KL is the plain two-term sum
     prior = PriorSpec.uniform(2)
     q = posterior(0, 0, 0.5, 0.25, prior, SCHED).probs
-    from catdiff.forward import posterior_probs
-    p = posterior_probs(0, np.array([0.8, 0.2]), 0.5, 0.25, prior, SCHED)
+    p = posterior_matrix(0, np.array([0.8, 0.2]), 0.5, 0.25, prior, SCHED)
     expect = q[0] * np.log(q[0] / p[0]) + q[1] * np.log(q[1] / p[1])
     got = L.diffusion_kl(0, 0, 0.5, 0.25, np.array([0.8, 0.2]), prior, SCHED)
     assert got == pytest.approx(expect, abs=1e-15)
@@ -208,7 +207,7 @@ def _reference_nelbo(x, den, T, prior, mode, rng, mc_samples, labels):
             for _ in range(mc_samples):
                 i = int(rng.integers(1, T + 1))
                 t, s = i / T, (i - 1) / T
-                z = L._corrupt(row, t, prior, SCHED, rng)
+                z = corrupt(row, t, prior, SCHED, rng)
                 acc += T * kl_sum(z, t, s)
             total = acc / mc_samples
         out.append(total)
@@ -455,9 +454,8 @@ def test_training_loss_node_matches_scalar_path(objective):
     else:
         t = sched.draw_t(rng, size=x.shape[0])
         s = None
-    pvec = L._prior_vec(params)
     keep = rng.random(x.shape) < sched.alpha(t)[:, None]
-    noise = rng.choice(n, size=x.shape, p=pvec)
+    noise = rng.choice(n, size=x.shape, p=params.prior.pi.probs)
     z = np.where(keep, x, noise)
     width = sched.t_max - sched.t_min
     per_example = []
@@ -483,8 +481,6 @@ def test_training_loss_node_matches_scalar_path(objective):
                 -np.sum(np.log(rows[np.arange(3), x[b]])[masked])
             )
         else:
-            prior = PriorSpec.general(pvec) if kind == "uniform" else None
-            prior = PriorSpec.uniform(n) if kind == "uniform" else prior
             val = spec.T * float(
                 L._kl_rows(z[b][None, :], x[b], rows[None, :, :], float(t[b]),
                            float(s[b]), PriorSpec.uniform(n), sched)[0]

@@ -208,22 +208,6 @@ def test_inference_builds_no_autodiff_nodes(monkeypatch):
     M.classify_batch(clf, np.array([z, z]), 0.5)
 
 
-def test_copy_floor():
-    params = tiny_denoiser(seed=6)
-    z = [2, 0, 1, 1]
-    rows = M.denoise_with_copy_floor(params, z, 1e-6)
-    assert np.array_equal(rows, np.eye(3)[z])
-    assert np.allclose(rows.sum(axis=1), 1.0)
-    deferred = M.denoise_with_copy_floor(params, z, 0.5)
-    assert np.array_equal(deferred, M.denoise(params, z, 0.5))
-
-
-def test_copy_floor_rejects_absorbing():
-    params = tiny_denoiser(kind="absorbing")
-    with pytest.raises(ValueError):
-        M.denoise_with_copy_floor(params, [0, 1, 2, 3], 1e-6)
-
-
 # ---------------------------------------------------------------- classify
 
 def test_zero_init_classifier_uniform():
@@ -328,19 +312,6 @@ def test_classify_grad_matches_finite_differences(seed):
 
 # -------------------------------------------------------------- optimizers
 
-def test_sgd_zero_gradient_noop():
-    a = [np.ones(3)]
-    M.sgd_step(a, [np.zeros(3)], lr=0.5)
-    assert np.array_equal(a[0], np.ones(3))
-
-
-def test_sgd_analytic_step():
-    # f(w) = w^2 from w=1 with lr 0.1: w - 0.1 * 2w = 0.8
-    w = [np.array([1.0])]
-    M.sgd_step(w, [np.array([2.0])], lr=0.1)
-    assert w[0][0] == pytest.approx(0.8, abs=1e-15)
-
-
 def test_adam_first_step_magnitude():
     arrays = [np.zeros(4)]
     state = M.AdamState(arrays)
@@ -349,8 +320,6 @@ def test_adam_first_step_magnitude():
 
 
 def test_nonfinite_gradient_raises():
-    with pytest.raises(M.TrainingError):
-        M.sgd_step([np.ones(2)], [np.array([np.nan, 1.0])], lr=0.1)
     state = M.AdamState([np.ones(2)])
     with pytest.raises(M.TrainingError):
         state.step([np.ones(2)], [np.array([np.inf, 0.0])], lr=0.1)
@@ -487,3 +456,55 @@ def test_checkpoint_classifier_and_version_check(tmp_path):
     bad.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
         load_checkpoint(bad)
+
+
+def _corrupted_checkpoint(tmp_path, params, edit):
+    """Save params, apply edit to the JSON document, write it back."""
+    import json
+    path = tmp_path / "model.json"
+    save_checkpoint(params, path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _drop_array(doc, name):
+    doc["params"] = [entry for entry in doc["params"] if entry[0] != name]
+    del doc["shapes"][name]
+
+
+def _set_entry(doc, name, index, value):
+    for entry in doc["params"]:
+        if entry[0] == name:
+            entry[1][index] = value
+
+
+@pytest.mark.parametrize("edit, array", [
+    # output head (d, N) = (8, 4) declared as (4, 8): same entry count
+    (lambda doc: doc["shapes"].update(output_head=[4, 8]), "output_head"),
+    # hyper says length 7 over the 4-row position encoding
+    (lambda doc: doc["hyper"].update(length=7), "position_encoding"),
+    (lambda doc: _drop_array(doc, "hidden_b0"), "hidden_b0"),
+], ids=["swapped_shape", "wrong_length", "missing_array"])
+def test_load_checkpoint_rejects_malformed_arrays(tmp_path, edit, array):
+    path = _corrupted_checkpoint(
+        tmp_path, tiny_denoiser(seed=15, kind="absorbing"), edit)
+    with pytest.raises(ValueError, match=array):
+        load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_nonfinite_entries(tmp_path):
+    path = _corrupted_checkpoint(
+        tmp_path, M.init_classifier(VOCAB3, 4, 3, 8, seed=16),
+        lambda doc: _set_entry(doc, "time_projection", 3, float("nan")))
+    with pytest.raises(FloatingPointError, match="time_projection"):
+        load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_constant_table_of_wrong_length(tmp_path):
+    den = M.ConstantDenoiser.from_sequence([0, 1, 2, 1], VOCAB3)
+    path = _corrupted_checkpoint(
+        tmp_path, den, lambda doc: doc["hyper"].update(length=5))
+    with pytest.raises(ValueError, match="rows_table"):
+        load_checkpoint(path)

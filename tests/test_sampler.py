@@ -7,7 +7,7 @@ from scipy import stats
 from catdiff import model as M
 from catdiff import sampler as S
 from catdiff.core import NoiseSchedule, Vocabulary
-from catdiff.forward import PriorSpec, posterior_probs
+from catdiff.forward import PriorSpec, posterior_matrix
 from catdiff.guidance import GuidanceConfig
 from catdiff.metrics import kmer_js
 from catdiff.verify import LeaveOneOutDenoiser, OptimalDenoiser, TabularDenoiser
@@ -98,7 +98,7 @@ def test_small_step_posterior_concentrates_on_current_state():
         for x in range(3):
             row = np.zeros(3)
             row[x] = 1.0
-            post = posterior_probs(i, row, t, t - dt, U3, SCHED)
+            post = posterior_matrix(i, row, t, t - dt, U3, SCHED)
             post = post / post.sum()
             tv = 0.5 * np.abs(post - np.eye(3)[i]).sum()
             assert tv < 1e-3

@@ -178,3 +178,18 @@ def test_loo_unreachable_latent_rejected():
     den = V.LeaveOneOutDenoiser(data, prior, sched)
     with pytest.raises(ValueError, match="unreachable"):
         den.rows(np.array([2, 2]), 0.5)
+
+
+def test_exact_reverse_nll_budget_checked_before_any_work(monkeypatch):
+    # 10^6 states at N=10, L=6: states^2 * T = 1e12 > 1e7, so the oracle
+    # must refuse before enumerating a state or calling the denoiser
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done before the budget check")
+
+    class RefusingDenoiser:
+        rows = staticmethod(refuse)
+
+    monkeypatch.setattr(V, "enumerate_sequences", refuse)
+    with pytest.raises(ValueError, match="budget"):
+        V.exact_reverse_nll(RefusingDenoiser(), np.zeros(6, dtype=np.int64),
+                            1, PriorSpec.uniform(10), NoiseSchedule())
