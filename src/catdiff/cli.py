@@ -23,7 +23,7 @@ from . import sampler as sampler_mod
 from .checkpoint import load_checkpoint, save_checkpoint
 from .core import Vocabulary
 from .data import load_text_dataset, load_vocabulary, rule_label
-from .model import TrainingError
+from .model import ClassifierParams, TrainingError
 from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
@@ -238,7 +238,7 @@ def cmd_train(args) -> int:
 
 def _load_denoiser(path: str):
     model = load_checkpoint(path)
-    if not hasattr(model, "rows"):
+    if isinstance(model, ClassifierParams):
         raise UsageError(f"{path} is not a denoiser checkpoint")
     return model
 
@@ -252,14 +252,13 @@ def cmd_sample(args) -> int:
     if mode in ("cbg_exact", "cbg_taylor") and args.classifier is None:
         raise UsageError(f"--guidance {args.guidance} needs --classifier")
     model = _load_denoiser(args.checkpoint)
-    if args.label is not None \
-            and not 0 <= args.label < getattr(model, "num_classes", 0):
+    if args.label is not None and not 0 <= args.label < model.num_classes:
         raise UsageError(f"label {args.label} outside "
-                         f"[0, {getattr(model, 'num_classes', 0)})")
+                         f"[0, {model.num_classes})")
     classifier = None
     if args.classifier is not None:
         classifier = load_checkpoint(args.classifier)
-        if not hasattr(classifier, "log_probs"):
+        if not isinstance(classifier, ClassifierParams):
             raise UsageError(f"{args.classifier} is not a classifier "
                              f"checkpoint")
     guidance = GuidanceConfig(mode=mode, gamma=args.gamma,
@@ -286,9 +285,7 @@ def cmd_sample(args) -> int:
 def cmd_eval(args) -> int:
     model = _load_denoiser(args.checkpoint)
     vocab = model.vocab
-    prior = sampler_mod.model_prior(model)
-    schedule = sampler_mod.model_schedule(model)
-    num_classes = getattr(model, "num_classes", 0)
+    num_classes = model.num_classes
     if args.mode == "exact":
         try:
             loss_mod.check_exact_budget(args.T, vocab.size, model.length)
@@ -306,9 +303,9 @@ def cmd_eval(args) -> int:
     cond = dataset.labels \
         if dataset.labels is not None and num_classes > 0 else None
     per_seq = loss_mod.nelbo_discrete(
-        dataset.sequences, model, args.T, prior, schedule, mode=args.mode,
-        rng=np.random.default_rng(args.seed), mc_samples=args.mc_samples,
-        condition=cond,
+        dataset.sequences, model, args.T, model.prior, model.schedule,
+        mode=args.mode, rng=np.random.default_rng(args.seed),
+        mc_samples=args.mc_samples, condition=cond,
     )
     # summed left to right, as when sequences were scored one at a time
     mean_nelbo = sum(per_seq.tolist()) / dataset.count

@@ -243,6 +243,3 @@ class NoiseSchedule:
     def draw_t(self, rng: np.random.Generator, size=None):
         """Uniform t over the clamped interval [t_min, t_max]."""
         return rng.uniform(self.t_min, self.t_max, size=size)
-
-    def clamp(self, t):
-        return np.clip(t, self.t_min, self.t_max)

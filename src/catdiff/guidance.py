@@ -88,7 +88,7 @@ def cfg_combine(cond_rows: np.ndarray, uncond_rows: np.ndarray,
     return _normalize_logits(logits)
 
 
-def cbg_exact(classifier, z_t_seq, t_s: float, denoiser_rows: np.ndarray,
+def cbg_exact(classifier, z_t_seq, t_s: float, rows: np.ndarray,
               y: int, gamma: float) -> np.ndarray:
     """Temper each position's reverse row by p(y | single-token edit)^gamma.
 
@@ -98,7 +98,7 @@ def cbg_exact(classifier, z_t_seq, t_s: float, denoiser_rows: np.ndarray,
     gamma = 0. ``z_t_seq`` is (L,) or (B, L), rows (L, N) or (B, L, N).
     """
     z = np.asarray(z_t_seq, dtype=np.int64)
-    rows = np.asarray(denoiser_rows, dtype=np.float64)
+    rows = np.asarray(rows, dtype=np.float64)
     length, n = rows.shape[-2:]
     log_phi = np.empty(rows.shape)
     cand = z.copy()
@@ -110,7 +110,7 @@ def cbg_exact(classifier, z_t_seq, t_s: float, denoiser_rows: np.ndarray,
     return _temper(rows, log_phi, gamma)
 
 
-def cbg_taylor(classifier, z_t_seq, t_s: float, denoiser_rows: np.ndarray,
+def cbg_taylor(classifier, z_t_seq, t_s: float, rows: np.ndarray,
                y: int, gamma: float) -> np.ndarray:
     """Like cbg_exact, with candidate log-probs linearized around z_t.
 
@@ -118,7 +118,7 @@ def cbg_taylor(classifier, z_t_seq, t_s: float, denoiser_rows: np.ndarray,
     one gradient call for the whole batch instead of L*N forward calls.
     """
     z = np.asarray(z_t_seq, dtype=np.int64)
-    rows = np.asarray(denoiser_rows, dtype=np.float64)
+    rows = np.asarray(rows, dtype=np.float64)
     logp0, grad = classifier.grad_log_prob(z, t_s, y)
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != rows.shape:

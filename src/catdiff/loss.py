@@ -1,12 +1,12 @@
 """Training and evaluation objectives.
 
-Evaluation paths (plain numpy; the denoiser is any object that
-``model.denoiser_rows`` accepts, one with ``rows_batch(z, t, condition)``
-or with the per-sequence ``rows(z_seq, t, condition)``) live alongside
-batched graph builders used by model.train. ``nelbo_discrete`` scores one
-sequence or a batch: mc mode evaluates every sampled latent of the batch
-in one denoiser call, exact mode one call per grid time over the
-enumerated latents of each sequence.
+Evaluation paths (plain numpy; the denoiser is read only through its
+``rows_batch(z, t, condition)``, and the continuous-time losses take N
+from its ``prior``) live alongside batched graph builders used by
+model.train. ``nelbo_discrete`` scores one sequence or a batch: mc mode
+evaluates every sampled latent of the batch in one denoiser call, exact
+mode one call per grid time over the enumerated latents of each
+sequence.
 
 The forward process is not re-derived here: z_t comes from
 ``forward.corrupt``, marginals from ``forward.marginal_rows``, and every
@@ -38,10 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import model as model_mod
 from .core import Categorical, NoiseSchedule
 from .forward import (PriorSpec, bayes_factors, bayes_posterior, corrupt,
                       marginal_rows, posterior_matrix)
-from .model import denoiser_logprob_rows, denoiser_rows, one_hot_batch
+from .model import one_hot_batch
 
 _SUPPORT_EPS = 1e-300  # posterior entries below this count as off-support
 
@@ -67,11 +68,6 @@ class LossSpec:
             raise ValueError("nelbo_discrete needs T >= 1")
         if self.mc_samples_per_example < 1:
             raise ValueError("mc_samples_per_example must be positive")
-
-
-def _rows(denoiser, z_seq, t, condition=None) -> np.ndarray:
-    """(L, N) rows of one latent sequence."""
-    return denoiser_rows(denoiser, np.asarray(z_seq)[None], t, condition)[0]
 
 
 # ------------------------------------------------------------ KL building
@@ -161,7 +157,7 @@ def _mc_kl_terms(x, denoiser, T, prior, schedule, rng, mc_samples,
         grid[k] = i
         z[k] = corrupt(x[k // mc_samples], i / T, prior, schedule, rng)
     t, s = grid / T, (grid - 1) / T
-    rows = denoiser_rows(denoiser, z, t, condition)
+    rows = denoiser.rows_batch(z, t, condition)
     kls = _kl_rows(z, np.repeat(x, mc_samples, axis=0), rows, t, s, prior,
                    schedule).reshape(num, mc_samples)
     acc = np.zeros(num)
@@ -178,7 +174,7 @@ def _exact_kl_term(x_seq, latents, denoiser, t, s, prior, schedule,
     marg = marginal_rows(x_seq, t, prior, schedule)  # (L, N)
     weights = np.prod(marg[np.arange(length)[None, :], latents], axis=1)
     live = weights > 0
-    rows_all = denoiser_rows(denoiser, latents[live], t, condition)
+    rows_all = denoiser.rows_batch(latents[live], t, condition)
     kls = _kl_rows(latents[live], x_seq, rows_all, t, s, prior, schedule)
     return float(weights[live] @ kls)
 
@@ -269,14 +265,13 @@ def udlm_loss(
     """Monte Carlo estimate of the sequence-level continuous-time loss,
     t ~ Uniform(t_min, t_max), z_t ~ forward marginal."""
     x_seq = np.asarray(x_seq, dtype=np.int64)
-    n = _infer_n(denoiser, x_seq, schedule)
-    prior = PriorSpec.uniform(n)
+    prior = PriorSpec.uniform(denoiser.prior.size)
     width = schedule.t_max - schedule.t_min
     acc = 0.0
     for _ in range(mc_samples):
         t = float(schedule.draw_t(rng))
         z = corrupt(x_seq, t, prior, schedule, rng)
-        rows = _rows(denoiser, z, t, condition)
+        rows = denoiser.rows_batch(z[None], t, condition)[0]
         val = sum(
             udlm_integrand(int(x_seq[l]), int(z[l]), t, rows[l], schedule)
             for l in range(x_seq.shape[0])
@@ -305,7 +300,7 @@ def mdlm_loss(
         masked = z == mask_index
         if not masked.any():
             continue
-        rows = _rows(denoiser, z, t, condition)
+        rows = denoiser.rows_batch(z[None], t, condition)[0]
         logp = np.log(rows[np.arange(x_seq.shape[0]), x_seq])
         rate = -schedule.alpha_prime(t) / (1.0 - a)
         val = rate * float(np.sum(-logp[masked]))
@@ -346,11 +341,6 @@ def sedd_form_nelbo(
     return float(rate * total)
 
 
-def _infer_n(denoiser, x_seq, schedule) -> int:
-    rows = _rows(denoiser, x_seq, schedule.t_min + 0.1)
-    return rows.shape[1]
-
-
 # ----------------------------------------------------------------- scores
 
 def bpc(nelbo_nats: float, length: int) -> float:
@@ -381,7 +371,9 @@ def training_loss_node(
             t = schedule.draw_t(rng, size=batch)
             s = None
         z = corrupt(x, t, prior, schedule, rng)
-        rows = denoiser_logprob_rows(field_nodes, params, z, t, cond_idx)
+        # looked up on the module, so a wrapper installed there sees it
+        rows = model_mod.denoiser_logprob_rows(field_nodes, params, z, t,
+                                               cond_idx)
         if spec.objective == "udlm_continuous":
             parts.append(_udlm_batch_node(rows, x, z, t, n, schedule))
         elif spec.objective == "sedd_form":

@@ -111,17 +111,3 @@ def validity_novelty_property(samples, validator, train_set,
     if novel:
         out["property_mean"] = float(np.mean(list(novel.values())))
     return out
-
-
-def to_tsv(rows: list[dict]) -> str:
-    """Aligned tab-separated table with a header row."""
-    if not rows:
-        raise ValueError("no rows")
-    header = list(rows[0].keys())
-    lines = ["\t".join(header)]
-    for row in rows:
-        lines.append("\t".join(
-            f"{row[key]:.6g}" if isinstance(row[key], float) else str(row[key])
-            for key in header
-        ))
-    return "\n".join(lines) + "\n"

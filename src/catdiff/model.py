@@ -23,7 +23,7 @@ classify_grad_wrt_onehot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,8 +42,34 @@ class TrainingError(RuntimeError):
 
 # ---------------------------------------------------------------- params
 
+class _Trunk:
+    """Parameter arrays of the trunk both networks share, in checkpoint
+    order: the leading tables named by LEADING, each hidden layer's
+    weight and bias, then the head."""
+
+    LEADING: tuple = ()
+
+    def arrays(self) -> list:
+        """(name, array) pairs; this order is the checkpoint order."""
+        out = [(name, getattr(self, name)) for name in self.LEADING]
+        for i, (w, b) in enumerate(self.hidden):
+            out += [(f"hidden_w{i}", w), (f"hidden_b{i}", b)]
+        out.append(("output_head", self.output_head))
+        return out
+
+    def set_arrays(self, values: list) -> None:
+        named = dict(zip([n for n, _ in self.arrays()], values))
+        for name in self.LEADING:
+            setattr(self, name, named[name])
+        self.hidden = [
+            (named[f"hidden_w{i}"], named[f"hidden_b{i}"])
+            for i in range(len(self.hidden))
+        ]
+        self.output_head = named["output_head"]
+
+
 @dataclass
-class DenoiserParams:
+class DenoiserParams(_Trunk):
     kind: str  # uniform | absorbing
     vocab: Vocabulary
     length: int
@@ -57,32 +83,8 @@ class DenoiserParams:
     hidden: list  # [(W d x d, b d), ...]
     output_head: np.ndarray
 
-    def arrays(self) -> list:
-        """(name, array) pairs in the declared field order; this order is
-        the checkpoint serialization order."""
-        out = [
-            ("token_embedding", self.token_embedding),
-            ("position_encoding", self.position_encoding),
-            ("time_projection", self.time_projection),
-            ("condition_embedding", self.condition_embedding),
-        ]
-        for i, (w, b) in enumerate(self.hidden):
-            out.append((f"hidden_w{i}", w))
-            out.append((f"hidden_b{i}", b))
-        out.append(("output_head", self.output_head))
-        return out
-
-    def set_arrays(self, values: list) -> None:
-        named = dict(zip([n for n, _ in self.arrays()], values))
-        self.token_embedding = named["token_embedding"]
-        self.position_encoding = named["position_encoding"]
-        self.time_projection = named["time_projection"]
-        self.condition_embedding = named["condition_embedding"]
-        self.hidden = [
-            (named[f"hidden_w{i}"], named[f"hidden_b{i}"])
-            for i in range(len(self.hidden))
-        ]
-        self.output_head = named["output_head"]
+    LEADING = ("token_embedding", "position_encoding", "time_projection",
+               "condition_embedding")
 
     def copy(self) -> "DenoiserParams":
         return DenoiserParams(
@@ -94,21 +96,17 @@ class DenoiserParams:
             self.output_head.copy(),
         )
 
-    # Denoiser protocol (see denoiser_rows): clean-token rows per sequence
-    # or per batch, and the forward prior the rows were trained against.
+    # Denoiser protocol: ``rows_batch``, ``prior`` and ``schedule``.
     @property
     def prior(self) -> PriorSpec:
         return _kind_prior(self.kind, self.vocab)
 
-    def rows(self, z_seq, t, condition=None) -> np.ndarray:
-        return denoise(self, z_seq, t, condition)
-
-    def rows_batch(self, z_batch, t, cond_idx) -> np.ndarray:
-        return denoise_batch(self, z_batch, t, cond_idx)
+    def rows_batch(self, z_batch, t, condition=None) -> np.ndarray:
+        return denoise_batch(self, z_batch, t, condition)
 
 
 @dataclass
-class ClassifierParams:
+class ClassifierParams(_Trunk):
     vocab: Vocabulary
     length: int
     num_classes: int
@@ -120,28 +118,7 @@ class ClassifierParams:
     hidden: list
     output_head: np.ndarray
 
-    def arrays(self) -> list:
-        out = [
-            ("token_embedding", self.token_embedding),
-            ("position_encoding", self.position_encoding),
-            ("time_projection", self.time_projection),
-        ]
-        for i, (w, b) in enumerate(self.hidden):
-            out.append((f"hidden_w{i}", w))
-            out.append((f"hidden_b{i}", b))
-        out.append(("output_head", self.output_head))
-        return out
-
-    def set_arrays(self, values: list) -> None:
-        named = dict(zip([n for n, _ in self.arrays()], values))
-        self.token_embedding = named["token_embedding"]
-        self.position_encoding = named["position_encoding"]
-        self.time_projection = named["time_projection"]
-        self.hidden = [
-            (named[f"hidden_w{i}"], named[f"hidden_b{i}"])
-            for i in range(len(self.hidden))
-        ]
-        self.output_head = named["output_head"]
+    LEADING = ("token_embedding", "position_encoding", "time_projection")
 
     # Classifier protocol used by guidance: log p(y | z) at time t for all
     # y, for one (L,) sequence or a (B, L) batch, and the gradient of
@@ -204,14 +181,8 @@ class ConstantDenoiser:
     def prior(self) -> PriorSpec:
         return _kind_prior(self.kind, self.vocab)
 
-    def rows(self, z_seq, t, condition=None) -> np.ndarray:
-        z = check_sequence(z_seq, self.vocab)
-        if z.shape[0] != self.length:
-            raise ValueError(f"expected length {self.length}, got {z.shape[0]}")
-        return self.rows_table.copy()
-
-    def rows_batch(self, z_batch, t, cond_idx=None) -> np.ndarray:
-        z = np.asarray(z_batch, dtype=np.int64)
+    def rows_batch(self, z_batch, t, condition=None) -> np.ndarray:
+        z = _token_batch(self, z_batch)
         return np.tile(self.rows_table, (z.shape[0], 1, 1))
 
 
@@ -219,25 +190,6 @@ def _kind_prior(kind: str, vocab: Vocabulary) -> PriorSpec:
     if kind == "absorbing":
         return PriorSpec.absorbing(vocab)
     return PriorSpec.uniform(vocab.size)
-
-
-def denoiser_rows(denoiser, z_batch, t, condition=None) -> np.ndarray:
-    """The denoiser protocol shared by sampler and loss: (B, L) latents to
-    (B, L, N) predicted clean-token rows. ``t`` and ``condition`` are one
-    value for the batch or one per row. An object with
-    ``rows_batch(z, t, condition)`` gets one call; an object with only the
-    per-sequence ``rows(z_seq, t, condition)`` gets one call per row."""
-    z = np.asarray(z_batch, dtype=np.int64)
-    if hasattr(denoiser, "rows_batch"):
-        return np.asarray(denoiser.rows_batch(z, t, condition),
-                          dtype=np.float64)
-    ts = np.asarray(t).tolist() if np.ndim(t) else [t] * len(z)
-    conds = (np.asarray(condition).tolist() if np.ndim(condition)
-             else [condition] * len(z))
-    return np.stack([
-        np.asarray(denoiser.rows(zb, tb, cb), dtype=np.float64)
-        for zb, tb, cb in zip(z, ts, conds)
-    ])
 
 
 def init_denoiser(

@@ -5,6 +5,12 @@ t = T/T, (T-1)/T, ..., 1/T with guided reverse steps, and decodes the
 final latent with one more posterior step to time zero. Classifier-free
 guidance blends the clean-token rows before they enter the posterior;
 classifier-based guidance tempers the posterior rows themselves.
+
+The model is read only through the denoiser protocol: its ``prior``
+gives the t = 1 draw and the posterior, its ``schedule`` the posterior's
+alphas, and ``rows_batch(z, t, condition)`` the clean-token rows of the
+whole (B, L) batch in one call per step (two under classifier-free
+guidance).
 """
 
 from __future__ import annotations
@@ -14,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NoiseSchedule, Vocabulary, sample_rows
+from .core import Vocabulary, sample_rows
 from .forward import PriorSpec, posterior_matrix
 from .guidance import GuidanceConfig, cbg_exact, cbg_taylor, cfg_combine
-from .model import denoiser_rows
 
 DECODES = ("sample", "argmax")
 
@@ -38,23 +43,6 @@ class SampleRequest:
             raise ValueError(f"final_decode must be one of {DECODES}")
 
 
-def model_prior(denoiser) -> PriorSpec:
-    """The forward prior a denoiser was trained against: its ``prior``,
-    else one built from its ``kind``, ``n`` and ``mask_index``."""
-    if hasattr(denoiser, "prior"):
-        return denoiser.prior
-    if getattr(denoiser, "kind", "uniform") == "absorbing":
-        return PriorSpec.absorbing(
-            Vocabulary(denoiser.n, mask_index=denoiser.mask_index)
-        )
-    return PriorSpec.uniform(denoiser.n)
-
-
-def model_schedule(denoiser) -> NoiseSchedule:
-    sched = getattr(denoiser, "schedule", None)
-    return sched if sched is not None else NoiseSchedule()
-
-
 def prior_draw(prior: PriorSpec, length: int, rng: np.random.Generator):
     """t = 1 draw: i.i.d. prior tokens (all-mask for absorbing)."""
     return _prior_batch(prior, 1, length, rng)[0]
@@ -70,11 +58,11 @@ def _prior_batch(prior: PriorSpec, num: int, length: int,
 
 def _guided_x_rows(denoiser, z, t, config: GuidanceConfig) -> np.ndarray:
     if config.mode == "cfg":
-        cond = denoiser_rows(denoiser, z, t, config.target_class)
-        uncond = denoiser_rows(denoiser, z, t, None)
+        cond = denoiser.rows_batch(z, t, config.target_class)
+        uncond = denoiser.rows_batch(z, t, None)
         return cfg_combine(cond, uncond, config.gamma)
     condition = config.target_class if config.mode == "none" else None
-    return denoiser_rows(denoiser, z, t, condition)
+    return denoiser.rows_batch(z, t, condition)
 
 
 def _apply_cbg(post, z, t_clf, config, classifier) -> np.ndarray:
@@ -98,8 +86,7 @@ def _step_batch(z, t, s, denoiser, config, rng, classifier, prior,
 
 def reverse_step(z_t_seq, t: float, s: float, denoiser,
                  guidance: GuidanceConfig, rng: np.random.Generator,
-                 classifier=None, prior: PriorSpec | None = None,
-                 schedule: NoiseSchedule | None = None) -> np.ndarray:
+                 classifier=None) -> np.ndarray:
     """One guided ancestral step z_t -> z_s, every position sampled
     independently from its substituted posterior."""
     if not s < t:
@@ -107,10 +94,8 @@ def reverse_step(z_t_seq, t: float, s: float, denoiser,
     if guidance.needs_classifier and classifier is None:
         raise ValueError(f"guidance mode {guidance.mode!r} needs a classifier")
     z = np.asarray(z_t_seq, dtype=np.int64)
-    prior = model_prior(denoiser) if prior is None else prior
-    schedule = model_schedule(denoiser) if schedule is None else schedule
     return _step_batch(z[None, :], float(t), float(s), denoiser, guidance,
-                       rng, classifier, prior, schedule)[0]
+                       rng, classifier, denoiser.prior, denoiser.schedule)[0]
 
 
 def _decode_batch(z, t, denoiser, config, rng, classifier, prior, schedule,
@@ -142,11 +127,8 @@ def generate(request: SampleRequest, model, classifier=None):
     config = request.guidance
     if config.needs_classifier and classifier is None:
         raise ValueError(f"guidance mode {config.mode!r} needs a classifier")
-    if hasattr(model, "length") and model.length != request.length:
-        raise ValueError(f"model length {model.length} != requested "
-                         f"{request.length}")
-    prior = model_prior(model)
-    schedule = model_schedule(model)
+    prior = model.prior
+    schedule = model.schedule
     rng = np.random.default_rng(request.seed)
     z = _prior_batch(prior, request.num_sequences, request.length, rng)
     edits = np.zeros(request.num_sequences, dtype=np.int64)

@@ -10,15 +10,15 @@ boring on purpose.
 from __future__ import annotations
 
 import itertools
-import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 
 from .core import Categorical, NoiseSchedule, Vocabulary
 from .forward import PriorSpec
+from .model import ConstantDenoiser
 
 
 def finite_difference_grads(fn, arrays: list, h: float = 1e-6) -> list:
@@ -138,20 +138,16 @@ def kl_rate_oracle(
 
 
 # ---------------------------------------------------- reference denoisers
+#
+# Each provides the denoiser protocol: ``rows_batch(z, t, condition)``
+# from (B, L) latents to (B, L, N) clean-token rows, and the ``prior`` and
+# ``schedule`` those rows are read under.
 
-class PerfectDenoiser:
-    """Always predicts a fixed clean sequence; the zero-loss reference."""
-
-    def __init__(self, x_seq: np.ndarray, n: int, kind: str = "uniform"):
-        self.x_seq = np.asarray(x_seq, dtype=np.int64)
-        self.n = n
-        self.kind = kind
-
-    def rows(self, z_seq, t, condition=None) -> np.ndarray:
-        length = np.asarray(z_seq).shape[0]
-        out = np.zeros((length, self.n))
-        out[np.arange(length), self.x_seq[:length]] = 1.0
-        return out
+def PerfectDenoiser(x_seq, n: int, kind: str = "uniform"):
+    """Always predicts the clean sequence x_seq over N = n tokens; the
+    zero-loss reference. An absorbing one masks with the last token."""
+    vocab = Vocabulary(n, mask_index=n - 1 if kind == "absorbing" else None)
+    return ConstantDenoiser.from_sequence(x_seq, vocab, kind=kind)
 
 
 class TabularDenoiser:
@@ -162,26 +158,28 @@ class TabularDenoiser:
 
     def __init__(self, n: int, seed: int = 0, kind: str = "uniform",
                  mask_index: int | None = None, spread: float = 1.5):
-        self.n = n
+        self.prior = (PriorSpec.absorbing(Vocabulary(n, mask_index=mask_index))
+                      if kind == "absorbing" else PriorSpec.uniform(n))
+        self.schedule = NoiseSchedule()
         self.seed = seed
-        self.kind = kind
-        self.mask_index = mask_index
         self.spread = spread
         self._cache: dict = {}
 
     def _row(self, key: tuple) -> np.ndarray:
         if key not in self._cache:
             rng = np.random.default_rng((self.seed,) + key)
-            logits = self.spread * rng.standard_normal(self.n)
-            if self.kind == "absorbing":
-                logits[self.mask_index] = -np.inf
+            logits = self.spread * rng.standard_normal(self.prior.size)
+            if self.prior.kind == "absorbing":
+                logits[self.prior.mask_index] = -np.inf
             e = np.exp(logits - logits.max())
             self._cache[key] = e / e.sum()
         return self._cache[key]
 
-    def rows(self, z_seq, t, condition=None) -> np.ndarray:
-        z = tuple(int(tok) for tok in np.asarray(z_seq, dtype=np.int64))
-        return np.stack([self._row(z + (pos,)) for pos in range(len(z))])
+    def rows_batch(self, z_batch, t, condition=None) -> np.ndarray:
+        z = np.asarray(z_batch, dtype=np.int64)
+        rows = [self._row(tuple(seq) + (pos,))
+                for seq in z.tolist() for pos in range(len(seq))]
+        return np.reshape(rows, z.shape + (self.prior.size,))
 
 
 class OptimalDenoiser:
@@ -198,26 +196,8 @@ class OptimalDenoiser:
         self.weights = counts / counts.sum()   # (M,)
         self.prior = prior
         self.schedule = schedule
-        self.n = prior.size
-        self.kind = prior.kind
 
-    def rows(self, z_seq, t, condition=None) -> np.ndarray:
-        z = np.asarray(z_seq, dtype=np.int64)
-        a = self.schedule.alpha(t)
-        pi = self.prior.pi.probs
-        # q(z | x_m) per candidate, product over positions
-        per_pos = a * (self.support == z[None, :]) + (1.0 - a) * pi[z][None, :]
-        lik = self.weights * np.prod(per_pos, axis=1)
-        total = lik.sum()
-        if total <= 0:
-            raise ValueError(f"latent {z} unreachable from the data support")
-        post = lik / total
-        rows = np.zeros((z.shape[0], self.n))
-        for m, w in enumerate(post):
-            rows[np.arange(z.shape[0]), self.support[m]] += w
-        return rows
-
-    def rows_batch(self, z_batch, t, cond_idx=None) -> np.ndarray:
+    def rows_batch(self, z_batch, t, condition=None) -> np.ndarray:
         z = np.asarray(z_batch, dtype=np.int64)          # (B, L)
         a = np.reshape(self.schedule.alpha(t), (-1, 1, 1))  # shared or per row
         pi = self.prior.pi.probs
@@ -228,7 +208,7 @@ class OptimalDenoiser:
         if np.any(totals <= 0):
             raise ValueError("latent unreachable from the data support")
         post = lik / totals[:, None]                     # (B, M)
-        rows = np.zeros((z.shape[0], z.shape[1], self.n))
+        rows = np.zeros(z.shape + (self.prior.size,))
         for m in range(self.support.shape[0]):
             rows[:, np.arange(z.shape[1]), self.support[m]] += post[:, m][:, None]
         return rows
@@ -251,20 +231,15 @@ class LeaveOneOutDenoiser:
         self.weights = counts / counts.sum()   # (M,)
         self.prior = prior
         self.schedule = schedule
-        self.n = prior.size
-        self.kind = prior.kind
 
-    def rows(self, z_seq, t, condition=None) -> np.ndarray:
-        return self.rows_batch(np.asarray(z_seq)[None, :], t)[0]
-
-    def rows_batch(self, z_batch, t, cond_idx=None) -> np.ndarray:
+    def rows_batch(self, z_batch, t, condition=None) -> np.ndarray:
         z = np.asarray(z_batch, dtype=np.int64)          # (B, L)
         length = z.shape[1]
         a = np.reshape(self.schedule.alpha(t), (-1, 1, 1))  # shared or per row
         pi = self.prior.pi.probs
         per_pos = a * (self.support[None, :, :] == z[:, None, :]) \
             + (1.0 - a) * pi[z][:, None, :]              # (B, M, L)
-        rows = np.zeros((z.shape[0], length, self.n))
+        rows = np.zeros(z.shape + (self.prior.size,))
         for pos in range(length):
             keep = [k for k in range(length) if k != pos]
             loo = self.weights[None, :] * np.prod(per_pos[:, :, keep], axis=2)
@@ -298,11 +273,10 @@ def udlm_integral_reference(
         a = schedule.alpha(t)
         marg = a * (latents == x_seq[None, :]) + (1.0 - a) / n
         weights = np.prod(marg, axis=1)
+        live = weights != 0.0
+        rows_all = denoiser.rows_batch(latents[live], t)
         total = 0.0
-        for z, w in zip(latents, weights):
-            if w == 0.0:
-                continue
-            rows = denoiser.rows(z, t) if hasattr(denoiser, "rows") else denoiser(z, t)
+        for z, w, rows in zip(latents[live], weights[live], rows_all):
             total += w * sum(
                 udlm_integrand(int(x_seq[l]), int(z[l]), t, rows[l], schedule)
                 for l in range(length)
@@ -331,8 +305,8 @@ def exact_reverse_nll(
     for i in range(T, 0, -1):
         t, s = i / T, (i - 1) / T
         step = np.zeros((num_states, num_states))
-        for k, z in enumerate(states):
-            rows = denoiser.rows(z, t) if hasattr(denoiser, "rows") else denoiser(z, t)
+        rows_all = denoiser.rows_batch(states, t)
+        for k, (z, rows) in enumerate(zip(states, rows_all)):
             per_pos = [
                 substituted_posterior_oracle(int(z[l]), rows[l], t, s, prior,
                                              schedule)
@@ -353,7 +327,7 @@ def exact_reverse_nll(
 # --------------------------------------------------------- guidance oracles
 
 def tempered_token_oracle(
-    classifier, z_t_seq, denoiser_rows: np.ndarray, y: int, gamma: float,
+    classifier, z_t_seq, rows: np.ndarray, y: int, gamma: float,
     t_s: float,
 ) -> np.ndarray:
     """Literal per-position tempered distribution: weight every candidate
@@ -361,7 +335,7 @@ def tempered_token_oracle(
     reverse row, normalized by the explicit sum. Direct powers, no
     log-space tricks; the independent reference for the guidance module."""
     z = np.asarray(z_t_seq, dtype=np.int64)
-    rows = np.asarray(denoiser_rows, dtype=np.float64)
+    rows = np.asarray(rows, dtype=np.float64)
     length, n = rows.shape
     out = np.zeros((length, n))
     for pos in range(length):
@@ -723,7 +697,7 @@ def _checks_bound(seed: int) -> list:
         x = np.array([1])
         mass = 0.0
         for z in range(3):
-            row = den.rows(np.array([z]), 1.0)[0]
+            row = den.rows_batch(np.array([[z]]), 1.0)[0, 0]
             step = substituted_posterior_oracle(z, row, 1.0, 0.0, pr, sched)
             mass += step[x[0]] / 3.0
         direct = -np.log(mass)
@@ -909,13 +883,10 @@ def _checks_gradients(seed: int) -> list:
             cond = rng.integers(0, 2, size=3)
             spec = LossSpec(objective,
                             T=4 if objective == "nelbo_discrete" else None)
-            names = [name for name, _ in params.arrays()]
             arrays = [a for _, a in params.arrays()]
 
             def build(nodes):
-                work = params.copy()
-                work.set_arrays(list(zip(names, [nd.value for nd in nodes])))
-                return training_loss_node(spec, nodes, work, x, cond,
+                return training_loss_node(spec, nodes, params, x, cond,
                                           np.random.default_rng((seed, 72)))
 
             return gradient_check(build, arrays, h=1e-6), 1e-4

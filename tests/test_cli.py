@@ -339,3 +339,14 @@ def test_classifier_checkpoint_rejected_as_denoiser(workdir, tmp_path,
                      "--num", "2", "--steps", "4"])
     assert code == 1
     assert "not a denoiser" in capsys.readouterr().err
+
+
+def test_denoiser_checkpoint_rejected_as_classifier(workdir, tmp_path,
+                                                    capsys):
+    code = cli.main(["sample", "--checkpoint", str(workdir / "ckpt.json"),
+                     "--out", str(tmp_path / "s.txt"),
+                     "--num", "2", "--steps", "4", "--guidance", "cbg",
+                     "--label", "0",
+                     "--classifier", str(workdir / "ckpt.json")])
+    assert code == 1
+    assert "not a classifier checkpoint" in capsys.readouterr().err

@@ -181,13 +181,13 @@ def test_nelbo_mc_unbiased_within_3_sigma():
 
 def _reference_nelbo(x, den, T, prior, mode, rng, mc_samples, labels):
     """Per-sequence loop: the same rng draws in the same order, rows from
-    the per-sequence ``rows`` call, the KL one position at a time."""
+    a one-sequence ``rows_batch`` call, the KL one position at a time."""
     out = []
     for b, row in enumerate(x):
         cond = None if labels is None else int(labels[b])
 
         def kl_sum(z, t, s):
-            rows = den.rows(z, t, cond)
+            rows = den.rows_batch(np.asarray(z)[None], t, cond)[0]
             return sum(L.diffusion_kl(int(row[l]), int(z[l]), t, s, rows[l],
                                       prior, SCHED) for l in range(len(row)))
 
@@ -262,7 +262,7 @@ def test_batched_nelbo_matches_per_sequence_loop(mode, kind, den_kind, batch,
 
 def test_exact_budget_is_checked_before_any_denoiser_call():
     class Untouchable:
-        def rows(self, z_seq, t, condition=None):
+        def rows_batch(self, z_batch, t, condition=None):
             raise AssertionError("denoiser called past the budget")
 
     prior = PriorSpec.uniform(6)
@@ -395,15 +395,12 @@ def test_mdlm_unmasked_positions_contribute_nothing():
     # positions leaked into the sum, this would not stay at the
     # masked-only value
     class HalfDenoiser:
-        def rows(self, z_seq, t, condition=None):
-            z = np.asarray(z_seq)
-            out = np.full((z.shape[0], 4), 1e-9)
-            for l, tok in enumerate(z):
-                if tok == 3:
-                    out[l, 0] = 1.0  # guess token 0 under every mask
-                else:
-                    out[l, tok] = 1.0
-            return out / out.sum(axis=1, keepdims=True)
+        def rows_batch(self, z_batch, t, condition=None):
+            z = np.asarray(z_batch)
+            out = np.full(z.shape + (4,), 1e-9)
+            guess = np.where(z == 3, 0, z)  # token 0 under every mask
+            np.put_along_axis(out, guess[..., None], 1.0, axis=-1)
+            return out / out.sum(axis=-1, keepdims=True)
 
     x = np.array([0, 0])
     rng = np.random.default_rng(6)

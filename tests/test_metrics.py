@@ -119,19 +119,3 @@ def test_vnp_all_invalid():
     )
     assert out["num_valid"] == 0
     assert "property_mean" not in out
-
-
-# --------------------------------------------------------------------- tsv
-
-def test_to_tsv_layout():
-    rows = [
-        {"gamma": 0.0, "control_accuracy": 0.25, "num_novel": 7},
-        {"gamma": 2.0, "control_accuracy": 0.5, "num_novel": 9},
-    ]
-    text = MX.to_tsv(rows)
-    lines = text.strip().split("\n")
-    assert lines[0] == "gamma\tcontrol_accuracy\tnum_novel"
-    assert len(lines) == 3
-    assert lines[2].split("\t")[0] == "2"
-    with pytest.raises(ValueError):
-        MX.to_tsv([])

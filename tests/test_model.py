@@ -7,7 +7,8 @@ from catdiff import autodiff as ad
 from catdiff import model as M
 from catdiff.checkpoint import load_checkpoint, save_checkpoint
 from catdiff.core import NoiseSchedule, Vocabulary
-from catdiff.loss import LossSpec
+from catdiff.forward import PriorSpec
+from catdiff.loss import LossSpec, nelbo_discrete, training_loss_node
 from catdiff.verify import finite_difference_grads
 
 VOCAB3 = Vocabulary(3)
@@ -108,6 +109,24 @@ def test_classifier_forwards_reject_out_of_range_tokens(bad):
         clf.log_probs(z, 0.5)
     with pytest.raises(ValueError, match="token"):
         clf.grad_log_prob(z, 0.5, 0)
+
+
+@pytest.mark.parametrize("bad", BAD_TOKENS + [[-1, 99], [0, 1, 2, 0, 1, 2]])
+def test_constant_denoiser_rejects_bad_latents(bad):
+    # out-of-range tokens and latents of the wrong length are usage errors,
+    # not a silently tiled row block
+    den = M.ConstantDenoiser.from_sequence([0, 1, 2, 1], VOCAB3)
+    with pytest.raises(ValueError):
+        den.rows_batch(np.array([bad]), 0.5)
+    assert den.rows_batch(np.array([[0, 1, 2, 0]]), 0.5).shape == (1, 4, 3)
+
+
+def test_nelbo_rejects_latents_longer_than_constant_denoiser():
+    den = M.ConstantDenoiser.from_sequence([0, 1, 2, 1], VOCAB3)
+    x = np.zeros((2, 6), dtype=np.int64)
+    with pytest.raises(ValueError, match="latents"):
+        nelbo_discrete(x, den, 4, den.prior, den.schedule, mode="mc",
+                       rng=np.random.default_rng(0))
 
 
 # The inference forward is pinned to the autodiff graph the models train
@@ -267,27 +286,6 @@ def test_classifier_protocol_batches_match_single_sequences():
         assert np.max(np.abs(grad[b] - single_grad)) <= 1e-12
 
 
-def test_denoiser_rows_stacks_per_sequence_rows():
-    # an object with only the per-sequence rows() gets one call per row,
-    # with that row's time and label
-    params = tiny_denoiser(seed=6, scale=0.6)
-
-    class RowsOnly:
-        def rows(self, z_seq, t, condition=None):
-            assert type(t) is float and condition in (None, 0, 1)
-            return M.denoise(params, z_seq, t, condition)
-
-    rng = np.random.default_rng(6)
-    z = rng.integers(0, 3, size=(5, 4))
-    t = rng.uniform(0.05, 0.95, size=5)
-    labels = rng.integers(0, 2, size=5)
-    for tt, cond in ((t, labels), (0.3, None), (0.3, 1)):
-        want = M.denoise_batch(params, z, tt, cond)
-        assert np.array_equal(M.denoiser_rows(params, z, tt, cond), want)
-        got = M.denoiser_rows(RowsOnly(), z, tt, cond)
-        assert np.max(np.abs(got - want)) <= 1e-12
-
-
 @pytest.mark.parametrize("seed", range(20))
 def test_classify_grad_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
@@ -354,6 +352,25 @@ def test_full_dropout_freezes_class_rows():
                               fresh.condition_embedding[2])
 
 
+def test_training_loss_reaches_the_model_module_graph(monkeypatch):
+    # the training graph is looked up on the model module at each call, so
+    # a wrapper installed there (a trace span, say) sees every forward
+    calls = []
+    real = M.denoiser_logprob_rows
+
+    def spy(*args):
+        calls.append(args[2].shape)
+        return real(*args)
+
+    monkeypatch.setattr(M, "denoiser_logprob_rows", spy)
+    params = tiny_denoiser(seed=3)
+    x = np.random.default_rng(3).integers(0, 3, size=(5, 4))
+    for objective, T in (("udlm_continuous", None), ("nelbo_discrete", 4)):
+        training_loss_node(LossSpec(objective, T=T), M.param_nodes(params),
+                           params, x, np.full(5, 2), np.random.default_rng(0))
+    assert calls == [(5, 4), (5, 4)]
+
+
 def test_train_seed_reproducibility():
     rng = np.random.default_rng(1)
     x = rng.integers(0, 3, size=(48, 4))
@@ -370,9 +387,6 @@ def test_train_seed_reproducibility():
 def test_train_single_sequence_reaches_near_zero_loss():
     # tabular-capacity network on one repeated sequence: the analytic
     # minimum of the objective is 0, reached when x_theta copies the data
-    from catdiff.forward import PriorSpec
-    from catdiff.loss import nelbo_discrete
-
     x = np.tile(np.array([0, 2, 1], dtype=np.int64), (256, 1))
     spec = LossSpec("udlm_continuous", mc_samples_per_example=2)
     params, trace = M.train(
@@ -391,8 +405,8 @@ def test_train_single_sequence_reaches_near_zero_loss():
 
 def _uniform_rows_denoiser(n):
     class _U:
-        def rows(self, z_seq, t, condition=None):
-            return np.full((np.asarray(z_seq).shape[0], n), 1.0 / n)
+        def rows_batch(self, z_batch, t, condition=None):
+            return np.full(np.shape(z_batch) + (n,), 1.0 / n)
     return _U()
 
 

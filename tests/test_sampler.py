@@ -26,31 +26,32 @@ def counts_dataset():
 class FixedRowDenoiser:
     """Same (L, N) row block at every latent and time."""
 
-    def __init__(self, rows, kind="uniform", mask_index=None):
-        self.rows_block = np.asarray(rows, dtype=np.float64)
-        self.n = self.rows_block.shape[1]
-        self.kind = kind
-        self.mask_index = mask_index
+    schedule = SCHED
 
-    def rows(self, z_seq, t, condition=None):
-        return self.rows_block.copy()
+    def __init__(self, rows, prior=None):
+        self.rows_block = np.asarray(rows, dtype=np.float64)
+        self.prior = prior or PriorSpec.uniform(self.rows_block.shape[1])
+
+    def rows_batch(self, z_batch, t, condition=None):
+        return np.tile(self.rows_block, (len(z_batch), 1, 1))
 
 
 class ConditionSwitchDenoiser:
     """Distinct fixed rows per condition; exposes how the sampler routes
     the condition argument."""
 
+    schedule = SCHED
+
     def __init__(self, n, length, num_classes, seed=0):
         rng = np.random.default_rng(seed)
-        self.n = n
-        self.kind = "uniform"
+        self.prior = PriorSpec.uniform(n)
         self.tables = {
             c: rng.dirichlet(np.ones(n), size=length)
             for c in [None, *range(num_classes)]
         }
 
-    def rows(self, z_seq, t, condition=None):
-        return self.tables[condition].copy()
+    def rows_batch(self, z_batch, t, condition=None):
+        return np.tile(self.tables[condition], (len(z_batch), 1, 1))
 
 
 # ------------------------------------------------------------------ request
@@ -110,21 +111,18 @@ def test_small_step_sampled_changes_are_rare():
     row[1] = 1.0
     den = FixedRowDenoiser(np.tile(row, (4096, 1)))
     z = rng.integers(0, 3, size=4096)
-    out = S.reverse_step(z, 0.5, 0.5 - 1e-4, den, GuidanceConfig(), rng,
-                         prior=U3, schedule=SCHED)
+    out = S.reverse_step(z, 0.5, 0.5 - 1e-4, den, GuidanceConfig(), rng)
     assert (out != z).sum() <= 20  # TV per position < 1e-3
 
 
 def test_absorbing_unmasked_positions_never_change():
     den = TabularDenoiser(4, seed=5, kind="absorbing", mask_index=3)
-    prior = PriorSpec.absorbing(Vocabulary(4, mask_index=3))
     rng = np.random.default_rng(6)
     z = np.array([0, 3, 2, 3, 1, 3, 3, 0], dtype=np.int64)
     # partially unmasked states are reachable only at t < 1
     for i in range(12, 0, -1):
         z_next = S.reverse_step(z, i / 16, (i - 1) / 16 + 1e-9, den,
-                                GuidanceConfig(), rng, prior=prior,
-                                schedule=SCHED)
+                                GuidanceConfig(), rng)
         unmasked = z != 3
         assert np.array_equal(z_next[unmasked], z[unmasked])
         z = z_next
@@ -135,10 +133,10 @@ def test_mode_none_equals_cfg_gamma_one():
     z = np.array([0, 1, 2, 1, 0], dtype=np.int64)
     plain = S.reverse_step(z, 0.8, 0.6, den,
                            GuidanceConfig("none", target_class=1),
-                           np.random.default_rng(8), prior=U3, schedule=SCHED)
+                           np.random.default_rng(8))
     cfg = S.reverse_step(z, 0.8, 0.6, den,
                          GuidanceConfig("cfg", gamma=1.0, target_class=1),
-                         np.random.default_rng(8), prior=U3, schedule=SCHED)
+                         np.random.default_rng(8))
     assert np.array_equal(plain, cfg)
 
 
@@ -147,15 +145,12 @@ def test_reverse_step_validation():
     rng = np.random.default_rng(9)
     z = np.array([0, 1], dtype=np.int64)
     with pytest.raises(ValueError):
-        S.reverse_step(z, 0.5, 0.5, den, GuidanceConfig(), rng,
-                       prior=U3, schedule=SCHED)
+        S.reverse_step(z, 0.5, 0.5, den, GuidanceConfig(), rng)
     with pytest.raises(ValueError):
-        S.reverse_step(z, 0.4, 0.6, den, GuidanceConfig(), rng,
-                       prior=U3, schedule=SCHED)
+        S.reverse_step(z, 0.4, 0.6, den, GuidanceConfig(), rng)
     with pytest.raises(ValueError):
         S.reverse_step(z, 0.6, 0.4, den,
-                       GuidanceConfig("cbg_exact", target_class=0), rng,
-                       prior=U3, schedule=SCHED)
+                       GuidanceConfig("cbg_exact", target_class=0), rng)
 
 
 # ----------------------------------------------------------------- generate
@@ -175,7 +170,6 @@ def test_generate_seed_reproducible():
 def test_generate_edit_diagnostics():
     # absorbing: unmasking is not an edit, so the count stays zero
     den = TabularDenoiser(4, seed=13, kind="absorbing", mask_index=3)
-    den.n, den.mask_index, den.kind = 4, 3, "absorbing"
     out, diag = S.generate(S.SampleRequest(num_sequences=32, length=6, T=16,
                                            seed=13), den)
     assert all(d["edits"] == 0 for d in diag)
@@ -184,7 +178,6 @@ def test_generate_edit_diagnostics():
 
     # uniform: committed tokens get revised along the way
     uden = TabularDenoiser(3, seed=14)
-    uden.n, uden.kind = 3, "uniform"
     _, udiag = S.generate(S.SampleRequest(num_sequences=32, length=6, T=16,
                                           seed=14), uden)
     assert sum(d["edits"] for d in udiag) > 0
@@ -192,8 +185,8 @@ def test_generate_edit_diagnostics():
 
 def test_generate_absorbing_single_step_unmasks_from_marginal():
     marginal = np.array([0.5, 0.3, 0.2, 0.0])
-    den = FixedRowDenoiser(np.tile(marginal, (2, 1)), kind="absorbing",
-                           mask_index=3)
+    den = FixedRowDenoiser(np.tile(marginal, (2, 1)),
+                           PriorSpec.absorbing(Vocabulary(4, mask_index=3)))
     out, _ = S.generate(S.SampleRequest(num_sequences=20_000, length=2, T=1,
                                         seed=15), den)
     assert np.all(out != 3)
@@ -259,7 +252,6 @@ def test_generate_rejects_dropped_row_as_target(num_classes):
 
 def test_argmax_decode_deterministic_and_distinct_from_sampling():
     den = TabularDenoiser(3, seed=22)
-    den.n, den.kind = 3, "uniform"
     req_a = S.SampleRequest(num_sequences=200, length=4, T=2, seed=23,
                             final_decode="argmax")
     req_s = S.SampleRequest(num_sequences=200, length=4, T=2, seed=23,

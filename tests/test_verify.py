@@ -119,7 +119,7 @@ def _corpus():
 def test_loo_rows_are_distributions():
     sched = NoiseSchedule()
     den = V.LeaveOneOutDenoiser(_corpus(), PriorSpec.uniform(3), sched)
-    rows = den.rows(np.array([2, 0]), 0.37)
+    rows = den.rows_batch(np.array([[2, 0]]), 0.37)[0]
     assert rows.shape == (2, 3)
     np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(rows >= 0.0)
@@ -134,7 +134,8 @@ def test_loo_single_position_ignores_latent():
     for z in range(3):
         for t in (0.1, 0.5, 0.9):
             np.testing.assert_allclose(
-                den.rows(np.array([z]), t)[0], marginal, atol=1e-12)
+                den.rows_batch(np.array([[z]]), t)[0, 0], marginal,
+                atol=1e-12)
 
 
 def test_loo_rows_match_direct_enumeration():
@@ -147,7 +148,7 @@ def test_loo_rows_match_direct_enumeration():
     z = np.array([1, 2])
     t = 0.42
     a = sched.alpha(t)
-    got = den.rows(z, t)
+    got = den.rows_batch(z[None], t)[0]
     for pos in range(2):
         other = 1 - pos
         joint = np.zeros(3)
@@ -165,7 +166,7 @@ def test_loo_batch_matches_single():
     stacked = den.rows_batch(batch, 0.6)
     for b in range(5):
         np.testing.assert_allclose(
-            stacked[b], den.rows(batch[b], 0.6), atol=0)
+            stacked[b], den.rows_batch(batch[b:b + 1], 0.6)[0], atol=0)
 
 
 def test_loo_unreachable_latent_rejected():
@@ -177,7 +178,7 @@ def test_loo_unreachable_latent_rejected():
     prior = PriorSpec.general(Categorical(np.array([0.5, 0.5, 0.0])))
     den = V.LeaveOneOutDenoiser(data, prior, sched)
     with pytest.raises(ValueError, match="unreachable"):
-        den.rows(np.array([2, 2]), 0.5)
+        den.rows_batch(np.array([[2, 2]]), 0.5)
 
 
 def test_exact_reverse_nll_budget_checked_before_any_work(monkeypatch):
@@ -187,7 +188,7 @@ def test_exact_reverse_nll_budget_checked_before_any_work(monkeypatch):
         raise AssertionError("work done before the budget check")
 
     class RefusingDenoiser:
-        rows = staticmethod(refuse)
+        rows_batch = staticmethod(refuse)
 
     monkeypatch.setattr(V, "enumerate_sequences", refuse)
     with pytest.raises(ValueError, match="budget"):
