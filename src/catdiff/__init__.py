@@ -9,7 +9,7 @@ the reverse process, and a brute-force verification suite.
 __version__ = "0.1.0"
 
 from .core import Categorical, NoiseSchedule, Vocabulary
-from .forward import PriorSpec, marginal, posterior, sample_latent
+from .forward import PriorSpec, marginal, posterior
 
 __all__ = [
     "Categorical",
@@ -18,5 +18,4 @@ __all__ = [
     "PriorSpec",
     "marginal",
     "posterior",
-    "sample_latent",
 ]

@@ -8,6 +8,12 @@ one verified against central finite differences in the test suite.
 
 Gradients flow only into nodes with ``requires_grad`` (parameters);
 constants are recorded but skipped during the reverse sweep.
+
+``log``, ``exp``, ``nsum``, ``gather_last`` and ``reshape`` pass plain
+arrays through as plain NumPy results, and an ndarray on the left of an
+operator defers to the Node on its right. So a formula written with these
+primitives and operators runs on arrays (evaluation) or on Nodes
+(training) through one code path.
 """
 
 from __future__ import annotations
@@ -163,8 +169,9 @@ def matmul(a, b) -> Node:
     return Node(out, (a, b), bwd)
 
 
-def log(a) -> Node:
-    a = as_node(a)
+def log(a):
+    if not isinstance(a, Node):
+        return np.log(a)
     out = np.log(a.value)
 
     def bwd(g):
@@ -173,8 +180,9 @@ def log(a) -> Node:
     return Node(out, (a,), bwd)
 
 
-def exp(a) -> Node:
-    a = as_node(a)
+def exp(a):
+    if not isinstance(a, Node):
+        return np.exp(a)
     out = np.exp(a.value)
 
     def bwd(g):
@@ -193,8 +201,9 @@ def tanh(a) -> Node:
     return Node(out, (a,), bwd)
 
 
-def nsum(a, axis=None, keepdims=False) -> Node:
-    a = as_node(a)
+def nsum(a, axis=None, keepdims=False):
+    if not isinstance(a, Node):
+        return np.sum(a, axis=axis, keepdims=keepdims)
     out = a.value.sum(axis=axis, keepdims=keepdims)
 
     def bwd(g):
@@ -242,15 +251,17 @@ def take(a, idx) -> Node:
     return Node(out, (a,), bwd)
 
 
-def gather_last(a, idx) -> Node:
+def gather_last(a, idx):
     """Pick one entry per row along the last axis: out[...] = a[..., idx[...]]."""
-    a = as_node(a)
+    value = a.value if isinstance(a, Node) else np.asarray(a)
     idx = np.asarray(idx, dtype=np.int64)
-    if idx.shape != a.value.shape[:-1]:
+    if idx.shape != value.shape[:-1]:
         raise ValueError(
-            f"index shape {idx.shape} must match leading shape {a.value.shape[:-1]}"
+            f"index shape {idx.shape} must match leading shape {value.shape[:-1]}"
         )
-    out = np.take_along_axis(a.value, idx[..., None], axis=-1)[..., 0]
+    out = np.take_along_axis(value, idx[..., None], axis=-1)[..., 0]
+    if not isinstance(a, Node):
+        return out
 
     def bwd(g):
         ga = np.zeros_like(a.value)
@@ -260,8 +271,9 @@ def gather_last(a, idx) -> Node:
     return Node(out, (a,), bwd)
 
 
-def reshape(a, shape) -> Node:
-    a = as_node(a)
+def reshape(a, shape):
+    if not isinstance(a, Node):
+        return np.reshape(a, shape)
     out = a.value.reshape(shape)
 
     def bwd(g):

@@ -132,9 +132,6 @@ class Categorical:
     def size(self) -> int:
         return self.probs.shape[0]
 
-    def sample(self, rng: np.random.Generator) -> int:
-        return int(rng.choice(self.size, p=self.probs))
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Categorical) and np.array_equal(
             self.probs, other.probs

@@ -106,17 +106,6 @@ def marginal(
     return Categorical(marginal_rows(x, t, prior, schedule))
 
 
-def sample_latent(
-    x: int, t: float, prior: PriorSpec, schedule: NoiseSchedule,
-    rng: np.random.Generator,
-) -> int:
-    """Draw z_t ~ q(z_t | x) via the mixture form of the marginal."""
-    a_t = schedule.alpha(t)
-    if rng.random() < a_t:
-        return int(x)
-    return prior.pi.sample(rng)
-
-
 def corrupt(
     x, t, prior: PriorSpec, schedule: NoiseSchedule,
     rng: np.random.Generator,

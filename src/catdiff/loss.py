@@ -1,12 +1,16 @@
 """Training and evaluation objectives.
 
-Evaluation paths (plain numpy; the denoiser is read only through its
+Each continuous-time objective is one kernel batched over (B, L):
+``_udlm_rate`` (the paper's uniform-noise bound), ``_sedd_rate`` (its
+score-entropy form) and ``_mdlm_rate`` (absorbing). A kernel takes the
+predicted rows as arrays or as autodiff Nodes, so training
+(``training_loss_node``), evaluation (``udlm_loss``, ``mdlm_loss``, the
+one-position ``udlm_integrand`` and ``sedd_form_nelbo``) and the oracles
+in ``verify`` all run the same code. The denoiser is read only through
 ``rows_batch(z, t, condition)``, and the continuous-time losses take N
-from its ``prior``) live alongside batched graph builders used by
-model.train. ``nelbo_discrete`` scores one sequence or a batch: mc mode
-evaluates every sampled latent of the batch in one denoiser call, exact
-mode one call per grid time over the enumerated latents of each
-sequence.
+from its ``prior``. ``nelbo_discrete`` scores one sequence or a batch:
+mc mode evaluates every sampled latent in one denoiser call, exact mode
+one call per grid time over the enumerated latents of each sequence.
 
 The forward process is not re-derived here: z_t comes from
 ``forward.corrupt``, marginals from ``forward.marginal_rows``, and every
@@ -22,9 +26,9 @@ Conventions, resolved once here:
   data and the predictor copies its input, so it is identically zero;
   the prior term sits at t = 1 where alpha = 0, so it is zero for both
   supported priors. Both are still computed generically.
-* The continuous-time integrand carries the prefactor alpha'/(N alpha),
-  which is negative; the bracketed term is negative as well, making the
-  integrand nonnegative. The verification suite pins this sign against
+* The UDLM rate carries the prefactor alpha'/(N alpha), which is
+  negative; the bracketed term is negative as well, making the rate
+  nonnegative. The verification suite pins this sign against
   an independent KL/(t - s) limit oracle.
 * Monte Carlo losses draw t uniformly from the clamped schedule range
   and scale by the interval width, keeping the estimator unbiased.
@@ -221,41 +225,94 @@ def _reconstruction(x, schedule) -> np.ndarray:
 
 
 # -------------------------------------------------------- continuous-time
+# Kernels: clean tokens x and latents z (B, L), t shared or one per
+# sequence, predicted rows as arrays or Nodes -> per-position rate (B, L).
 
-def _mixtures(x_onehot_or_row: np.ndarray, t: float, n: int,
-              schedule: NoiseSchedule) -> np.ndarray:
-    """N alpha_t v + (1 - alpha_t) 1, the unnormalized time-t marginal."""
-    a = schedule.alpha(t)
-    return n * a * x_onehot_or_row + (1.0 - a)
+def _udlm_rate(xtheta, x, z, t, schedule: NoiseSchedule):
+    """UDLM loss rate of predicted clean-token rows xtheta (B, L, N),
+    uniform prior:
+
+    (alpha'/(N alpha)) [N/xb_i - N/xbt_i
+        - sum_{j != i} (xb_j/xb_i) log(xbt_i xb_j / (xbt_j xb_i))]
+
+    with xb = N alpha onehot(x) + 1 - alpha the clean-data mixture, xbt the
+    same mixture of xtheta, and i = z.
+    """
+    n = xtheta.shape[-1]
+    ap = np.reshape(schedule.alpha_prime(t), (-1, 1))  # raises outside (0, 1)
+    a = np.reshape(schedule.alpha(t), (-1, 1, 1))
+    xb = n * a * one_hot_batch(x, n) + (1.0 - a)      # (B, L, N) constant
+    xb_i = ad.gather_last(xb, z)                       # (B, L)
+    xbt = n * (a * xtheta) + (1.0 - a)
+    log_xbt = ad.log(xbt)
+    xbt_i = ad.gather_last(xbt, z)
+    log_xbt_i = ad.gather_last(log_xbt, z)
+    # sum_{j != i} (xb_j / xb_i) [log xbt_i - log xbt_j + log xb_j - log xb_i]
+    w = xb / xb_i[..., None] * (1.0 - one_hot_batch(z, n))
+    const_part = np.log(xb) - np.log(xb_i)[..., None]
+    diff = ad.reshape(log_xbt_i, log_xbt_i.shape + (1,)) - log_xbt + const_part
+    cross = ad.nsum(w * diff, axis=-1)
+    bracket = (n / xb_i) - (n / xbt_i) - cross
+    return (ap / (n * a[..., 0])) * bracket
+
+
+def _sedd_rate(xtheta, x, z, t, schedule: NoiseSchedule):
+    """Score-entropy form of the same rate (Lou et al. 2023):
+
+    sum_{j != i} R [s_j - ratio_j log s_j + K(ratio_j)]
+
+    with R = -alpha'/(N alpha) the off-diagonal uniform rate, s_j = xbt_j /
+    xbt_i the predicted mixture ratio, ratio_j = xb_j / xb_i the true one,
+    and K(a) = a (log a - 1).
+    """
+    n = xtheta.shape[-1]
+    rate = np.reshape(-schedule.alpha_prime(t) / (n * schedule.alpha(t)),
+                      (-1, 1))
+    a = np.reshape(schedule.alpha(t), (-1, 1, 1))
+    xb = n * a * one_hot_batch(x, n) + (1.0 - a)
+    ratio = xb / ad.gather_last(xb, z)[..., None]
+    log_xbt = ad.log(n * (a * xtheta) + (1.0 - a))
+    log_xbt_i = ad.gather_last(log_xbt, z)
+    log_score = log_xbt - ad.reshape(log_xbt_i, log_xbt_i.shape + (1,))
+    inner = (ad.exp(log_score) - ratio * log_score
+             + ratio * (np.log(ratio) - 1.0))
+    return rate * ad.nsum((1.0 - one_hot_batch(z, n)) * inner, axis=-1)
+
+
+def _mdlm_rate(logrows, x, z, t, schedule: NoiseSchedule, mask_index: int):
+    """Absorbing-state (MDLM) loss rate of predicted log rows (B, L, N):
+    -alpha'/(1 - alpha) * -log x_theta[x] where z is masked, 0 elsewhere.
+    Unmasked entries of logrows are multiplied by 0, so they must be
+    finite."""
+    a = np.reshape(schedule.alpha(t), (-1, 1))
+    rate = -np.reshape(schedule.alpha_prime(t), (-1, 1)) / (1.0 - a)
+    return (rate * (z == mask_index)) * -ad.gather_last(logrows, x)
+
+
+def _at_one_position(kernel, x, z_t, t, x_theta_row, schedule) -> float:
+    rows = np.asarray(x_theta_row, dtype=np.float64)[None, None]
+    return float(kernel(rows, np.array([[x]]), np.array([[z_t]]), t,
+                        schedule)[0, 0])
 
 
 def udlm_integrand(
     x: int, z_t: int, t: float, x_theta_row: np.ndarray,
     schedule: NoiseSchedule,
 ) -> float:
-    """Per-token continuous-time loss rate at latent z_t, uniform prior.
+    """Per-token continuous-time loss rate at latent z_t, uniform prior
+    (``_udlm_rate`` at one position). Evaluable on all of (0, 1); the
+    t_min/t_max clamp protects *training draws* from the endpoint
+    cancellation, not point evaluation."""
+    return _at_one_position(_udlm_rate, x, z_t, t, x_theta_row, schedule)
 
-    (alpha'/(N alpha)) [N/xb_i - N/xbt_i
-        - sum_{j != i} (xb_j/xb_i) log(xbt_i xb_j / (xbt_j xb_i))]
-    with xb the clean-data mixture, xbt the predicted mixture, i = z_t.
-    """
-    x_theta_row = np.asarray(x_theta_row, dtype=np.float64)
-    n = x_theta_row.shape[0]
-    # Evaluable on all of (0, 1); the t_min/t_max clamp protects *training
-    # draws* from the endpoint cancellation, not point evaluation.
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"t={t} outside (0, 1)")
-    x_vec = np.zeros(n)
-    x_vec[x] = 1.0
-    xb = _mixtures(x_vec, t, n, schedule)
-    xbt = _mixtures(x_theta_row, t, n, schedule)
-    i = z_t
-    log_ratio = (np.log(xbt[i]) - np.log(xbt)) + (np.log(xb) - np.log(xb[i]))
-    weights = xb / xb[i]
-    cross = float(np.sum(np.delete(weights * log_ratio, i)))
-    bracket = n / xb[i] - n / xbt[i] - cross
-    prefactor = schedule.alpha_prime(t) / (n * schedule.alpha(t))
-    return float(prefactor * bracket)
+
+def sedd_form_nelbo(
+    x: int, z_t: int, t: float, x_theta_row: np.ndarray,
+    schedule: NoiseSchedule,
+) -> float:
+    """Score-parameterized form of the same per-token loss rate
+    (``_sedd_rate`` at one position)."""
+    return _at_one_position(_sedd_rate, x, z_t, t, x_theta_row, schedule)
 
 
 def udlm_loss(
@@ -264,20 +321,17 @@ def udlm_loss(
 ) -> float:
     """Monte Carlo estimate of the sequence-level continuous-time loss,
     t ~ Uniform(t_min, t_max), z_t ~ forward marginal."""
-    x_seq = np.asarray(x_seq, dtype=np.int64)
+    x = np.asarray(x_seq, dtype=np.int64)[None]
     prior = PriorSpec.uniform(denoiser.prior.size)
     width = schedule.t_max - schedule.t_min
     acc = 0.0
     for _ in range(mc_samples):
         t = float(schedule.draw_t(rng))
-        z = corrupt(x_seq, t, prior, schedule, rng)
-        rows = denoiser.rows_batch(z[None], t, condition)[0]
-        val = sum(
-            udlm_integrand(int(x_seq[l]), int(z[l]), t, rows[l], schedule)
-            for l in range(x_seq.shape[0])
-        )
+        z = corrupt(x, t, prior, schedule, rng)
+        rows = denoiser.rows_batch(z, t, condition)
+        val = float(np.sum(_udlm_rate(rows, x, z, t, schedule)))
         if not np.isfinite(val):
-            raise FloatingPointError(f"non-finite integrand at t={t}, z={z}")
+            raise FloatingPointError(f"non-finite integrand at t={t}, z={z[0]}")
         acc += width * val
     return acc / mc_samples
 
@@ -289,56 +343,23 @@ def mdlm_loss(
     """Continuous-time absorbing-state loss (adopted, and validated against
     nelbo_discrete at large T): only masked positions contribute
     -alpha'/(1 - alpha) * -log<x, x_theta>."""
-    x_seq = np.asarray(x_seq, dtype=np.int64)
+    x = np.asarray(x_seq, dtype=np.int64)[None]
     width = schedule.t_max - schedule.t_min
     acc = 0.0
     for _ in range(mc_samples):
         t = float(schedule.draw_t(rng))
-        a = schedule.alpha(t)
-        keep = rng.random(x_seq.shape) < a
-        z = np.where(keep, x_seq, mask_index)
-        masked = z == mask_index
-        if not masked.any():
-            continue
-        rows = denoiser.rows_batch(z[None], t, condition)[0]
-        logp = np.log(rows[np.arange(x_seq.shape[0]), x_seq])
-        rate = -schedule.alpha_prime(t) / (1.0 - a)
-        val = rate * float(np.sum(-logp[masked]))
+        z = np.where(rng.random(x.shape) < schedule.alpha(t), x, mask_index)
+        rows = denoiser.rows_batch(z, t, condition)
+        # log 1 = 0 at unmasked positions, which the rate weights by 0; the
+        # zero mask column of absorbing rows gives a -inf that is not read
+        with np.errstate(divide="ignore"):
+            logrows = np.log(np.where((z == mask_index)[..., None], rows, 1.0))
+        val = float(np.sum(_mdlm_rate(logrows, x, z, t, schedule,
+                                      mask_index)))
         if not np.isfinite(val):
-            raise FloatingPointError(f"non-finite integrand at t={t}, z={z}")
+            raise FloatingPointError(f"non-finite integrand at t={t}, z={z[0]}")
         acc += width * val
     return acc / mc_samples
-
-
-def sedd_form_nelbo(
-    x: int, z_t: int, t: float, x_theta_row: np.ndarray,
-    schedule: NoiseSchedule,
-) -> float:
-    """Score-parameterized form of the same per-token loss rate.
-
-    sum_{z' != z} R(z, z') [s(z') - ratio(z') log s(z') + K(ratio(z'))]
-    with s the predicted mixture ratio, ratio the true one, and
-    K(a) = a (log a - 1).
-    """
-    x_theta_row = np.asarray(x_theta_row, dtype=np.float64)
-    n = x_theta_row.shape[0]
-    a = schedule.alpha(t)
-    rate = -schedule.alpha_prime(t) / (n * a)  # off-diagonal uniform rate
-    x_vec = np.zeros(n)
-    x_vec[x] = 1.0
-    xb = _mixtures(x_vec, t, n, schedule)
-    xbt = _mixtures(x_theta_row, t, n, schedule)
-    i = z_t
-    if xb[i] <= 0 or xbt[i] <= 0:
-        raise ValueError("zero mixture ratio; t outside the valid range")
-    total = 0.0
-    for j in range(n):
-        if j == i:
-            continue
-        score = xbt[j] / xbt[i]
-        ratio = xb[j] / xb[i]
-        total += score - ratio * np.log(score) + ratio * (np.log(ratio) - 1.0)
-    return float(rate * total)
 
 
 # ----------------------------------------------------------------- scores
@@ -360,8 +381,8 @@ def training_loss_node(
     """One minibatch loss as a scalar Node; draws (t, z_t) internally."""
     schedule = params.schedule
     prior = params.prior
-    n = prior.size
     batch = x.shape[0]
+    width = schedule.t_max - schedule.t_min
     parts = []
     for _ in range(spec.mc_samples_per_example):
         if spec.objective == "nelbo_discrete":
@@ -369,81 +390,26 @@ def training_loss_node(
             t, s = i / spec.T, (i - 1) / spec.T
         else:
             t = schedule.draw_t(rng, size=batch)
-            s = None
         z = corrupt(x, t, prior, schedule, rng)
         # looked up on the module, so a wrapper installed there sees it
         rows = model_mod.denoiser_logprob_rows(field_nodes, params, z, t,
                                                cond_idx)
-        if spec.objective == "udlm_continuous":
-            parts.append(_udlm_batch_node(rows, x, z, t, n, schedule))
-        elif spec.objective == "sedd_form":
-            parts.append(_sedd_batch_node(rows, x, z, t, n, schedule))
-        elif spec.objective == "mdlm_continuous":
-            parts.append(_mdlm_batch_node(rows, x, z, t, schedule,
-                                          params.vocab.mask_index))
-        else:
+        if spec.objective == "nelbo_discrete":
             parts.append(_nelbo_mc_batch_node(rows, x, z, t, s, spec.T,
                                               prior, schedule))
+            continue
+        if spec.objective == "mdlm_continuous":
+            rate = _mdlm_rate(rows, x, z, t, schedule,
+                              params.vocab.mask_index)
+        elif spec.objective == "udlm_continuous":
+            rate = _udlm_rate(ad.exp(rows), x, z, t, schedule)
+        else:
+            rate = _sedd_rate(ad.exp(rows), x, z, t, schedule)
+        parts.append(width * ad.nmean(ad.nsum(rate, axis=1)))
     total = parts[0]
     for p in parts[1:]:
         total = total + p
     return total * (1.0 / len(parts))
-
-
-def _udlm_batch_node(rows, x, z, t, n, schedule) -> ad.Node:
-    """Mean over the batch of width * sum_l integrand, as a Node."""
-    width = schedule.t_max - schedule.t_min
-    a = schedule.alpha(t)[:, None, None]
-    ap = schedule.alpha_prime(t)[:, None]
-    xb = n * a * one_hot_batch(x, n) + (1.0 - a)      # (B, L, N) constant
-    bl = np.arange(x.shape[0])[:, None], np.arange(x.shape[1])[None, :]
-    xb_i = xb[bl[0], bl[1], z]                        # (B, L)
-    xtheta = ad.exp(rows)
-    xbt = n * ad.mul(ad.constant(a), xtheta) + (1.0 - a)
-    log_xbt = ad.log(xbt)
-    xbt_i = ad.gather_last(xbt, z)
-    log_xbt_i = ad.gather_last(log_xbt, z)
-    # sum_{j != i} (xb_j / xb_i) [log xbt_i - log xbt_j + log xb_j - log xb_i]
-    w = xb / xb_i[..., None] * (1.0 - one_hot_batch(z, n))
-    const_part = np.log(xb) - np.log(xb_i)[..., None]
-    diff = ad.reshape(log_xbt_i, log_xbt_i.shape + (1,)) - log_xbt + const_part
-    cross = ad.nsum(ad.mul(ad.constant(w), diff), axis=-1)          # (B, L)
-    bracket = (n / xb_i) - (n / xbt_i) - cross
-    integrand = ad.mul(ad.constant(ap / (n * schedule.alpha(t)[:, None])),
-                       bracket)
-    return width * ad.nmean(ad.nsum(integrand, axis=1))
-
-
-def _sedd_batch_node(rows, x, z, t, n, schedule) -> ad.Node:
-    width = schedule.t_max - schedule.t_min
-    a = schedule.alpha(t)[:, None, None]
-    rate = (-schedule.alpha_prime(t) / (n * schedule.alpha(t)))[:, None]
-    xb = n * a * one_hot_batch(x, n) + (1.0 - a)
-    bl = np.arange(x.shape[0])[:, None], np.arange(x.shape[1])[None, :]
-    xb_i = xb[bl[0], bl[1], z]
-    off = 1.0 - one_hot_batch(z, n)
-    ratio = xb / xb_i[..., None]
-    k_of_ratio = ratio * (np.log(ratio) - 1.0)
-    xtheta = ad.exp(rows)
-    xbt = n * ad.mul(ad.constant(a), xtheta) + (1.0 - a)
-    log_xbt = ad.log(xbt)
-    log_xbt_i = ad.gather_last(log_xbt, z)
-    log_score = log_xbt - ad.reshape(log_xbt_i, log_xbt_i.shape + (1,))
-    score = ad.exp(log_score)
-    inner = score - ad.mul(ad.constant(ratio), log_score) + k_of_ratio
-    per_pos = ad.nsum(ad.mul(ad.constant(off), inner), axis=-1)
-    integrand = ad.mul(ad.constant(rate), per_pos)
-    return width * ad.nmean(ad.nsum(integrand, axis=1))
-
-
-def _mdlm_batch_node(rows, x, z, t, schedule, mask_index) -> ad.Node:
-    width = schedule.t_max - schedule.t_min
-    a = schedule.alpha(t)[:, None]
-    rate = -schedule.alpha_prime(t)[:, None] / (1.0 - a)
-    weight = rate * (z == mask_index)
-    logp_x = ad.gather_last(rows, x)
-    per_ex = ad.nsum(ad.mul(ad.constant(weight), -logp_x), axis=1)
-    return width * ad.nmean(per_ex)
 
 
 def _nelbo_mc_batch_node(rows, x, z, t, s, T, prior, schedule) -> ad.Node:

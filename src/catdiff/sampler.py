@@ -43,13 +43,9 @@ class SampleRequest:
             raise ValueError(f"final_decode must be one of {DECODES}")
 
 
-def prior_draw(prior: PriorSpec, length: int, rng: np.random.Generator):
-    """t = 1 draw: i.i.d. prior tokens (all-mask for absorbing)."""
-    return _prior_batch(prior, 1, length, rng)[0]
-
-
 def _prior_batch(prior: PriorSpec, num: int, length: int,
                  rng: np.random.Generator) -> np.ndarray:
+    """t = 1 draw: i.i.d. prior tokens (all-mask for absorbing), (num, L)."""
     if prior.kind == "absorbing":
         return np.full((num, length), prior.mask_index, dtype=np.int64)
     rows = np.tile(prior.pi.probs, (num * length, 1))
@@ -82,20 +78,6 @@ def _step_batch(z, t, s, denoiser, config, rng, classifier, prior,
         t_clf = s if config.classifier_time == "s" else t
         post = _apply_cbg(post, z, t_clf, config, classifier)
     return sample_rows(post, rng)
-
-
-def reverse_step(z_t_seq, t: float, s: float, denoiser,
-                 guidance: GuidanceConfig, rng: np.random.Generator,
-                 classifier=None) -> np.ndarray:
-    """One guided ancestral step z_t -> z_s, every position sampled
-    independently from its substituted posterior."""
-    if not s < t:
-        raise ValueError(f"need s < t, got s={s}, t={t}")
-    if guidance.needs_classifier and classifier is None:
-        raise ValueError(f"guidance mode {guidance.mode!r} needs a classifier")
-    z = np.asarray(z_t_seq, dtype=np.int64)
-    return _step_batch(z[None, :], float(t), float(s), denoiser, guidance,
-                       rng, classifier, denoiser.prior, denoiser.schedule)[0]
 
 
 def _decode_batch(z, t, denoiser, config, rng, classifier, prior, schedule,

@@ -188,3 +188,21 @@ def test_ndarray_on_left_defers_to_node():
     assert isinstance(out4, ad.Node)
     (g,) = ad.backprop(ad.nsum(out4), [x])
     assert np.allclose(g, 1.0)
+
+
+def test_array_inputs_pass_through_as_arrays():
+    # log, exp, nsum, gather_last and reshape on a plain array give a plain
+    # array, bit for bit the value the same call gives on a constant Node
+    a = np.abs(rand(2, 3, 4, seed=20)) + 0.1
+    idx = np.random.default_rng(21).integers(0, 4, size=(2, 3))
+    for f in (ad.log, ad.exp,
+              lambda v: ad.nsum(v, axis=1),
+              lambda v: ad.nsum(v, axis=-1, keepdims=True),
+              lambda v: ad.gather_last(v, idx),
+              lambda v: ad.reshape(v, (6, 4))):
+        got = f(a)
+        want = f(ad.constant(a)).value
+        assert type(got) is np.ndarray
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        ad.gather_last(a, idx[:, :2])

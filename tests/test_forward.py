@@ -11,7 +11,6 @@ from catdiff.forward import (
     posterior_absorbing,
     posterior_matrix,
     posterior_uniform,
-    sample_latent,
 )
 from catdiff.verify import bayes_posterior_oracle, substituted_posterior_oracle
 
@@ -38,19 +37,19 @@ def test_marginal_worked_example():
     assert np.allclose(got, [0.125, 0.625, 0.125, 0.125], atol=1e-15)
 
 
-# ----------------------------------------------------------- sample_latent
+# ------------------------------------------------------ latent draws (corrupt)
 
 def test_sample_latent_no_noise_returns_x():
     pr = PriorSpec.uniform(3)
     rng = np.random.default_rng(0)
-    assert all(sample_latent(1, 0.0, pr, SCHED, rng) == 1 for _ in range(100))
+    assert np.all(corrupt(np.ones(100, dtype=np.int64), 0.0, pr, SCHED, rng) == 1)
 
 
 def test_sample_latent_absorbing_full_noise_is_mask():
     v = Vocabulary(3, mask_index=2)
     pr = PriorSpec.absorbing(v)
     rng = np.random.default_rng(0)
-    assert all(sample_latent(0, 1.0, pr, SCHED, rng) == 2 for _ in range(100))
+    assert np.all(corrupt(np.zeros(100, dtype=np.int64), 1.0, pr, SCHED, rng) == 2)
 
 
 def test_sample_latent_uniform_full_noise_frequencies():

@@ -407,6 +407,31 @@ def test_mdlm_unmasked_positions_contribute_nothing():
     val = L.mdlm_loss(x, HalfDenoiser(), rng, 512, SCHED, mask_index=3)
     assert abs(val) < 1e-6   # masked guesses are also right; rest must be 0
 
+    # exactly zero mass on x where it survives: weight 0 must not meet
+    # log 0 as 0 * inf = nan, and the value must be the masked-only sum
+    class ZeroOffMaskDenoiser:
+        def rows_batch(self, z_batch, t, condition=None):
+            z = np.asarray(z_batch)
+            out = np.zeros(z.shape + (4,))
+            out[..., 1] = 0.5
+            out[..., 0] = np.where(z == 3, 0.5, 0.0)
+            out[..., 2] = np.where(z == 3, 0.0, 0.5)
+            return out
+
+    x = np.array([0, 0, 0])
+    val = L.mdlm_loss(x, ZeroOffMaskDenoiser(), np.random.default_rng(7), 64,
+                      SCHED, mask_index=3)
+    rng = np.random.default_rng(7)
+    width = SCHED.t_max - SCHED.t_min
+    expect = 0.0
+    for _ in range(64):
+        t = float(SCHED.draw_t(rng))
+        masked = rng.random(x.shape) >= SCHED.alpha(t)
+        expect += width * masked.sum() * np.log(2.0) / t
+    assert np.isfinite(val)
+    assert val == pytest.approx(expect / 64, rel=1e-12)
+    assert val > 0
+
 
 # -------------------------------------------------------------------- scores
 
@@ -492,12 +517,11 @@ def test_training_loss_node_gradients(objective):
 
     kind = "absorbing" if objective == "mdlm_continuous" else "uniform"
     M, params, spec, x, cond = _setup_batch(objective, kind, seed=1)
-    names = [name for name, _ in params.arrays()]
     arrays = [a for _, a in params.arrays()]
 
     def build(nodes):
         work = params.copy()
-        work.set_arrays(list(zip(names, [n.value for n in nodes])))
+        work.set_arrays([n.value for n in nodes])
         return L.training_loss_node(spec, nodes, work, x, cond,
                                     np.random.default_rng(7))
 

@@ -73,21 +73,22 @@ def test_request_validation():
 
 def test_prior_draw_absorbing_all_mask():
     prior = PriorSpec.absorbing(Vocabulary(4, mask_index=3))
-    z = S.prior_draw(prior, 7, np.random.default_rng(0))
-    assert z.shape == (7,)
+    z = S._prior_batch(prior, 2, 7, np.random.default_rng(0))
+    assert z.shape == (2, 7)
     assert np.all(z == 3)
 
 
 def test_prior_draw_uniform_frequencies():
     # N=2 over 10^6 tokens: counts consistent with Binomial(10^6, 1/2)
-    z = S.prior_draw(PriorSpec.uniform(2), 1_000_000, np.random.default_rng(1))
-    counts = np.bincount(z, minlength=2)
+    z = S._prior_batch(PriorSpec.uniform(2), 1, 1_000_000,
+                       np.random.default_rng(1))
+    counts = np.bincount(z[0], minlength=2)
     assert stats.chisquare(counts).pvalue > 1e-3
 
 
 def test_prior_draw_respects_length():
-    z = S.prior_draw(U3, 13, np.random.default_rng(2))
-    assert z.shape == (13,) and z.min() >= 0 and z.max() < 3
+    z = S._prior_batch(U3, 4, 13, np.random.default_rng(2))
+    assert z.shape == (4, 13) and z.min() >= 0 and z.max() < 3
 
 
 # ------------------------------------------------------------- reverse step
@@ -110,19 +111,20 @@ def test_small_step_sampled_changes_are_rare():
     row = np.zeros(3)
     row[1] = 1.0
     den = FixedRowDenoiser(np.tile(row, (4096, 1)))
-    z = rng.integers(0, 3, size=4096)
-    out = S.reverse_step(z, 0.5, 0.5 - 1e-4, den, GuidanceConfig(), rng)
+    z = rng.integers(0, 3, size=(1, 4096))
+    out = S._step_batch(z, 0.5, 0.5 - 1e-4, den, GuidanceConfig(), rng, None,
+                        den.prior, SCHED)
     assert (out != z).sum() <= 20  # TV per position < 1e-3
 
 
 def test_absorbing_unmasked_positions_never_change():
     den = TabularDenoiser(4, seed=5, kind="absorbing", mask_index=3)
     rng = np.random.default_rng(6)
-    z = np.array([0, 3, 2, 3, 1, 3, 3, 0], dtype=np.int64)
+    z = np.array([[0, 3, 2, 3, 1, 3, 3, 0]], dtype=np.int64)
     # partially unmasked states are reachable only at t < 1
     for i in range(12, 0, -1):
-        z_next = S.reverse_step(z, i / 16, (i - 1) / 16 + 1e-9, den,
-                                GuidanceConfig(), rng)
+        z_next = S._step_batch(z, i / 16, (i - 1) / 16 + 1e-9, den,
+                               GuidanceConfig(), rng, None, den.prior, SCHED)
         unmasked = z != 3
         assert np.array_equal(z_next[unmasked], z[unmasked])
         z = z_next
@@ -130,27 +132,14 @@ def test_absorbing_unmasked_positions_never_change():
 
 def test_mode_none_equals_cfg_gamma_one():
     den = ConditionSwitchDenoiser(3, 5, num_classes=2, seed=7)
-    z = np.array([0, 1, 2, 1, 0], dtype=np.int64)
-    plain = S.reverse_step(z, 0.8, 0.6, den,
-                           GuidanceConfig("none", target_class=1),
-                           np.random.default_rng(8))
-    cfg = S.reverse_step(z, 0.8, 0.6, den,
-                         GuidanceConfig("cfg", gamma=1.0, target_class=1),
-                         np.random.default_rng(8))
+    z = np.array([[0, 1, 2, 1, 0]], dtype=np.int64)
+    plain = S._step_batch(z, 0.8, 0.6, den,
+                          GuidanceConfig("none", target_class=1),
+                          np.random.default_rng(8), None, den.prior, SCHED)
+    cfg = S._step_batch(z, 0.8, 0.6, den,
+                        GuidanceConfig("cfg", gamma=1.0, target_class=1),
+                        np.random.default_rng(8), None, den.prior, SCHED)
     assert np.array_equal(plain, cfg)
-
-
-def test_reverse_step_validation():
-    den = TabularDenoiser(3, seed=9)
-    rng = np.random.default_rng(9)
-    z = np.array([0, 1], dtype=np.int64)
-    with pytest.raises(ValueError):
-        S.reverse_step(z, 0.5, 0.5, den, GuidanceConfig(), rng)
-    with pytest.raises(ValueError):
-        S.reverse_step(z, 0.4, 0.6, den, GuidanceConfig(), rng)
-    with pytest.raises(ValueError):
-        S.reverse_step(z, 0.6, 0.4, den,
-                       GuidanceConfig("cbg_exact", target_class=0), rng)
 
 
 # ----------------------------------------------------------------- generate

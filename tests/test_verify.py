@@ -85,6 +85,30 @@ def test_mutated_integrand_fails_limits_suite(monkeypatch):
     assert "FAIL" in text and "FAILURES" in text
 
 
+def test_mutated_loss_kernel_fails_limits_and_flips_training(monkeypatch):
+    # the limits suite and training read one UDLM kernel, so a sign error
+    # there is caught by verify and reaches the training loss
+    from catdiff import model as M
+    from catdiff.core import Vocabulary
+
+    params = M.init_denoiser(Vocabulary(3), 3, 2, 6, kind="uniform", seed=0,
+                             scale=0.3)
+    x = np.random.default_rng(0).integers(0, 3, size=(5, 3))
+    cond = np.zeros(5, dtype=np.int64)
+
+    def training_loss():
+        return float(L.training_loss_node(
+            L.LossSpec("udlm_continuous"), M.constant_nodes(params), params,
+            x, cond, np.random.default_rng(1)).value)
+
+    before = training_loss()
+    real = L._udlm_rate
+    monkeypatch.setattr(L, "_udlm_rate", lambda *args: -real(*args))
+    assert not V.run_suite("limits", seed=0).passed
+    assert before > 0
+    assert training_loss() == -before
+
+
 def test_crashing_check_is_a_failure(monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("injected")
