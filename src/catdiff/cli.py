@@ -402,26 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     train = subs.add_parser("train", help="train a denoiser from a config")
     train.add_argument("--config", required=True)
     train.add_argument("--out", required=True)
-    train.add_argument("--kind", choices=("uniform", "absorbing"))
-    train.add_argument("--n", type=int)
-    train.add_argument("--length", type=int)
-    train.add_argument("--d-hidden", dest="d_hidden", type=int)
-    train.add_argument("--n-layers", dest="n_layers", type=int)
-    train.add_argument("--objective", choices=loss_mod.OBJECTIVES)
-    train.add_argument("--T", dest="T", type=int)
-    train.add_argument("--epochs", type=int)
-    train.add_argument("--batch", type=int)
-    train.add_argument("--lr", type=float)
-    train.add_argument("--seed", type=int)
-    train.add_argument("--data")
-    train.add_argument("--labels")
-    train.add_argument("--num-classes", dest="num_classes", type=int)
-    train.add_argument("--condition-dropout", dest="condition_dropout",
-                       type=float)
-    train.add_argument("--vocab")
-    train.add_argument("--train-classifier", dest="train_classifier",
-                       type=_cast_bool)
-    train.add_argument("--classifier-out", dest="classifier_out")
+    for key, (caster, _) in TRAIN_SCHEMA.items():  # overrides config keys
+        train.add_argument("--" + key.replace("_", "-"), dest=key, type=caster)
     train.set_defaults(func=cmd_train)
 
     sample = subs.add_parser("sample", help="generate sequences")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NoiseSchedule, sample_rows
+from .core import NoiseSchedule
 
 ROW_SUM_TOL = 1e-12
 
@@ -98,12 +98,6 @@ def euler_step_distribution(z_t: int, rate: RateMatrix, dt: float) -> np.ndarray
 def max_stable_dt(rate: RateMatrix) -> float:
     worst = np.max(np.abs(np.diag(rate.entries)))
     return np.inf if worst == 0.0 else 1.0 / worst
-
-
-def euler_step(z_t: int, rate: RateMatrix, dt: float,
-               rng: np.random.Generator) -> int:
-    return int(sample_rows(euler_step_distribution(z_t, rate, dt)[None, :],
-                           rng)[0])
 
 
 def guided_rate_cfg(cond_rate: RateMatrix, uncond_rate: RateMatrix,

@@ -38,17 +38,12 @@ class GuidanceConfig:
     mode: str = "none"
     gamma: float = 1.0
     target_class: int | None = None
-    # which time endpoint the classifier sees for candidate latents; the
-    # candidates are z_s hypotheses, so "s" is the default
-    classifier_time: str = "s"
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown guidance mode {self.mode!r}")
         if not np.isfinite(self.gamma) or self.gamma < 0:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if self.classifier_time not in ("s", "t"):
-            raise ValueError(f"classifier_time must be 's' or 't'")
         if self.mode in ("cfg", "cbg_exact", "cbg_taylor") \
                 and self.target_class is None:
             raise ValueError(f"mode {self.mode!r} needs a target_class")

@@ -1,23 +1,22 @@
 """Training and evaluation objectives.
 
-Each continuous-time objective is one kernel batched over (B, L):
-``_udlm_rate`` (the paper's uniform-noise bound), ``_sedd_rate`` (its
-score-entropy form) and ``_mdlm_rate`` (absorbing). A kernel takes the
-predicted rows as arrays or as autodiff Nodes, so training
-(``training_loss_node``), evaluation (``udlm_loss``, ``mdlm_loss``, the
-one-position ``udlm_integrand`` and ``sedd_form_nelbo``) and the oracles
-in ``verify`` all run the same code. The denoiser is read only through
-``rows_batch(z, t, condition)``, and the continuous-time losses take N
-from its ``prior``. ``nelbo_discrete`` scores one sequence or a batch:
-mc mode evaluates every sampled latent in one denoiser call, exact mode
-one call per grid time over the enumerated latents of each sequence.
+Each objective is one kernel batched over (B, L): ``_kl_terms`` (the
+discrete-time KL), ``_udlm_rate`` (the paper's uniform-noise bound),
+``_sedd_rate`` (its score-entropy form) and ``_mdlm_rate`` (absorbing). A
+kernel takes the predicted rows as arrays or as autodiff Nodes, so
+training (``training_loss_node``), evaluation (``nelbo_discrete``,
+``udlm_loss``, ``mdlm_loss``, the one-position ``udlm_integrand`` and
+``sedd_form_nelbo``) and the oracles in ``verify`` all run the same code.
+The denoiser is read only through ``rows_batch(z, t, condition)``, and
+the continuous-time losses take N from its ``prior``. ``nelbo_discrete``
+scores one sequence or a batch: mc mode evaluates every sampled latent in
+one denoiser call, exact mode one call per grid time over the enumerated
+latents of each sequence. ``diffusion_kl`` is the independent
+one-position reference for ``_kl_terms``.
 
 The forward process is not re-derived here: z_t comes from
 ``forward.corrupt``, marginals from ``forward.marginal_rows``, and every
 posterior from ``forward.bayes_factors`` and ``forward.bayes_posterior``.
-A KL term computes the factors once and applies them to the one-hot x
-(q) and to the denoiser's rows (p), as arrays in evaluation and as
-autodiff nodes in the training NELBO.
 
 Conventions, resolved once here:
 
@@ -63,7 +62,6 @@ class LossSpec:
     objective: str
     T: int | None = None
     mc_samples_per_example: int = 1
-    exact_expectation: bool = False
 
     def __post_init__(self) -> None:
         if self.objective not in OBJECTIVES:
@@ -162,8 +160,8 @@ def _mc_kl_terms(x, denoiser, T, prior, schedule, rng, mc_samples,
         z[k] = corrupt(x[k // mc_samples], i / T, prior, schedule, rng)
     t, s = grid / T, (grid - 1) / T
     rows = denoiser.rows_batch(z, t, condition)
-    kls = _kl_rows(z, np.repeat(x, mc_samples, axis=0), rows, t, s, prior,
-                   schedule).reshape(num, mc_samples)
+    kls = _kl_terms(rows, np.repeat(x, mc_samples, axis=0), z, t, s, prior,
+                    schedule).reshape(num, mc_samples)
     acc = np.zeros(num)
     for m in range(mc_samples):
         acc += T * kls[:, m]
@@ -179,34 +177,32 @@ def _exact_kl_term(x_seq, latents, denoiser, t, s, prior, schedule,
     weights = np.prod(marg[np.arange(length)[None, :], latents], axis=1)
     live = weights > 0
     rows_all = denoiser.rows_batch(latents[live], t, condition)
-    kls = _kl_rows(latents[live], x_seq, rows_all, t, s, prior, schedule)
+    kls = _kl_terms(rows_all, x_seq, latents[live], t, s, prior, schedule)
     return float(weights[live] @ kls)
 
 
-def _kl_rows(
-    z: np.ndarray, x_seq: np.ndarray, rows: np.ndarray, t, s,
-    prior: PriorSpec, schedule: NoiseSchedule,
-) -> np.ndarray:
-    """Per-sequence KL[q(z_s|z_t,x) || p_theta(z_s|z_t)] summed over
-    positions, vectorized over a stack of latents: z (S, L), rows
-    (S, L, N) predicted clean distributions -> (S,). The clean sequence
-    x and the times t, s are shared by the stack or given one per latent
-    ((S, L) and (S,)). The posterior's factors are computed once and
-    applied to the one-hot x (q) and to the predicted rows (p)."""
+def _kl_terms(xtheta, x, z, t, s, prior: PriorSpec, schedule: NoiseSchedule):
+    """KL[q(z_s|z_t,x) || p_theta(z_s|z_t)] summed over positions, for a
+    stack of latents z (S, L) with predicted clean-token rows xtheta
+    (S, L, N), as arrays or autodiff Nodes -> (S,). The clean tokens x and
+    the times t, s are shared by the stack or given one per latent. The
+    posterior's factors are computed once and applied to the one-hot x (q)
+    and to xtheta (p). The sum is the entropy minus the cross term; p is
+    padded to 1 off q's support, so neither value nor gradient leaks from
+    there, and a zero p where q has mass gives inf."""
     factors = bayes_factors(z, t, s, prior, schedule)
-    q = bayes_posterior(factors, z, one_hot_batch(
-        np.broadcast_to(x_seq, z.shape), prior.size))
-    p = bayes_posterior(factors, z, rows)
-    support = q > _SUPPORT_EPS
-    out = np.sum(
-        np.where(support, q * (np.log(np.where(support, q, 1.0))
-                               - np.log(np.where(support & (p > 0), p, 1.0))),
-                 0.0),
-        axis=(1, 2),
-    )
-    bad = np.any(support & (p <= 0), axis=(1, 2))
-    out[bad] = np.inf
-    return out
+    q = bayes_posterior(factors, z, one_hot_batch(np.broadcast_to(x, z.shape),
+                                                  prior.size))
+    x_at_z = ad.gather_last(xtheta, z)
+    p = bayes_posterior(factors, z, xtheta,
+                        ad.reshape(x_at_z, x_at_z.shape + (1,)))
+    support = (q > _SUPPORT_EPS).astype(np.float64)
+    q_masked = q * support
+    entropy = np.sum(q_masked * np.log(np.where(support > 0, q, 1.0)),
+                     axis=(1, 2))
+    with np.errstate(divide="ignore"):
+        log_p = ad.log(p + (1.0 - support))
+    return entropy - ad.nsum(ad.nsum(q_masked * log_p, axis=-1), axis=-1)
 
 
 def _prior_kl(x, prior, schedule) -> np.ndarray:
@@ -395,8 +391,8 @@ def training_loss_node(
         rows = model_mod.denoiser_logprob_rows(field_nodes, params, z, t,
                                                cond_idx)
         if spec.objective == "nelbo_discrete":
-            parts.append(_nelbo_mc_batch_node(rows, x, z, t, s, spec.T,
-                                              prior, schedule))
+            parts.append(float(spec.T) * ad.nmean(_kl_terms(
+                ad.exp(rows), x, z, t, s, prior, schedule)))
             continue
         if spec.objective == "mdlm_continuous":
             rate = _mdlm_rate(rows, x, z, t, schedule,
@@ -411,22 +407,3 @@ def training_loss_node(
         total = total + p
     return total * (1.0 / len(parts))
 
-
-def _nelbo_mc_batch_node(rows, x, z, t, s, T, prior, schedule) -> ad.Node:
-    """T * KL[q(z_s|z_t,x) || p_theta(z_s|z_t)], one sampled grid rung."""
-    factors = bayes_factors(z, t, s, prior, schedule)
-    q = bayes_posterior(factors, z, one_hot_batch(x, prior.size))  # constant
-    # model posterior (Node), x replaced by the predicted distribution
-    xtheta = ad.exp(rows)
-    x_at_z = ad.reshape(ad.gather_last(xtheta, z), z.shape + (1,))
-    p = bayes_posterior(factors, z, xtheta, x_at_z)
-    support = (q > _SUPPORT_EPS).astype(np.float64)
-    q_masked = q * support
-    entropy = np.sum(q_masked * np.log(np.where(support > 0, q, 1.0)),
-                     axis=(1, 2))
-    # off-support p entries are padded to 1 so the log stays finite; their
-    # weight is zero so neither value nor gradient leaks through
-    log_p = ad.log(p + (1.0 - support))
-    cross = ad.nsum(ad.nsum(ad.mul(ad.constant(q_masked), log_p), axis=-1),
-                    axis=-1)
-    return float(T) * ad.nmean(ad.constant(entropy) - cross)

@@ -15,8 +15,12 @@ mask column of the logits to -inf so the predictor never emits mask.
 Time enters as the pair (alpha_t, 1 - alpha_t) through a learned 2 x d
 projection: the simplest injective encoding under a monotone schedule.
 
-Inference (denoise, denoise_batch, classify, classify_batch) runs one
-plain-NumPy trunk forward. The autodiff graphs (denoiser_logprob_rows,
+Each trunk concept is written once for both networks: ``_init_trunk``
+draws the parameters, ``_hidden_nodes`` builds the autodiff graph up to
+the head, and ``_fit`` is the one Adam training loop (``train`` and
+``train_classifier`` pass it their own batch loss). Inference (denoise,
+denoise_batch, classify, classify_batch) runs one plain-NumPy trunk
+forward, ``_trunk_forward``. The autodiff graphs (denoiser_logprob_rows,
 classifier_logprobs) serve only where a gradient is taken: training and
 classify_grad_wrt_onehot.
 """
@@ -201,22 +205,9 @@ def init_denoiser(
         raise ValueError(f"unknown model kind {kind!r}")
     if kind == "absorbing" and vocab.mask_index is None:
         raise ValueError("absorbing denoiser needs a vocabulary with a mask token")
-    rng = np.random.default_rng(seed)
-    n = vocab.size
-
-    def mat(*shape):
-        return scale * rng.standard_normal(shape)
-
-    return DenoiserParams(
-        kind=kind, vocab=vocab, length=length, num_classes=num_classes, d=d,
-        schedule=schedule or NoiseSchedule(),
-        token_embedding=mat(n, d),
-        position_encoding=mat(length, d),
-        time_projection=mat(2, d),
-        condition_embedding=mat(num_classes + 1, d),
-        hidden=[(mat(d, d), np.zeros(d)) for _ in range(n_layers)],
-        output_head=mat(d, n),
-    )
+    return _init_trunk(DenoiserParams, vocab, length, d, vocab.size, n_layers,
+                       seed, scale, schedule, extra_rows=(num_classes + 1,),
+                       kind=kind, num_classes=num_classes)
 
 
 def init_classifier(
@@ -224,21 +215,27 @@ def init_classifier(
     *, n_layers: int = 1, seed: int = 0, scale: float = 0.1,
     schedule: NoiseSchedule | None = None,
 ) -> ClassifierParams:
+    return _init_trunk(ClassifierParams, vocab, length, d, num_classes,
+                       n_layers, seed, scale, schedule, num_classes=num_classes)
+
+
+def _init_trunk(cls, vocab, length, d, n_out, n_layers, seed, scale, schedule,
+                extra_rows=(), **fields):
+    """Draw ``scale`` * standard normals in checkpoint order: the token,
+    position and time tables, one table per ``extra_rows`` entry, each
+    hidden weight (biases start at zero), then the (d, n_out) head."""
     rng = np.random.default_rng(seed)
-    n = vocab.size
 
     def mat(*shape):
         return scale * rng.standard_normal(shape)
 
-    return ClassifierParams(
-        vocab=vocab, length=length, num_classes=num_classes, d=d,
-        schedule=schedule or NoiseSchedule(),
-        token_embedding=mat(n, d),
-        position_encoding=mat(length, d),
-        time_projection=mat(2, d),
-        hidden=[(mat(d, d), np.zeros(d)) for _ in range(n_layers)],
-        output_head=mat(d, num_classes),
-    )
+    tables = [mat(vocab.size, d), mat(length, d), mat(2, d)]
+    tables += [mat(rows, d) for rows in extra_rows]
+    hidden = [(mat(d, d), np.zeros(d)) for _ in range(n_layers)]
+    return cls(vocab=vocab, length=length, d=d,
+               schedule=schedule or NoiseSchedule(), hidden=hidden,
+               output_head=mat(d, n_out), **dict(zip(cls.LEADING, tables)),
+               **fields)
 
 
 # --------------------------------------------------------------- forward
@@ -258,32 +255,35 @@ def _condition_indices(condition, num_classes: int, batch: int) -> np.ndarray:
     return idx
 
 
+def _hidden_nodes(field_nodes: list, params, feats: ad.Node, t,
+                  cond_idx: np.ndarray | None = None) -> ad.Node:
+    """The trunk on parameter Nodes, from the gathered (B, L, d) token
+    features: add their mean over positions, the position, time and (with
+    ``cond_idx``, the denoiser) condition features, then run the tanh
+    layers."""
+    batch = feats.shape[0]
+    time_in = ad.constant(_time_features(params.schedule, t))      # (B, 2)
+    h = feats + ad.nmean(feats, axis=1, keepdims=True)
+    h = h + ad.reshape(field_nodes[1], (1, params.length, params.d))
+    h = h + ad.reshape(ad.matmul(time_in, field_nodes[2]), (batch, 1, params.d))
+    if cond_idx is not None:
+        h = h + ad.reshape(ad.take(field_nodes[3], cond_idx),
+                           (batch, 1, params.d))
+    layers = field_nodes[len(params.LEADING):-1]
+    for w, b in zip(layers[0::2], layers[1::2]):
+        h = ad.tanh(ad.matmul(h, w) + b)
+    return h
+
+
 def denoiser_logprob_rows(
     field_nodes: list, params: DenoiserParams,
     z_batch: np.ndarray, t: np.ndarray, cond_idx: np.ndarray,
 ) -> ad.Node:
     """Batched forward pass on parameter Nodes: (B, L) latents to
     (B, L, N) per-position log-probabilities over clean tokens."""
-    tok, pos, time_w, cond_e = field_nodes[:4]
-    head = field_nodes[-1]
-    hidden = [
-        (field_nodes[4 + 2 * i], field_nodes[5 + 2 * i])
-        for i in range(len(params.hidden))
-    ]
-    batch = z_batch.shape[0]
-    time_in = _time_features(params.schedule, t)                   # (B, 2)
-
-    feats = ad.take(tok, z_batch)                                  # (B, L, d)
-    feats = feats + ad.nmean(feats, axis=1, keepdims=True)
-    feats = feats + ad.reshape(pos, (1, params.length, params.d))
-    feats = feats + ad.reshape(ad.matmul(ad.constant(time_in), time_w),
-                               (batch, 1, params.d))
-    feats = feats + ad.reshape(ad.take(cond_e, cond_idx), (batch, 1, params.d))
-
-    h = feats
-    for w, b in hidden:
-        h = ad.tanh(ad.matmul(h, w) + b)
-    logits = ad.matmul(h, head)                                    # (B, L, N)
+    h = _hidden_nodes(field_nodes, params, ad.take(field_nodes[0], z_batch),
+                      t, cond_idx)
+    logits = ad.matmul(h, field_nodes[-1])                         # (B, L, N)
     if params.kind == "absorbing":
         suppress = np.zeros(params.vocab.size)
         suppress[params.vocab.mask_index] = MASK_LOGIT
@@ -392,25 +392,10 @@ def classifier_logprobs(
 ) -> ad.Node:
     """Batched classifier forward on a relaxed one-hot input Node
     (B, L, N) to (B, K) log class probabilities."""
-    tok, pos, time_w = field_nodes[:3]
-    head = field_nodes[-1]
-    hidden = [
-        (field_nodes[3 + 2 * i], field_nodes[4 + 2 * i])
-        for i in range(len(params.hidden))
-    ]
-    batch = z_onehot.value.shape[0]
-    time_in = _time_features(params.schedule, t)
-
-    feats = ad.matmul(z_onehot, tok)                               # (B, L, d)
-    feats = feats + ad.nmean(feats, axis=1, keepdims=True)
-    feats = feats + ad.reshape(pos, (1, params.length, params.d))
-    feats = feats + ad.reshape(ad.matmul(ad.constant(time_in), time_w),
-                               (batch, 1, params.d))
-    h = feats
-    for w, b in hidden:
-        h = ad.tanh(ad.matmul(h, w) + b)
+    h = _hidden_nodes(field_nodes, params,
+                      ad.matmul(z_onehot, field_nodes[0]), t)
     pooled = ad.nmean(h, axis=1)                                   # (B, d)
-    return ad.log_softmax(ad.matmul(pooled, head))
+    return ad.log_softmax(ad.matmul(pooled, field_nodes[-1]))
 
 
 def one_hot_batch(z_batch: np.ndarray, n: int) -> np.ndarray:
@@ -507,15 +492,43 @@ def dropout_indices(labels: np.ndarray, rate: float, num_classes: int,
 
 
 def _as_xy(dataset):
-    """Accept a data.Dataset, (X, y) pair, or bare array of sequences."""
+    """Accept a data.Dataset, (X, y) pair, or bare array of sequences;
+    refuse an empty one."""
     if hasattr(dataset, "sequences"):
-        return np.asarray(dataset.sequences, dtype=np.int64), getattr(
-            dataset, "labels", None)
-    if isinstance(dataset, tuple):
+        x, y = dataset.sequences, getattr(dataset, "labels", None)
+    elif isinstance(dataset, tuple):
         x, y = dataset
-        return np.asarray(x, dtype=np.int64), (
-            None if y is None else np.asarray(y, dtype=np.int64))
-    return np.asarray(dataset, dtype=np.int64), None
+    else:
+        x, y = dataset, None
+    x = np.asarray(x, dtype=np.int64)
+    if x.size == 0:
+        raise TrainingError("empty dataset")
+    return x, None if y is None else np.asarray(y, dtype=np.int64)
+
+
+def _fit(params, count: int, batch_loss, *, epochs: int, batch_size: int,
+         lr: float, rng: np.random.Generator) -> tuple:
+    """Adam on ``params`` over shuffled minibatches of ``count`` examples;
+    returns (params, per-epoch mean loss trace). ``batch_loss(nodes, idx)``
+    makes the batch's own draws from ``rng`` and returns its mean loss as a
+    scalar Node of the parameter Nodes. Adam updates the parameter arrays
+    in place."""
+    opt = AdamState([a for _, a in params.arrays()])
+    trace = []
+    for _ in range(epochs):
+        order = rng.permutation(count)
+        epoch_loss = 0.0
+        for start in range(0, count, batch_size):
+            idx = order[start:start + batch_size]
+            nodes = param_nodes(params)
+            loss_node = batch_loss(nodes, idx)
+            if not np.isfinite(loss_node.value):
+                raise TrainingError(f"non-finite loss {loss_node.value!r}")
+            grads = ad.backprop(loss_node, nodes)
+            opt.step([a for _, a in params.arrays()], grads, lr)
+            epoch_loss += float(loss_node.value) * idx.shape[0]
+        trace.append(epoch_loss / count)
+    return params, trace
 
 
 def train(
@@ -527,46 +540,29 @@ def train(
 ) -> tuple:
     """Train a denoiser; returns (params, per-epoch mean loss trace).
 
-    One seeded generator drives shuffling, t draws, latent corruption,
-    and condition dropout in a fixed order, so a fixed seed reproduces
-    the final parameters bitwise.
+    One seeded generator drives shuffling, condition dropout, t draws and
+    latent corruption in a fixed order, so a fixed seed reproduces the
+    final parameters bitwise.
     """
     from . import loss as loss_mod
 
     x_all, y_all = _as_xy(dataset)
-    if x_all.size == 0:
-        raise TrainingError("empty dataset")
-    length = x_all.shape[1]
     if params is None:
-        params = init_denoiser(vocab, length, num_classes, d, kind=kind,
-                               n_layers=n_layers, seed=seed)
+        params = init_denoiser(vocab, x_all.shape[1], num_classes, d,
+                               kind=kind, n_layers=n_layers, seed=seed)
     rng = np.random.default_rng(seed)
-    opt = AdamState([a for _, a in params.arrays()])
-    trace = []
-    for _ in range(epochs):
-        order = rng.permutation(x_all.shape[0])
-        epoch_loss, seen = 0.0, 0
-        for start in range(0, x_all.shape[0], batch_size):
-            idx = order[start:start + batch_size]
-            x = x_all[idx]
-            if y_all is not None and params.num_classes > 0:
-                cond = dropout_indices(y_all[idx], condition_dropout,
-                                       params.num_classes, rng)
-            else:
-                cond = np.full(x.shape[0], params.num_classes, dtype=np.int64)
-            nodes = param_nodes(params)
-            loss_node = loss_mod.training_loss_node(
-                loss_spec, nodes, params, x, cond, rng)
-            if not np.isfinite(loss_node.value):
-                raise TrainingError(f"non-finite loss {loss_node.value!r}")
-            grads = ad.backprop(loss_node, nodes)
-            arrays = [a for _, a in params.arrays()]
-            opt.step(arrays, grads, lr)
-            params.set_arrays(arrays)
-            epoch_loss += float(loss_node.value) * x.shape[0]
-            seen += x.shape[0]
-        trace.append(epoch_loss / seen)
-    return params, trace
+
+    def batch_loss(nodes, idx):
+        if y_all is not None and params.num_classes > 0:
+            cond = dropout_indices(y_all[idx], condition_dropout,
+                                   params.num_classes, rng)
+        else:
+            cond = np.full(idx.shape[0], params.num_classes, dtype=np.int64)
+        return loss_mod.training_loss_node(loss_spec, nodes, params,
+                                           x_all[idx], cond, rng)
+
+    return _fit(params, x_all.shape[0], batch_loss, epochs=epochs,
+                batch_size=batch_size, lr=lr, rng=rng)
 
 
 def train_classifier(
@@ -578,38 +574,21 @@ def train_classifier(
     """Train the classifier on noised latents: draw t uniform over the
     clamped range, corrupt x to z_t, minimize -log p_phi(y | z_t, t)."""
     x_all, y_all = _as_xy(dataset)
-    if x_all.size == 0:
-        raise TrainingError("empty dataset")
     if y_all is None:
         raise TrainingError("classifier training needs labels")
-    length = x_all.shape[1]
     if params is None:
-        params = init_classifier(vocab, length, num_classes, d,
+        params = init_classifier(vocab, x_all.shape[1], num_classes, d,
                                  n_layers=n_layers, seed=seed)
     schedule = params.schedule
     prior = PriorSpec.for_vocab(vocab)
     rng = np.random.default_rng(seed)
-    opt = AdamState([a for _, a in params.arrays()])
-    trace = []
-    for _ in range(epochs):
-        order = rng.permutation(x_all.shape[0])
-        epoch_loss, seen = 0.0, 0
-        for start in range(0, x_all.shape[0], batch_size):
-            idx = order[start:start + batch_size]
-            x, y = x_all[idx], y_all[idx]
-            t = schedule.draw_t(rng, size=x.shape[0])
-            z = corrupt(x, t, prior, schedule, rng)
-            nodes = param_nodes(params)
-            onehot = ad.constant(one_hot_batch(z, vocab.size))
-            logp = classifier_logprobs(nodes, params, onehot, t)
-            loss_node = -ad.nmean(ad.gather_last(logp, y))
-            if not np.isfinite(loss_node.value):
-                raise TrainingError(f"non-finite loss {loss_node.value!r}")
-            grads = ad.backprop(loss_node, nodes)
-            arrays = [a for _, a in params.arrays()]
-            opt.step(arrays, grads, lr)
-            params.set_arrays(arrays)
-            epoch_loss += float(loss_node.value) * x.shape[0]
-            seen += x.shape[0]
-        trace.append(epoch_loss / seen)
-    return params, trace
+
+    def batch_loss(nodes, idx):
+        t = schedule.draw_t(rng, size=idx.shape[0])
+        z = corrupt(x_all[idx], t, prior, schedule, rng)
+        onehot = ad.constant(one_hot_batch(z, vocab.size))
+        logp = classifier_logprobs(nodes, params, onehot, t)
+        return -ad.nmean(ad.gather_last(logp, y_all[idx]))
+
+    return _fit(params, x_all.shape[0], batch_loss, epochs=epochs,
+                batch_size=batch_size, lr=lr, rng=rng)

@@ -1,10 +1,14 @@
 """Ancestral reverse-process generation for uniform and absorbing models.
 
-A run draws z at t = 1 from the prior, walks the uniform grid
-t = T/T, (T-1)/T, ..., 1/T with guided reverse steps, and decodes the
-final latent with one more posterior step to time zero. Classifier-free
-guidance blends the clean-token rows before they enter the posterior;
-classifier-based guidance tempers the posterior rows themselves.
+A run draws z at t = 1 from the prior and takes one guided reverse step
+(``_step_batch``) from each grid time t = i/T to s = (i-1)/T, i = T..1.
+The last step, to s = 0, decodes: the time-zero posterior reduces to the
+bridge times the guided x-row, so absorbing models keep every unmasked
+token and fill the remaining masks from x, while uniform models copy z
+with probability -> 1 as T grows; it alone may take the argmax instead of
+a draw. Classifier-free guidance blends the clean-token rows before they
+enter the posterior; classifier-based guidance tempers the posterior rows
+themselves, with the classifier read at s.
 
 The model is read only through the denoiser protocol: its ``prior``
 gives the t = 1 draw and the posterior, its ``schedule`` the posterior's
@@ -61,37 +65,20 @@ def _guided_x_rows(denoiser, z, t, config: GuidanceConfig) -> np.ndarray:
     return denoiser.rows_batch(z, t, condition)
 
 
-def _apply_cbg(post, z, t_clf, config, classifier) -> np.ndarray:
-    """Classifier-based tempering of the (B, L, N) posterior rows of the
-    (B, L) latents: one guidance call for the whole batch, so one
-    gradient call (Taylor) or L*N classifier calls (exact) per step."""
-    transform = cbg_exact if config.mode == "cbg_exact" else cbg_taylor
-    return transform(classifier, z, t_clf, post, config.target_class,
-                     config.gamma)
-
-
-def _step_batch(z, t, s, denoiser, config, rng, classifier, prior,
-                schedule) -> np.ndarray:
+def _step_batch(z, t, s, denoiser, config, rng, classifier, prior, schedule,
+                decode: str = "sample") -> np.ndarray:
+    """One guided reverse step t -> s over the (B, L) latents z. Under
+    classifier-based guidance one guidance call tempers the whole batch's
+    posterior rows, with the classifier read at s: one gradient call
+    (Taylor) or L*N classifier calls (exact). ``decode`` "argmax" takes
+    each row's mode instead of drawing from it."""
     x_rows = _guided_x_rows(denoiser, z, t, config)
     post = posterior_matrix(z, x_rows, t, s, prior, schedule)
     if config.needs_classifier:
-        t_clf = s if config.classifier_time == "s" else t
-        post = _apply_cbg(post, z, t_clf, config, classifier)
-    return sample_rows(post, rng)
-
-
-def _decode_batch(z, t, denoiser, config, rng, classifier, prior, schedule,
-                  final_decode) -> np.ndarray:
-    """Final posterior step t -> 0. The time-zero posterior reduces to the
-    bridge times the guided x-row, so absorbing models keep every unmasked
-    token and fill residual masks from x, while uniform models copy z with
-    probability -> 1 as T grows."""
-    x_rows = _guided_x_rows(denoiser, z, t, config)
-    post = posterior_matrix(z, x_rows, t, 0.0, prior, schedule)
-    if config.needs_classifier:
-        t_clf = 0.0 if config.classifier_time == "s" else t
-        post = _apply_cbg(post, z, t_clf, config, classifier)
-    if final_decode == "argmax":
+        transform = cbg_exact if config.mode == "cbg_exact" else cbg_taylor
+        post = transform(classifier, z, s, post, config.target_class,
+                         config.gamma)
+    if decode == "argmax":
         return np.argmax(post, axis=-1)
     return sample_rows(post, rng)
 
@@ -114,18 +101,16 @@ def generate(request: SampleRequest, model, classifier=None):
     rng = np.random.default_rng(request.seed)
     z = _prior_batch(prior, request.num_sequences, request.length, rng)
     edits = np.zeros(request.num_sequences, dtype=np.int64)
-    for i in range(request.T, 1, -1):
+    for i in range(request.T, 0, -1):
+        decode = request.final_decode if i == 1 else "sample"
         stepped = _step_batch(z, i / request.T, (i - 1) / request.T, model,
-                              config, rng, classifier, prior, schedule)
+                              config, rng, classifier, prior, schedule, decode)
         edits += _count_edits(z, stepped, prior)
         z = stepped
-    decoded = _decode_batch(z, 1.0 / request.T, model, config, rng,
-                            classifier, prior, schedule, request.final_decode)
-    edits += _count_edits(z, decoded, prior)
     diagnostics = [
         {"steps": request.T, "edits": int(e)} for e in edits
     ]
-    return decoded, diagnostics
+    return z, diagnostics
 
 
 def write_samples(path, sequences, vocab: Vocabulary,

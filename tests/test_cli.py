@@ -75,6 +75,30 @@ def test_flag_overrides_config_key(workdir, tmp_path, capsys):
     assert "  epochs = 2" in out
 
 
+def test_every_config_key_has_an_override_flag():
+    text = {str: "x", int: "7", float: "0.5", cli._cast_bool: "true"}
+    parser = cli.build_parser()
+    for key, (caster, _) in cli.TRAIN_SCHEMA.items():
+        args = parser.parse_args(["train", "--config", "c.txt", "--out",
+                                  "o.json", "--" + key.replace("_", "-"),
+                                  text[caster]])
+        # the overrides cmd_train merges over the config file
+        overrides = {k: getattr(args, k) for k in cli.TRAIN_SCHEMA}
+        assert {k: v for k, v in overrides.items() if v is not None} \
+            == {key: caster(text[caster])}
+
+
+@pytest.mark.parametrize("flag, value", [("--kind", "gaussian"),
+                                         ("--objective", "elbo")])
+def test_bad_kind_or_objective_flag_is_usage_error(workdir, tmp_path, capsys,
+                                                   flag, value):
+    code = cli.main(["train", "--config", str(workdir / "cfg.txt"),
+                     "--out", str(tmp_path / "o.json"), flag, value])
+    assert code == 1
+    assert "must be" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_unknown_config_key_rejected(workdir, tmp_path, capsys):
     cfg = tmp_path / "bad.txt"
     cfg.write_text((workdir / "cfg.txt").read_text() + "momentum = 0.9\n")

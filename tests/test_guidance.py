@@ -35,8 +35,6 @@ def test_config_validation():
         G.GuidanceConfig("pplm", target_class=0)
     with pytest.raises(ValueError):
         G.GuidanceConfig("cfg", gamma=np.inf, target_class=0)
-    with pytest.raises(ValueError):
-        G.GuidanceConfig("cbg_exact", target_class=0, classifier_time="u")
     assert G.GuidanceConfig("cbg_taylor", target_class=0).needs_classifier
     assert not G.GuidanceConfig("cfg", target_class=0).needs_classifier
 

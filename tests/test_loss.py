@@ -65,6 +65,20 @@ def test_kl_infinite_off_support():
     assert L._kl(np.array([0.5, 0.5, 0.0]), np.array([1.0, 0.0, 0.0])) == np.inf
 
 
+def test_kl_kernel_on_arrays_is_inf_where_rows_miss_the_data():
+    # at s = 0 the model posterior is zero at x = 0 for rows with no mass
+    # there; the second sequence is finite and matches the reference
+    prior = PriorSpec.uniform(3)
+    x, z = np.array([[0, 1], [0, 1]]), np.array([[0, 2], [0, 2]])
+    rows = np.array([[[0.0, 0.5, 0.5], [0.2, 0.3, 0.5]],
+                     [[0.3, 0.2, 0.5], [0.2, 0.3, 0.5]]])
+    got = L._kl_terms(rows, x, z, 0.25, 0.0, prior, SCHED)  # warns nothing
+    ref = sum(L.diffusion_kl(int(x[1, l]), int(z[1, l]), 0.25, 0.0,
+                             rows[1, l], prior, SCHED) for l in range(2))
+    assert got[0] == np.inf
+    assert got[1] == pytest.approx(ref, rel=1e-13)
+
+
 # ----------------------------------------------------- continuous integrand
 
 def test_integrand_pinned_value():
@@ -503,12 +517,38 @@ def test_training_loss_node_matches_scalar_path(objective):
                 -np.sum(np.log(rows[np.arange(3), x[b]])[masked])
             )
         else:
-            val = spec.T * float(
-                L._kl_rows(z[b][None, :], x[b], rows[None, :, :], float(t[b]),
-                           float(s[b]), PriorSpec.uniform(n), sched)[0]
+            val = spec.T * sum(
+                L.diffusion_kl(int(x[b, l]), int(z[b, l]), float(t[b]),
+                               float(s[b]), rows[l], PriorSpec.uniform(n),
+                               sched)
+                for l in range(x.shape[1])
             )
         per_example.append(val)
     assert float(node.value) == pytest.approx(np.mean(per_example), rel=1e-10)
+
+
+def test_one_discrete_kl_kernel_serves_eval_and_training(monkeypatch):
+    """Doubling the KL kernel doubles the exact and mc NELBO and the
+    training loss: no second copy of the discrete-time KL remains."""
+    M, params, spec, x, cond = _setup_batch("nelbo_discrete")
+    prior, sched = params.prior, params.schedule
+
+    def values():
+        exact = L.nelbo_discrete(x, params, 4, prior, sched, mode="exact",
+                                 condition=cond)
+        mc = L.nelbo_discrete(x, params, 4, prior, sched, mode="mc",
+                              rng=np.random.default_rng(0), mc_samples=2,
+                              condition=cond)
+        node = L.training_loss_node(spec, M.constant_nodes(params), params,
+                                    x, cond, np.random.default_rng(1))
+        return exact, mc, float(node.value)
+
+    before = values()
+    real = L._kl_terms
+    monkeypatch.setattr(L, "_kl_terms", lambda *args: 2.0 * real(*args))
+    for old, new in zip(before, values()):
+        assert np.all(np.asarray(old) > 0)
+        assert new == pytest.approx(2.0 * np.asarray(old), rel=1e-12)
 
 
 @pytest.mark.parametrize("objective", L.OBJECTIVES)

@@ -23,6 +23,26 @@ def tiny_denoiser(seed=0, scale=0.1, kind="uniform", num_classes=2, length=4):
 
 # ----------------------------------------------------------------- denoise
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_init_draws_scaled_normals_in_checkpoint_order(seed):
+    # N = 4, L = 5, K = 3, d = 6, two hidden layers
+    den = M.init_denoiser(VOCAB4M, 5, 3, 6, kind="absorbing", n_layers=2,
+                          seed=seed, scale=0.3)
+    clf = M.init_classifier(VOCAB4M, 5, 3, 6, n_layers=2, seed=seed,
+                            scale=0.3)
+    trunk = [(4, 6), (5, 6), (2, 6)]
+    layers = [(6, 6), (6,), (6, 6), (6,)]
+    for params, shapes in ((den, trunk + [(4, 6)] + layers + [(6, 4)]),
+                           (clf, trunk + layers + [(6, 3)])):
+        rng = np.random.default_rng(seed)
+        assert [a.shape for _, a in params.arrays()] == shapes
+        for name, a in params.arrays():
+            if name.startswith("hidden_b"):
+                assert np.array_equal(a, np.zeros(6))
+            else:
+                assert np.array_equal(a, 0.3 * rng.standard_normal(a.shape))
+
+
 def test_zero_init_gives_uniform_rows():
     params = tiny_denoiser(scale=0.0)
     rows = M.denoise(params, [0, 1, 2, 0], 0.5, condition=1)
@@ -408,6 +428,23 @@ def _uniform_rows_denoiser(n):
         def rows_batch(self, z_batch, t, condition=None):
             return np.full(np.shape(z_batch) + (n,), 1.0 / n)
     return _U()
+
+
+def test_nan_parameter_stops_both_training_loops():
+    rng = np.random.default_rng(0)
+    x = rng.integers(0, 3, size=(16, 4))
+    y = rng.integers(0, 2, size=16)
+    den = tiny_denoiser()
+    den.output_head[0, 0] = np.nan
+    with pytest.raises(M.TrainingError, match="non-finite loss"):
+        M.train((x, y), LossSpec("udlm_continuous"), kind="uniform",
+                vocab=VOCAB3, num_classes=2, epochs=1, batch_size=8,
+                params=den)
+    clf = M.init_classifier(VOCAB3, 4, 2, 8)
+    clf.output_head[0, 0] = np.nan
+    with pytest.raises(M.TrainingError, match="non-finite loss"):
+        M.train_classifier((x, y), vocab=VOCAB3, num_classes=2, epochs=1,
+                           batch_size=8, params=clf)
 
 
 def test_empty_dataset_rejected():
