@@ -67,9 +67,6 @@ class Node:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __pow__(self, p):
-        return power(self, p)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -141,18 +138,6 @@ def div(a, b) -> Node:
         )
 
     return Node(out, (a, b), bwd)
-
-
-def power(a, p: float) -> Node:
-    a = as_node(a)
-    if isinstance(p, Node):
-        raise TypeError("only scalar exponents are supported")
-    out = a.value ** p
-
-    def bwd(g):
-        return (g * p * a.value ** (p - 1.0),)
-
-    return Node(out, (a,), bwd)
 
 
 def matmul(a, b) -> Node:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -135,14 +134,10 @@ def resolve_train_config(config: dict, overrides: dict) -> dict:
     if merged["kind"] not in ("uniform", "absorbing"):
         raise UsageError(f"kind must be uniform or absorbing, "
                          f"got {merged['kind']!r}")
-    if merged["objective"] not in loss_mod.OBJECTIVES:
-        raise UsageError(f"objective must be one of {loss_mod.OBJECTIVES}, "
-                         f"got {merged['objective']!r}")
-    if merged["objective"] == "nelbo_discrete":
-        if merged["T"] is None or merged["T"] < 1:
-            raise UsageError("objective nelbo_discrete needs T >= 1")
-    elif merged["T"] is not None:
-        raise UsageError(f"objective {merged['objective']!r} does not take T")
+    try:
+        loss_mod.LossSpec(merged["objective"], T=merged["T"])
+    except ValueError as exc:
+        raise UsageError(str(exc))
     for key in ("n", "length", "d_hidden", "n_layers", "epochs", "batch"):
         if merged[key] < 1:
             raise UsageError(f"{key} must be >= 1, got {merged[key]}")
@@ -203,10 +198,9 @@ def cmd_train(args) -> int:
     vocab = _resolve_vocab(cfg)
     echo_config("train", {**cfg, "out": args.out})
 
-    dataset = load_text_dataset(
-        cfg["data"], vocab, cfg["length"], labels_path=cfg["labels"],
-        num_classes=cfg["num_classes"] if cfg["labels"] is not None else None,
-    )
+    dataset = load_text_dataset(cfg["data"], vocab, cfg["length"],
+                                labels_path=cfg["labels"],
+                                num_classes=cfg["num_classes"])
     if vocab.mask_index is not None \
             and np.any(dataset.sequences == vocab.mask_index):
         raise UsageError("training data contains the mask token")
@@ -249,8 +243,12 @@ def cmd_sample(args) -> int:
     mode = GUIDANCE_FLAGS[args.guidance]
     if mode in ("cfg", "cbg_exact", "cbg_taylor") and args.label is None:
         raise UsageError(f"--guidance {args.guidance} needs --label")
-    if mode in ("cbg_exact", "cbg_taylor") and args.classifier is None:
+    needs_classifier = mode in ("cbg_exact", "cbg_taylor")
+    if needs_classifier and args.classifier is None:
         raise UsageError(f"--guidance {args.guidance} needs --classifier")
+    if args.classifier is not None and not needs_classifier:
+        raise UsageError(f"--classifier is read only by --guidance cbg and "
+                         f"cbg-taylor, not {args.guidance}")
     model = _load_denoiser(args.checkpoint)
     if args.label is not None and not 0 <= args.label < model.num_classes:
         raise UsageError(f"label {args.label} outside "
@@ -285,27 +283,25 @@ def cmd_sample(args) -> int:
 def cmd_eval(args) -> int:
     model = _load_denoiser(args.checkpoint)
     vocab = model.vocab
-    num_classes = model.num_classes
     if args.mode == "exact":
         try:
             loss_mod.check_exact_budget(args.T, vocab.size, model.length)
         except ValueError as exc:
             raise UsageError(f"{exc}; rerun with --mode mc")
-    dataset = load_text_dataset(
-        args.data, vocab, model.length, labels_path=args.labels,
-        num_classes=num_classes if args.labels is not None else None,
-    )
+    # labels are range-checked against num_classes, so a model without
+    # classes rejects any labels file
+    dataset = load_text_dataset(args.data, vocab, model.length,
+                                labels_path=args.labels,
+                                num_classes=model.num_classes)
     echo_config("eval", {
         "checkpoint": args.checkpoint, "data": args.data,
         "labels": args.labels, "T": args.T, "mode": args.mode,
         "mc_samples": args.mc_samples, "seed": args.seed,
     })
-    cond = dataset.labels \
-        if dataset.labels is not None and num_classes > 0 else None
     per_seq = loss_mod.nelbo_discrete(
         dataset.sequences, model, args.T, model.prior, model.schedule,
         mode=args.mode, rng=np.random.default_rng(args.seed),
-        mc_samples=args.mc_samples, condition=cond,
+        mc_samples=args.mc_samples, condition=dataset.labels,
     )
     # summed left to right, as when sequences were scored one at a time
     mean_nelbo = sum(per_seq.tolist()) / dataset.count
@@ -372,9 +368,8 @@ def cmd_metrics(args) -> int:
 def cmd_verify(args) -> int:
     echo_config("verify", {
         "suite": args.suite, "seed": args.seed, "json": args.json,
-        "threads": args.threads,
     })
-    report = run_suite(args.suite, seed=args.seed, threads=args.threads)
+    report = run_suite(args.suite, seed=args.seed)
     print(report.human())
     if args.json is not None:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -449,10 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="all")
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--json")
-    verify.add_argument("--threads", type=_positive_int,
-                        default=os.cpu_count() or 1,
-                        help="worker threads for the suites (results do not "
-                             "depend on this)")
     verify.set_defaults(func=cmd_verify)
     return parser
 

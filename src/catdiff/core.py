@@ -1,7 +1,7 @@
 """Vocabulary, categorical distributions, and noise schedules.
 
-Everything here is immutable after construction and safe to share across
-threads; the rest of the package builds on these primitives.
+Everything here is immutable after construction; the rest of the package
+builds on these primitives.
 """
 
 from __future__ import annotations

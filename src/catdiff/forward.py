@@ -200,8 +200,9 @@ def posterior(
     schedule: NoiseSchedule,
 ) -> Categorical:
     """Exact posterior q(z_s | z_t, x) for any prior, s <= t."""
-    return Categorical(posterior_matrix(
-        z_t, Categorical.one_hot(x, prior.size).probs, t, s, prior, schedule))
+    x_row = np.zeros(prior.size)
+    x_row[x] = 1.0
+    return Categorical(posterior_matrix(z_t, x_row, t, s, prior, schedule))
 
 
 def posterior_uniform(

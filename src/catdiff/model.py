@@ -8,9 +8,9 @@ tokens per position; the classifier mean-pools the trunk output and
 emits one distribution over classes per sequence.
 
 The unconditional branch of a conditional denoiser is the extra
-condition-embedding row at index K ("DROPPED"); condition dropout during
-training swaps real labels for that row. Absorbing denoisers pin the
-mask column of the logits to -inf so the predictor never emits mask.
+condition-embedding row at index K (condition None); condition dropout
+during training swaps real labels for that row. Absorbing denoisers pin
+the mask column of the logits to -inf so the predictor never emits mask.
 
 Time enters as the pair (alpha_t, 1 - alpha_t) through a learned 2 x d
 projection: the simplest injective encoding under a monotone schedule.
@@ -19,10 +19,10 @@ Each trunk concept is written once for both networks: ``_init_trunk``
 draws the parameters, ``_hidden_nodes`` builds the autodiff graph up to
 the head, and ``_fit`` is the one Adam training loop (``train`` and
 ``train_classifier`` pass it their own batch loss). Inference (denoise,
-denoise_batch, classify, classify_batch) runs one plain-NumPy trunk
-forward, ``_trunk_forward``. The autodiff graphs (denoiser_logprob_rows,
-classifier_logprobs) serve only where a gradient is taken: training and
-classify_grad_wrt_onehot.
+denoise_batch, and classify on one sequence or a batch) runs one
+plain-NumPy trunk forward, ``_trunk_forward``. The autodiff graphs
+(denoiser_logprob_rows, classifier_logprobs) serve only where a gradient
+is taken: training and classify_grad_wrt_onehot.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ import numpy as np
 from . import autodiff as ad
 from .core import NoiseSchedule, Vocabulary, check_sequence
 from .forward import PriorSpec, corrupt
-
-DROPPED = "dropped"  # sentinel accepted wherever a condition index is
 
 MASK_LOGIT = -1e30
 
@@ -241,17 +239,17 @@ def _init_trunk(cls, vocab, length, d, n_out, n_layers, seed, scale, schedule,
 # --------------------------------------------------------------- forward
 
 def _condition_indices(condition, num_classes: int, batch: int) -> np.ndarray:
-    """Map a condition (None/DROPPED/int/array) to embedding row indices.
-    Real labels lie in [0, num_classes); only None and DROPPED select the
-    unconditional row num_classes."""
-    if condition is None or (isinstance(condition, str) and condition == DROPPED):
+    """Map a condition (None/int/array) to embedding row indices. Real
+    labels lie in [0, num_classes); only None selects the unconditional
+    row num_classes."""
+    if condition is None:
         return np.full(batch, num_classes, dtype=np.int64)
     idx = np.asarray(condition, dtype=np.int64)
     if idx.ndim == 0:
         idx = np.full(batch, int(idx), dtype=np.int64)
     if np.any(idx < 0) or np.any(idx >= num_classes):
         raise ValueError(f"condition label out of range [0, {num_classes}); "
-                         f"pass None or DROPPED for the unconditional row")
+                         f"pass None for the unconditional row")
     return idx
 
 
@@ -374,7 +372,7 @@ def denoise_batch(
     params: DenoiserParams, z_batch: np.ndarray, t, cond_idx
 ) -> np.ndarray:
     """(B, L) latents to (B, L, N) probability rows, shared or per-example
-    t. ``cond_idx`` is None/DROPPED (unconditional), a label, or one label
+    t. ``cond_idx`` is None (unconditional), a label, or one label
     per example."""
     cond = _condition_indices(cond_idx, params.num_classes, len(z_batch))
     logits = _trunk_forward(params, z_batch, t, cond)
@@ -406,22 +404,15 @@ def one_hot_batch(z_batch: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def classify(params: ClassifierParams, z_seq, t: float) -> np.ndarray:
+def classify(params: ClassifierParams, z_seq, t) -> np.ndarray:
     """Log p_phi(y | z, t) over the K classes: (K,) for one (L,) sequence,
-    (B, K) for a (B, L) batch."""
+    (B, K) for a (B, L) batch, with t shared or one per sequence."""
     z = np.asarray(z_seq)
-    if z.ndim == 1:
-        return classify_batch(params, z[None], t)[0]
-    return classify_batch(params, z, t)
-
-
-def classify_batch(params: ClassifierParams, z_batch, t) -> np.ndarray:
-    """(B, L) latents to (B, K) log class probabilities, shared or
-    per-example t."""
-    logits = _trunk_forward(params, z_batch, t, pool=True)
+    single = z.ndim == 1
+    logits = _trunk_forward(params, z[None] if single else z, t, pool=True)
     logits -= logits.max(axis=-1, keepdims=True)
     logits -= np.log(np.exp(logits).sum(axis=-1, keepdims=True))
-    return logits
+    return logits[0] if single else logits
 
 
 def classify_grad_wrt_onehot(
@@ -450,25 +441,25 @@ def classify_grad_wrt_onehot(
 # ------------------------------------------------------------ optimizers
 
 class AdamState:
-    """Adam with beta = (0.9, 0.999), bias-corrected."""
+    """Adam with beta = (0.9, 0.999) and eps = 1e-8, bias-corrected."""
 
-    def __init__(self, arrays: list, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, arrays: list):
         self.m = [np.zeros_like(a) for a in arrays]
         self.v = [np.zeros_like(a) for a in arrays]
         self.step_count = 0
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
 
     def step(self, arrays: list, grads: list, lr: float) -> list:
         _check_finite(grads)
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
         for i, (a, g) in enumerate(zip(arrays, grads)):
             self.m[i] = b1 * self.m[i] + (1 - b1) * g
             self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
-            a -= lr * (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + self.eps)
+            a -= lr * (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + self.EPS)
         return arrays
 
 
@@ -485,7 +476,8 @@ def _check_finite(grads: list) -> None:
 
 def dropout_indices(labels: np.ndarray, rate: float, num_classes: int,
                     rng: np.random.Generator) -> np.ndarray:
-    """Replace each label by the DROPPED row index with probability rate."""
+    """Replace each label by the unconditional row index num_classes with
+    probability rate."""
     labels = np.asarray(labels, dtype=np.int64)
     dropped = rng.random(labels.shape) < rate
     return np.where(dropped, num_classes, labels)

@@ -157,18 +157,17 @@ class TabularDenoiser:
     and therefore reproducible without shared state."""
 
     def __init__(self, n: int, seed: int = 0, kind: str = "uniform",
-                 mask_index: int | None = None, spread: float = 1.5):
+                 mask_index: int | None = None):
         self.prior = (PriorSpec.absorbing(Vocabulary(n, mask_index=mask_index))
                       if kind == "absorbing" else PriorSpec.uniform(n))
         self.schedule = NoiseSchedule()
         self.seed = seed
-        self.spread = spread
         self._cache: dict = {}
 
     def _row(self, key: tuple) -> np.ndarray:
         if key not in self._cache:
             rng = np.random.default_rng((self.seed,) + key)
-            logits = self.spread * rng.standard_normal(self.prior.size)
+            logits = 1.5 * rng.standard_normal(self.prior.size)
             if self.prior.kind == "absorbing":
                 logits[self.prior.mask_index] = -np.inf
             e = np.exp(logits - logits.max())
@@ -256,7 +255,6 @@ class LeaveOneOutDenoiser:
 
 def udlm_integral_reference(
     x_seq, denoiser, schedule: NoiseSchedule, n: int,
-    epsrel: float = 1e-8,
 ) -> float:
     """The T -> infinity value of the discrete NELBO: quadrature over t of
     the exact expectation (enumerating z_t) of the per-token integrand.
@@ -278,8 +276,9 @@ def udlm_integral_reference(
                            np.broadcast_to(x_seq, z.shape), z, t, schedule)
         return float(weights[live] @ rates.sum(axis=1))
 
-    value, _ = integrate.quad(expected_rate, 1e-12, 1.0 - 1e-9,
-                              epsabs=1e-10, epsrel=epsrel, limit=300)
+    # quad(f, a, b, args, full_output, abs tol, rel tol, subinterval limit)
+    value, _ = integrate.quad(expected_rate, 1e-12, 1.0 - 1e-9, (), 0,
+                              1e-10, 1e-8, 300)
     return value
 
 
@@ -403,9 +402,7 @@ def _num_rows(z_seq) -> int:
 
 # ------------------------------------------------------- ctmc equivalences
 
-def ctmc_tv_sweep(kind: str, gamma: float, seed: int, dts,
-                  t: float = 0.6, n: int = 3,
-                  schedule: NoiseSchedule | None = None):
+def ctmc_tv_sweep(kind: str, gamma: float, seed: int, dts, n: int = 3):
     """Total variation between one guided Euler step (rate-matrix route)
     and one guided posterior step (variational route), per step size.
 
@@ -416,8 +413,7 @@ def ctmc_tv_sweep(kind: str, gamma: float, seed: int, dts,
     from . import ctmc, guidance
     from .forward import posterior_matrix
 
-    if schedule is None:
-        schedule = NoiseSchedule()
+    t, schedule = 0.6, NoiseSchedule()
     rng = np.random.default_rng(seed)
     z = int(rng.integers(n))
     cond_row = np.maximum(rng.dirichlet(np.ones(n)), 1e-6)
@@ -935,14 +931,9 @@ def _run_check(fn) -> tuple:
         return np.inf, 0.0, f"{type(exc).__name__}: {exc}"
 
 
-def run_suite(name: str, seed: int = 0, threads: int = 4) -> SuiteReport:
-    """Run one named check suite (or 'all'); checks execute concurrently
-    but the report order is the declaration order, so output is
-    deterministic for a given seed regardless of the thread count."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+def run_suite(name: str, seed: int = 0) -> SuiteReport:
+    """Run one named check suite (or 'all'), one check after another in
+    declaration order, so the report is deterministic for a given seed."""
     if name == "all":
         pairs = [(f"{suite}/{check}", fn)
                  for suite in SUITE_NAMES
@@ -954,8 +945,5 @@ def run_suite(name: str, seed: int = 0, threads: int = 4) -> SuiteReport:
         raise ValueError(
             f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
     start = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        outcomes = list(pool.map(_run_check, [fn for _, fn in pairs]))
-    checks = [CheckResult(label, dev, tol, err)
-              for (label, _), (dev, tol, err) in zip(pairs, outcomes)]
+    checks = [CheckResult(label, *_run_check(fn)) for label, fn in pairs]
     return SuiteReport(name, seed, checks, time.perf_counter() - start)

@@ -10,7 +10,7 @@ import catdiff.loss as L
 from catdiff.checkpoint import load_checkpoint, save_checkpoint
 from catdiff.core import Vocabulary
 from catdiff.data import gen_labeled_corpus, save_text_dataset
-from catdiff.model import ConstantDenoiser, init_denoiser
+from catdiff.model import ConstantDenoiser, init_classifier, init_denoiser
 
 BASE_CONFIG = """\
 # small uniform run
@@ -172,6 +172,26 @@ def test_sample_guidance_flag_validation(workdir, tmp_path, capsys):
     assert "outside" in err
 
 
+@pytest.mark.parametrize("guidance", [
+    [], ["--guidance", "none"], ["--guidance", "cfg", "--label", "0"],
+])
+def test_sample_rejects_classifier_without_classifier_guidance(
+        workdir, tmp_path, capsys, guidance):
+    # only cbg and cbg-taylor read the classifier; elsewhere it would be
+    # loaded and then ignored
+    save_checkpoint(init_classifier(Vocabulary(3), 4, 3, 8, seed=0),
+                    tmp_path / "clf.json")
+    code = cli.main(["sample", "--checkpoint", str(workdir / "ckpt.json"),
+                     "--out", str(tmp_path / "s.txt"), "--num", "2",
+                     "--steps", "4", "--classifier", str(tmp_path / "clf.json")]
+                    + guidance)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "--classifier" in captured.err
+    assert "resolved configuration" not in captured.out
+    assert not (tmp_path / "s.txt").exists()
+
+
 def test_sample_nonfinite_model_exits_three(workdir, tmp_path, capsys):
     params = load_checkpoint(workdir / "ckpt.json")
     params.output_head = np.full_like(params.output_head, np.nan)
@@ -252,15 +272,13 @@ def test_eval_exact_budget_checked_before_data(tmp_path, capsys, monkeypatch):
      "--steps", "1"],
     ["eval", "--checkpoint", "c.json", "--data", "d.txt"],
     ["metrics", "--samples", "s.txt", "--reference", "r.txt"],
+    ["verify", "--suite", "posteriors"],
 ])
-def test_threads_only_on_verify(argv, capsys):
-    # only the verify suites run on worker threads; elsewhere the flag
-    # would be accepted and then ignored
+def test_threads_flag_rejected(argv, capsys):
+    # no command runs on worker threads, the verify suites included
     code = cli.main(argv + ["--threads", "2"])
     assert code == 1
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
-    verify = cli.build_parser().parse_args(["verify", "--threads", "3"])
-    assert verify.threads == 3
 
 
 def test_metrics_reports_and_writes_file(workdir, tmp_path, capsys):
@@ -291,7 +309,7 @@ def test_metrics_needs_exactly_one_vocab_source(workdir, capsys):
 def test_verify_success_and_json_report(tmp_path, capsys):
     rep_path = tmp_path / "rep.json"
     code = cli.main(["verify", "--suite", "posteriors", "--seed", "0",
-                     "--json", str(rep_path), "--threads", "2"])
+                     "--json", str(rep_path)])
     out = capsys.readouterr().out
     assert code == 0
     assert "all green" in out

@@ -36,6 +36,16 @@ def test_loss_spec_validation():
         L.LossSpec("udlm_continuous", mc_samples_per_example=0)
 
 
+@pytest.mark.parametrize("objective",
+                         ["udlm_continuous", "mdlm_continuous", "sedd_form"])
+def test_continuous_loss_spec_rejects_T(objective):
+    # a continuous-time objective draws t itself; a grid size would be
+    # accepted and then ignored
+    assert L.LossSpec(objective).T is None
+    with pytest.raises(ValueError, match="does not take T"):
+        L.LossSpec(objective, T=16)
+
+
 # ------------------------------------------------------------- diffusion KL
 
 def test_kl_zero_at_truth():

@@ -23,6 +23,12 @@ def test_each_suite_runs_and_passes(name):
     assert all(c.passed for c in rep.checks)
 
 
+def test_run_suite_takes_no_threads_argument():
+    # the checks run one after another in declaration order
+    with pytest.raises(TypeError):
+        V.run_suite("posteriors", seed=0, threads=2)
+
+
 def test_all_concatenates_every_suite():
     rep = V.run_suite("all", seed=0)
     assert rep.passed
