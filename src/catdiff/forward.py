@@ -118,7 +118,11 @@ def corrupt(
     """
     x = np.asarray(x, dtype=np.int64)
     keep = rng.random(x.shape) < _per_row(schedule.alpha(t), x.ndim)
-    noise = rng.choice(prior.size, size=x.shape, p=prior.pi.probs)
+    # Generator.choice(n, size, p=pi)'s own inverse-CDF draw, without its
+    # per-call validation of pi: same indices, same stream
+    cdf = np.cumsum(prior.pi.probs)
+    cdf /= cdf[-1]
+    noise = np.searchsorted(cdf, rng.random(x.shape), side="right")
     return np.where(keep, x, noise)
 
 

@@ -126,6 +126,9 @@ def nelbo_discrete(
     x = np.asarray(x_seq, dtype=np.int64)
     single = x.ndim == 1
     x = np.atleast_2d(x)
+    if x.size and (x.min() < 0 or x.max() >= prior.size):
+        raise ValueError(f"token indices must lie in [0, {prior.size}), got "
+                         f"range [{x.min()}, {x.max()}]")
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exact":

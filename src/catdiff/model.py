@@ -20,7 +20,9 @@ draws the parameters, ``_hidden_nodes`` builds the autodiff graph up to
 the head, and ``_fit`` is the one Adam training loop (``train`` and
 ``train_classifier`` pass it their own batch loss). Inference (denoise,
 denoise_batch, and classify on one sequence or a batch) runs one
-plain-NumPy trunk forward, ``_trunk_forward``. The autodiff graphs
+plain-NumPy trunk forward, ``_trunk_forward``; denoise_batch runs it on
+cache-sized blocks of whole sequences, with the same bytes as one call
+over the batch. The autodiff graphs
 (denoiser_logprob_rows, classifier_logprobs) serve only where a gradient
 is taken: training and classify_grad_wrt_onehot.
 """
@@ -36,6 +38,9 @@ from .core import NoiseSchedule, Vocabulary, check_sequence
 from .forward import PriorSpec, corrupt
 
 MASK_LOGIT = -1e30
+# positions per block of the inference denoiser forward: a block's
+# (rows, d) activations stay in cache (sweep in CHANGES.md)
+BLOCK_ROWS = 8192
 
 
 class TrainingError(RuntimeError):
@@ -374,14 +379,32 @@ def denoise_batch(
     """(B, L) latents to (B, L, N) probability rows, shared or per-example
     t. ``cond_idx`` is None (unconditional), a label, or one label
     per example."""
-    cond = _condition_indices(cond_idx, params.num_classes, len(z_batch))
-    logits = _trunk_forward(params, z_batch, t, cond)
-    if params.kind == "absorbing":
-        logits[..., params.vocab.mask_index] = MASK_LOGIT
-    logits -= logits.max(axis=-1, keepdims=True)
-    probs = np.exp(logits, out=logits)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    return probs
+    z = _token_batch(params, z_batch)
+    batch = len(z)
+    cond = _condition_indices(cond_idx, params.num_classes, batch)
+    per_example_t = np.size(t) > 1
+    out = np.empty((batch, params.length, params.vocab.size))
+    # blocks of whole sequences whose sizes differ by at most one and are
+    # at least two: a one-sequence block with per-example t takes NumPy's
+    # vector path for the time features and changes the bytes
+    blocks = max(1, min(-(-batch * params.length // BLOCK_ROWS), batch // 2))
+    bounds = [k * batch // blocks for k in range(blocks + 1)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        logits = _trunk_forward(params, z[lo:hi],
+                                np.asarray(t)[lo:hi] if per_example_t else t,
+                                cond[lo:hi])
+        if params.kind == "absorbing":
+            logits[..., params.vocab.mask_index] = MASK_LOGIT
+        # the row max column by column is exact and far cheaper than
+        # max(axis=-1); the row sum stays sum(axis=-1), whose order a
+        # column-by-column sum matches only below 8 columns
+        row_max = logits[..., 0].copy()
+        for j in range(1, logits.shape[-1]):
+            np.maximum(row_max, logits[..., j], out=row_max)
+        probs = np.subtract(logits, row_max[..., None], out=out[lo:hi])
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+    return out
 
 
 def classifier_logprobs(

@@ -96,6 +96,9 @@ def generate(request: SampleRequest, model, classifier=None):
     config = request.guidance
     if config.needs_classifier and classifier is None:
         raise ValueError(f"guidance mode {config.mode!r} needs a classifier")
+    if classifier is not None and not config.needs_classifier:
+        raise ValueError(f"guidance mode {config.mode!r} reads no classifier; "
+                         f"only cbg_exact and cbg_taylor take one")
     prior = model.prior
     schedule = model.schedule
     rng = np.random.default_rng(request.seed)

@@ -94,6 +94,24 @@ def test_corrupt_per_row_t_replays_documented_draws():
     assert np.array_equal(shared, per_row)
 
 
+@pytest.mark.parametrize("prior", [
+    PriorSpec.uniform(5),
+    PriorSpec.absorbing(Vocabulary(4, mask_index=1)),
+    PriorSpec.general(Categorical([0.05, 0.0, 0.7, 0.25])),
+], ids=["uniform", "absorbing", "skewed"])
+@pytest.mark.parametrize("t", [0.3, 1.0])
+def test_corrupt_draws_as_rng_choice_and_keeps_the_stream(prior, t):
+    x = np.random.default_rng(1).integers(0, prior.size, size=(6, 9))
+    rng = np.random.default_rng(11)
+    z = corrupt(x, t, prior, SCHED, rng)
+    ref = np.random.default_rng(11)
+    keep = ref.random(x.shape) < 1.0 - t
+    noise = ref.choice(prior.size, size=x.shape, p=prior.pi.probs)
+    assert z.dtype == np.int64
+    assert np.array_equal(z, np.where(keep, x, noise))
+    assert np.array_equal(rng.random(5), ref.random(5))
+
+
 # ---------------------------------------------------------------- posterior
 
 def test_posterior_absorbing_worked_example():

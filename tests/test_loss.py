@@ -185,6 +185,20 @@ def test_nelbo_mode_validation():
         L.nelbo_discrete(x, den, 8, PriorSpec.uniform(3), SCHED, mode="mc")
 
 
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+@pytest.mark.parametrize("bad", [[0, -1], [3, 0], [[0, 1], [2, 3]]])
+def test_nelbo_rejects_out_of_range_tokens(mode, bad):
+    # -1 must not wrap to the last token, nor 3 escape as an IndexError,
+    # and nothing is drawn before the check
+    den = TabularDenoiser(3, seed=1)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"\[0, 3\)"):
+        L.nelbo_discrete(np.array(bad), den, 4, PriorSpec.uniform(3), SCHED,
+                         mode=mode, rng=rng)
+    assert rng.bit_generator.state == state
+
+
 def test_nelbo_mc_unbiased_within_3_sigma():
     x = np.array([1, 0])
     den = TabularDenoiser(3, seed=4)

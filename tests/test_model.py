@@ -168,7 +168,7 @@ def _latents_and_times(rng, batch, length, n, shared_t):
     st.booleans(),
     st.sampled_from([0, 1, 2]),
     st.booleans(),
-    st.sampled_from([1, 7]),
+    st.sampled_from([1, 7, 13]),
     st.integers(min_value=0, max_value=10 ** 6),
 )
 def test_denoise_batch_matches_autodiff_graph(kind, num_classes, use_labels,
@@ -180,7 +180,11 @@ def test_denoise_batch_matches_autodiff_graph(kind, num_classes, use_labels,
     z, t, t_rows = _latents_and_times(rng, batch, 5, vocab.size, shared_t)
     labels = (rng.integers(0, num_classes, size=batch)
               if use_labels and num_classes else None)
-    got = M.denoise_batch(params, z, t, labels)
+    # at 20 rows a block, 7 sequences of 5 positions run as blocks of 3
+    # and 4, 13 sequences as 3, 3, 3 and 4
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(M, "BLOCK_ROWS", 20)
+        got = M.denoise_batch(params, z, t, labels)
     rows = np.full(batch, num_classes) if labels is None else labels
     want = np.exp(M.denoiser_logprob_rows(
         M.constant_nodes(params), params, z, t_rows, rows).value)
@@ -189,6 +193,52 @@ def test_denoise_batch_matches_autodiff_graph(kind, num_classes, use_labels,
     assert np.max(np.abs(got.sum(axis=-1) - 1.0)) <= 1e-12
     if kind == "absorbing":
         assert np.all(got[..., vocab.mask_index] == 0.0)
+
+
+# Blocked forward at L = 5: (BLOCK_ROWS, the block sizes it must give).
+# 20 rows are 4 sequences: batches below, at and above them, and
+# 9 = 2 * 4 + 1. At 13 rows, 10 sequences would leave a one-sequence tail
+# after blocks of ceil(10 / 4) = 3. At one sequence (5 rows) or less
+# (1 row), blocks still hold two sequences or more, or the batch runs
+# whole.
+BLOCK_CASES = [(20, [3]), (20, [4]), (20, [2, 3]), (20, [3, 3, 3]),
+               (13, [2, 3, 2, 3]), (5, [2, 2, 3]), (1, [3]), (1, [1])]
+
+
+@pytest.mark.parametrize("block_rows,sizes", BLOCK_CASES)
+@pytest.mark.parametrize("kind", ["uniform", "absorbing"])
+def test_denoise_batch_blocks_match_one_block(monkeypatch, block_rows, sizes,
+                                              kind):
+    batch = sum(sizes)
+    rng = np.random.default_rng(block_rows * 100 + batch)
+    vocab = VOCAB4M if kind == "absorbing" else VOCAB3
+    params = _randomized(M.init_denoiser(vocab, 5, 3, 8, kind=kind,
+                                         n_layers=2), rng)
+    z = rng.integers(0, vocab.size, size=(batch, 5))
+    seen = []
+    trunk = M._trunk_forward
+
+    def counted(params, z_block, *args):
+        seen.append(len(z_block))
+        return trunk(params, z_block, *args)
+
+    monkeypatch.setattr(M, "_trunk_forward", counted)
+    for t in (0.37, rng.uniform(0.01, 0.99, batch)):
+        for cond in (None, 1, rng.integers(0, 3, size=batch)):
+            # the softmax over the whole batch's logits, row max by max()
+            logits = trunk(params, z, t, M._condition_indices(cond, 3, batch))
+            if kind == "absorbing":
+                logits[..., vocab.mask_index] = M.MASK_LOGIT
+            logits = np.exp(logits - logits.max(axis=-1, keepdims=True))
+            logits /= logits.sum(axis=-1, keepdims=True)
+            monkeypatch.setattr(M, "BLOCK_ROWS", 10 ** 9)
+            whole = M.denoise_batch(params, z, t, cond)
+            assert np.array_equal(whole, logits)
+            monkeypatch.setattr(M, "BLOCK_ROWS", block_rows)
+            seen.clear()
+            got = M.denoise_batch(params, z, t, cond)
+            assert seen == sizes
+            assert np.array_equal(got, whole)
 
 
 @settings(max_examples=40, deadline=None)

@@ -199,6 +199,37 @@ def test_generate_cbg_requires_classifier():
         S.generate(req, model)
 
 
+@pytest.mark.parametrize("mode", ["none", "cfg"])
+def test_generate_rejects_classifier_it_never_reads(mode):
+    vocab = Vocabulary(3)
+    model = M.init_denoiser(vocab, length=4, num_classes=2, d=8,
+                            kind="uniform", seed=17)
+    clf = M.init_classifier(vocab, length=4, num_classes=2, d=8, seed=18)
+    req = S.SampleRequest(num_sequences=3, length=4, T=4,
+                          guidance=GuidanceConfig(mode, gamma=2.0,
+                                                  target_class=1))
+    with pytest.raises(ValueError, match="classifier"):
+        S.generate(req, model, classifier=clf)
+
+
+@pytest.mark.parametrize("mode", ["none", "cfg"])
+@pytest.mark.parametrize("kind", ["uniform", "absorbing"])
+def test_generate_blocked_forward_matches_one_block(monkeypatch, mode, kind):
+    # 30 sequences of 4 positions are 120 rows: five blocks of 6 at 24
+    vocab = Vocabulary(4, mask_index=3) if kind == "absorbing" else Vocabulary(3)
+    model = M.init_denoiser(vocab, length=4, num_classes=2, d=8, kind=kind,
+                            n_layers=2, seed=24, scale=0.8)
+    req = S.SampleRequest(num_sequences=30, length=4, T=6, seed=25,
+                          guidance=GuidanceConfig(mode, gamma=2.0,
+                                                  target_class=1))
+    monkeypatch.setattr(M, "BLOCK_ROWS", 10 ** 9)
+    whole, whole_diag = S.generate(req, model)
+    monkeypatch.setattr(M, "BLOCK_ROWS", 24)
+    blocked, blocked_diag = S.generate(req, model)
+    assert blocked.tobytes() == whole.tobytes()
+    assert blocked_diag == whole_diag
+
+
 @pytest.mark.parametrize("mode", ["cbg_exact", "cbg_taylor"])
 def test_generate_cbg_smoke(mode):
     vocab = Vocabulary(3)
