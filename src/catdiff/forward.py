@@ -5,7 +5,8 @@ q(z_t | x) = Cat(alpha_t x + (1 - alpha_t) pi). The reverse-time posterior
 q(z_s | z_t, x) follows from Bayes over one interpolating transition.
 
 Each computation is implemented once, batched over any leading shape:
-``marginal_rows`` (the forward marginal), ``corrupt`` (a draw of z_t) and
+``marginal_rows`` (the forward marginal), ``corrupt`` (a draw of z_t,
+applied by ``corrupt_from_uniforms``) and
 the posterior, written as ``bayes_factors`` (the factors that do not
 depend on x) and ``bayes_posterior`` (their application to one-hot or
 substituted clean-token rows, arrays or autodiff nodes), which
@@ -117,12 +118,25 @@ def corrupt(
     prior token per token, whether it is used or not.
     """
     x = np.asarray(x, dtype=np.int64)
-    keep = rng.random(x.shape) < _per_row(schedule.alpha(t), x.ndim)
+    keep_u = rng.random(x.shape)
+    noise_u = rng.random(x.shape)
+    return corrupt_from_uniforms(x, t, keep_u, noise_u, prior, schedule)
+
+
+def corrupt_from_uniforms(
+    x, t, keep_u: np.ndarray, noise_u: np.ndarray, prior: PriorSpec,
+    schedule: NoiseSchedule,
+) -> np.ndarray:
+    """z_t from the two uniforms per token that ``corrupt`` draws: x where
+    keep_u < alpha_t, else the prior token at noise_u. A caller that
+    draws the uniforms of many latents first corrupts them all at once."""
+    x = np.asarray(x, dtype=np.int64)
+    keep = keep_u < _per_row(schedule.alpha(t), x.ndim)
     # Generator.choice(n, size, p=pi)'s own inverse-CDF draw, without its
     # per-call validation of pi: same indices, same stream
     cdf = np.cumsum(prior.pi.probs)
     cdf /= cdf[-1]
-    noise = np.searchsorted(cdf, rng.random(x.shape), side="right")
+    noise = np.searchsorted(cdf, noise_u, side="right")
     return np.where(keep, x, noise)
 
 

@@ -44,7 +44,7 @@ from . import autodiff as ad
 from . import model as model_mod
 from .core import Categorical, NoiseSchedule
 from .forward import (PriorSpec, bayes_factors, bayes_posterior, corrupt,
-                      marginal_rows, posterior_matrix)
+                      corrupt_from_uniforms, marginal_rows, posterior_matrix)
 from .model import one_hot_batch
 
 _SUPPORT_EPS = 1e-300  # posterior entries below this count as off-support
@@ -61,7 +61,6 @@ OBJECTIVES = ("nelbo_discrete", "udlm_continuous", "mdlm_continuous", "sedd_form
 class LossSpec:
     objective: str
     T: int | None = None
-    mc_samples_per_example: int = 1
 
     def __post_init__(self) -> None:
         if self.objective not in OBJECTIVES:
@@ -72,8 +71,6 @@ class LossSpec:
                 raise ValueError("objective nelbo_discrete needs T >= 1")
         elif self.T is not None:
             raise ValueError(f"objective {self.objective!r} does not take T")
-        if self.mc_samples_per_example < 1:
-            raise ValueError("mc_samples_per_example must be positive")
 
 
 # ------------------------------------------------------------ KL building
@@ -156,19 +153,24 @@ def nelbo_discrete(
 def _mc_kl_terms(x, denoiser, T, prior, schedule, rng, mc_samples,
                  condition) -> np.ndarray:
     """Mean over mc_samples draws of T * KL at a sampled grid rung, per
-    sequence. All draws come first, in sequence-then-sample order; then
-    one denoiser call and one KL evaluation cover every draw."""
+    sequence. All draws come first, in sequence-then-sample order, each
+    a rung and then ``corrupt``'s two uniforms per token; then one
+    corruption, one denoiser call and one KL evaluation cover every
+    draw."""
     num, length = x.shape
     grid = np.empty(num * mc_samples, dtype=np.int64)
-    z = np.empty((num * mc_samples, length), dtype=np.int64)
+    keep_u = np.empty((num * mc_samples, length))
+    noise_u = np.empty((num * mc_samples, length))
     for k in range(num * mc_samples):
-        i = int(rng.integers(1, T + 1))
-        grid[k] = i
-        z[k] = corrupt(x[k // mc_samples], i / T, prior, schedule, rng)
+        grid[k] = rng.integers(1, T + 1)
+        rng.random(out=keep_u[k])
+        rng.random(out=noise_u[k])
     t, s = grid / T, (grid - 1) / T
+    x_rep = np.repeat(x, mc_samples, axis=0)
+    z = corrupt_from_uniforms(x_rep, t, keep_u, noise_u, prior, schedule)
     rows = denoiser.rows_batch(z, t, condition)
-    kls = _kl_terms(rows, np.repeat(x, mc_samples, axis=0), z, t, s, prior,
-                    schedule).reshape(num, mc_samples)
+    kls = _kl_terms(rows, x_rep, z, t, s, prior, schedule).reshape(
+        num, mc_samples)
     acc = np.zeros(num)
     for m in range(mc_samples):
         acc += T * kls[:, m]
@@ -371,31 +373,22 @@ def training_loss_node(
     prior = params.prior
     batch = x.shape[0]
     width = schedule.t_max - schedule.t_min
-    parts = []
-    for _ in range(spec.mc_samples_per_example):
-        if spec.objective == "nelbo_discrete":
-            i = rng.integers(1, spec.T + 1, size=batch)
-            t, s = i / spec.T, (i - 1) / spec.T
-        else:
-            t = schedule.draw_t(rng, size=batch)
-        z = corrupt(x, t, prior, schedule, rng)
-        # looked up on the module, so a wrapper installed there sees it
-        rows = model_mod.denoiser_logprob_rows(field_nodes, params, z, t,
-                                               cond_idx)
-        if spec.objective == "nelbo_discrete":
-            parts.append(float(spec.T) * ad.nmean(_kl_terms(
-                ad.exp(rows), x, z, t, s, prior, schedule)))
-            continue
-        if spec.objective == "mdlm_continuous":
-            rate = _mdlm_rate(rows, x, z, t, schedule,
-                              params.vocab.mask_index)
-        elif spec.objective == "udlm_continuous":
-            rate = _udlm_rate(ad.exp(rows), x, z, t, schedule)
-        else:
-            rate = _sedd_rate(ad.exp(rows), x, z, t, schedule)
-        parts.append(width * ad.nmean(ad.nsum(rate, axis=1)))
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    return total * (1.0 / len(parts))
-
+    if spec.objective == "nelbo_discrete":
+        i = rng.integers(1, spec.T + 1, size=batch)
+        t, s = i / spec.T, (i - 1) / spec.T
+    else:
+        t = schedule.draw_t(rng, size=batch)
+    z = corrupt(x, t, prior, schedule, rng)
+    # looked up on the module, so a wrapper installed there sees it
+    rows = model_mod.denoiser_logprob_rows(field_nodes, params, z, t,
+                                           cond_idx)
+    if spec.objective == "nelbo_discrete":
+        return float(spec.T) * ad.nmean(_kl_terms(
+            ad.exp(rows), x, z, t, s, prior, schedule))
+    if spec.objective == "mdlm_continuous":
+        rate = _mdlm_rate(rows, x, z, t, schedule, params.vocab.mask_index)
+    elif spec.objective == "udlm_continuous":
+        rate = _udlm_rate(ad.exp(rows), x, z, t, schedule)
+    else:
+        rate = _sedd_rate(ad.exp(rows), x, z, t, schedule)
+    return width * ad.nmean(ad.nsum(rate, axis=1))

@@ -22,9 +22,11 @@ the head, and ``_fit`` is the one Adam training loop (``train`` and
 denoise_batch, and classify on one sequence or a batch) runs one
 plain-NumPy trunk forward, ``_trunk_forward``; denoise_batch runs it on
 cache-sized blocks of whole sequences, with the same bytes as one call
-over the batch. The autodiff graphs
-(denoiser_logprob_rows, classifier_logprobs) serve only where a gradient
-is taken: training and classify_grad_wrt_onehot.
+over the batch. classify_grad_wrt_onehot, the Taylor-guidance gradient,
+runs classify's forward and a hand-written backward through it. The
+autodiff graphs (denoiser_logprob_rows, classifier_logprobs) serve
+training only; tests and the gradient checks in ``verify`` also use
+them as the reference for the forward and the backward.
 """
 
 from __future__ import annotations
@@ -305,6 +307,9 @@ def constant_nodes(params) -> list:
 def _time_features(schedule: NoiseSchedule, t) -> np.ndarray:
     """(alpha_t, 1 - alpha_t) as a (len(t), 2) array; a scalar t gives
     one row."""
+    if type(t) is float:  # fast path, same bytes: guidance calls per step
+        a = schedule.alpha(t)
+        return np.array([[a, 1.0 - a]])
     alpha = np.atleast_1d(schedule.alpha(t))
     return np.stack([alpha, 1.0 - alpha], axis=1)
 
@@ -326,11 +331,13 @@ def _token_batch(params, z_batch) -> np.ndarray:
 
 def _trunk_forward(params, z_batch, t,
                    cond_idx: np.ndarray | None = None,
-                   pool: bool = False) -> np.ndarray:
+                   pool: bool = False, keep: list | None = None) -> np.ndarray:
     """Autodiff-free forward of the trunk both networks share: (B, L)
     tokens to (B, L, out) head logits, or (B, out) with ``pool``, which
     mean-pools the positions before the head (the classifier readout).
-    ``t`` is one time for the batch or one per example.
+    ``t`` is one time for the batch or one per example. A ``keep`` list
+    receives the folded token table and then each tanh output, which the
+    hand-written backward of ``classify_grad_wrt_onehot`` reads.
 
     The features before the first linear map are a sum of table rows, so
     the map is folded into each table (token, position, time, condition)
@@ -342,7 +349,8 @@ def _trunk_forward(params, z_batch, t,
     length = params.length
     maps = list(params.hidden) + [(params.output_head, None)]
     w0, b0 = maps[0]
-    h = (params.token_embedding @ w0)[z_batch]                     # (B, L, d0)
+    token_table = params.token_embedding @ w0                      # (N, d0)
+    h = token_table[z_batch]                                       # (B, L, d0)
     per_seq = h.sum(axis=1, keepdims=True)                         # (B, 1, d0)
     per_seq /= length
     per_seq += (_time_features(params.schedule, t)
@@ -354,8 +362,12 @@ def _trunk_forward(params, z_batch, t,
         per_pos += b0
     h += per_seq
     h += per_pos
+    if keep is not None:
+        keep.append(token_table)
     for w, b in maps[1:]:
         np.tanh(h, out=h)
+        if keep is not None:
+            keep.append(h)
         if pool and b is None:  # the classifier pools before its head
             h = h.sum(axis=1) / length
             pool = False
@@ -427,15 +439,21 @@ def one_hot_batch(z_batch: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis, in place."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    logits -= np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+    return logits
+
+
 def classify(params: ClassifierParams, z_seq, t) -> np.ndarray:
     """Log p_phi(y | z, t) over the K classes: (K,) for one (L,) sequence,
     (B, K) for a (B, L) batch, with t shared or one per sequence."""
     z = np.asarray(z_seq)
     single = z.ndim == 1
-    logits = _trunk_forward(params, z[None] if single else z, t, pool=True)
-    logits -= logits.max(axis=-1, keepdims=True)
-    logits -= np.log(np.exp(logits).sum(axis=-1, keepdims=True))
-    return logits[0] if single else logits
+    logp = _log_softmax(_trunk_forward(params, z[None] if single else z, t,
+                                       pool=True))
+    return logp[0] if single else logp
 
 
 def classify_grad_wrt_onehot(
@@ -445,20 +463,35 @@ def classify_grad_wrt_onehot(
     input treated as a relaxed one-hot L x N matrix: (float, (L, N)) for
     one (L,) sequence, ((B,), (B, L, N)) for a (B, L) batch.
 
-    One forward and one backward pass over the whole batch. The examples
-    do not interact, so the gradient of the summed log-probs with respect
-    to one example's input is exactly that example's own gradient."""
+    The forward is ``classify``'s, so the log-prob has its bytes; the
+    backward is written out by hand and builds no autodiff graph. The
+    examples do not interact, so each gets its own gradient. The one-hot
+    input X enters the first pre-activation as X E W0 plus its mean over
+    positions (E W0 the folded token table), so its gradient is
+    (delta0 + mean_l delta0) (E W0)^T."""
     z = np.asarray(z_seq)
     single = z.ndim == 1
-    z = _token_batch(params, z[None] if single else z)
-    inp = ad.param(one_hot_batch(z, params.vocab.size))
-    logp = classifier_logprobs(constant_nodes(params), params, inp,
-                               np.full(z.shape[0], float(t)))
-    picked = ad.gather_last(logp, np.full(z.shape[0], y))
-    (grad,) = ad.backprop(ad.nsum(picked), [inp])
+    keep = []
+    logp = _log_softmax(_trunk_forward(params, z[None] if single else z, t,
+                                       pool=True, keep=keep))
+    token_table, acts = keep[0], keep[1:]
+    delta = -np.exp(logp)                                          # (B, K)
+    delta[:, y] += 1.0
+    if acts:  # back through the head to the pooled tanh output
+        delta = delta @ params.output_head.T                       # (B, d)
+    # the mean-pool hands each position an equal share
+    delta = np.broadcast_to((delta / params.length)[:, None, :],
+                            (delta.shape[0], params.length, delta.shape[1]))
+    backs = [w.T for w, _ in params.hidden[1:]]
+    for act in reversed(acts):
+        delta = delta * (1.0 - act * act)
+        if backs:  # every tanh layer but the first has a weight behind it
+            delta = delta @ backs.pop()
+    delta = delta + delta.mean(axis=1, keepdims=True)
+    grad = delta @ token_table.T                                   # (B, L, N)
     if single:
-        return float(picked.value[0]), grad[0]
-    return picked.value.copy(), grad
+        return float(logp[0, y]), grad[0]
+    return logp[:, y].copy(), grad
 
 
 # ------------------------------------------------------------ optimizers

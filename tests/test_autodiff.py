@@ -85,6 +85,24 @@ def test_take_gradient_with_repeats():
     assert err < TOL
 
 
+@pytest.mark.parametrize("seed", range(50))
+def test_take_backward_bitwise_matches_add_at(seed):
+    # the bincount accumulation adds in np.add.at's order, so repeated
+    # rows sum to the same bytes; 1-D and 2-D tables, 1-D and 2-D indices
+    rng = np.random.default_rng(seed)
+    rows = int(rng.integers(1, 7))
+    table = rng.standard_normal((rows, int(rng.integers(1, 5))) if seed % 2
+                                else (rows,))
+    idx = rng.integers(0, rows, size=(7, 3) if seed % 3 else (11,))
+    node = ad.take(ad.param(table), idx)
+    g = rng.standard_normal(node.shape)
+    want = np.zeros_like(table)
+    np.add.at(want, idx, g)
+    (got,) = node.backward_fn(g)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
 def test_gather_last_gradient():
     a = rand(4, 5, seed=16)
     idx = np.array([1, 0, 4, 2])

@@ -32,8 +32,6 @@ def test_loss_spec_validation():
         L.LossSpec("elbo")
     with pytest.raises(ValueError):
         L.LossSpec("nelbo_discrete")  # missing T
-    with pytest.raises(ValueError):
-        L.LossSpec("udlm_continuous", mc_samples_per_example=0)
 
 
 @pytest.mark.parametrize("objective",
@@ -296,6 +294,45 @@ def test_batched_nelbo_matches_per_sequence_loop(mode, kind, den_kind, batch,
                               condition=None if labels is None else labels[0])
     assert isinstance(single, float)
     assert abs(single - want[0]) <= 1e-12 * max(1.0, abs(want[0]))
+
+
+@pytest.mark.parametrize("kind", ["uniform", "absorbing"])
+@pytest.mark.parametrize("mc_samples", [1, 4])
+def test_mc_draws_match_per_draw_corrupt_loop(kind, mc_samples):
+    # mc mode draws every rung and uniform first and corrupts all latents
+    # at once; the latents, their times and the rng stream after them are
+    # those of one corrupt call per draw
+    if kind == "absorbing":
+        vocab = Vocabulary(4, mask_index=3)
+        prior = PriorSpec.absorbing(vocab)
+    else:
+        vocab = Vocabulary(5)
+        prior = PriorSpec.uniform(5)
+    x = np.random.default_rng(21).integers(0, 3, size=(6, 7))
+    T = 8
+    ref = np.random.default_rng(5)
+    want_z, want_t = [], []
+    for row in x:
+        for _ in range(mc_samples):
+            i = int(ref.integers(1, T + 1))
+            want_t.append(i / T)
+            want_z.append(corrupt(row, i / T, prior, SCHED, ref))
+    den = TabularDenoiser(vocab.size, seed=2, kind=kind,
+                          mask_index=vocab.mask_index)
+    seen = []
+
+    class Recorder:
+        def rows_batch(self, z_batch, t, condition=None):
+            seen.append((z_batch.copy(), np.array(t)))
+            return den.rows_batch(z_batch, t, condition)
+
+    rng = np.random.default_rng(5)
+    L.nelbo_discrete(x, Recorder(), T, prior, SCHED, mode="mc", rng=rng,
+                     mc_samples=mc_samples)
+    ((z, t),) = seen
+    assert np.array_equal(z, np.array(want_z))
+    assert np.array_equal(t, np.array(want_t))
+    assert rng.random() == ref.random()
 
 
 def test_exact_budget_is_checked_before_any_denoiser_call():

@@ -263,6 +263,18 @@ def test_classify_batch_matches_autodiff_graph(n_layers, shared_t, batch,
     assert np.max(np.abs(np.exp(got).sum(axis=-1) - 1.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("t", [0.0, 1.0, 0.3, 0.7071067811865476])
+def test_time_features_scalar_path_matches_array_path(t):
+    sched = NoiseSchedule()
+    fast = M._time_features(sched, t)
+    slow = M._time_features(sched, np.array([t]))
+    assert fast.shape == (1, 2) and fast.dtype == slow.dtype
+    assert np.array_equal(fast, slow)
+    assert np.array_equal(M._time_features(sched, np.float64(t)), slow)
+    with pytest.raises(ValueError):
+        M._time_features(sched, t + 1.5)
+
+
 def test_inference_reads_current_parameters():
     params = tiny_denoiser(seed=7)
     clf = M.init_classifier(VOCAB3, 4, 3, 8, seed=7)
@@ -351,6 +363,55 @@ def test_classifier_protocol_batches_match_single_sequences():
             params, z[b], 0.35, 2)
         assert abs(logp0[b] - single_logp) <= 1e-12
         assert np.max(np.abs(grad[b] - single_grad)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=9),
+    st.sampled_from([0, 1, 2]),
+    st.sampled_from([None, 1, 5]),
+    st.integers(min_value=0, max_value=10 ** 6),
+)
+def test_classify_grad_matches_autodiff_graph(n, length, d, n_layers, batch,
+                                              seed):
+    # the hand-written backward against the autodiff graph of the same
+    # network, for one (L,) sequence (batch None) or a (B, L) block
+    rng = np.random.default_rng(seed)
+    params = _randomized(M.init_classifier(Vocabulary(n), length, 3, d,
+                                           n_layers=n_layers), rng)
+    z = rng.integers(0, n, size=length if batch is None else (batch, length))
+    t = float(rng.uniform(0.01, 0.99))
+    y = int(rng.integers(0, 3))
+    rows = z[None] if batch is None else z
+    inp = ad.param(M.one_hot_batch(rows, n))
+    logp = M.classifier_logprobs(M.constant_nodes(params), params, inp,
+                                 np.full(rows.shape[0], t))
+    picked = ad.gather_last(logp, np.full(rows.shape[0], y))
+    (want,) = ad.backprop(ad.nsum(picked), [inp])
+
+    built = []
+    original = ad.Node.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    ad.Node.__init__ = counting
+    try:
+        logp0, grad = M.classify_grad_wrt_onehot(params, z, t, y)
+    finally:
+        ad.Node.__init__ = original
+    assert built == []
+    if batch is None:
+        assert isinstance(logp0, float) and grad.shape == (length, n)
+        want = want[0]
+    else:
+        assert logp0.shape == (batch,) and grad.shape == (batch, length, n)
+    assert np.max(np.abs(grad - want)) <= 1e-12
+    assert np.max(np.abs(logp0 - picked.value)) <= 1e-12
+    assert np.array_equal(logp0, M.classify(params, z, t)[..., y])
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -455,7 +516,7 @@ def test_train_single_sequence_reaches_near_zero_loss():
     # tabular-capacity network on one repeated sequence: the analytic
     # minimum of the objective is 0, reached when x_theta copies the data
     x = np.tile(np.array([0, 2, 1], dtype=np.int64), (256, 1))
-    spec = LossSpec("udlm_continuous", mc_samples_per_example=2)
+    spec = LossSpec("udlm_continuous")
     params, trace = M.train(
         x, spec, kind="uniform", vocab=VOCAB3, num_classes=0, d=32,
         n_layers=2, epochs=40, batch_size=256, lr=0.05, seed=5,
