@@ -3,14 +3,18 @@
 A ``Node`` wraps a float64 array together with the closure that maps an
 upstream adjoint to the adjoints of its parents. The recorded graph of
 closures is the tape; ``backprop`` replays it in reverse topological
-order. Only the primitives the models actually use are provided, each
-one verified against central finite differences in the test suite.
+order. The networks' trunk is not built from these primitives: it is
+one Node (``model._trunk_node``) whose backward is written by hand. The
+engine carries only what lies above the trunk, the log-softmax and the
+loss formulas, and the reverse sweep that hands Adam its gradients. Only
+the primitives those use are provided, each one verified against central
+finite differences in the test suite.
 
 Gradients flow only into nodes with ``requires_grad`` (parameters);
 constants are recorded but skipped during the reverse sweep.
 
-``log``, ``exp``, ``nsum``, ``gather_last`` and ``reshape`` pass plain
-arrays through as plain NumPy results, and an ndarray on the left of an
+``log``, ``exp``, ``nsum``, ``log_softmax``, ``gather_last`` and
+``reshape`` pass plain arrays through as plain NumPy results, and an ndarray on the left of an
 operator defers to the Node on its right. So a formula written with these
 primitives and operators runs on arrays (evaluation) or on Nodes
 (training) through one code path.
@@ -66,9 +70,6 @@ class Node:
 
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Node(shape={self.value.shape}, requires_grad={self.requires_grad})"
@@ -140,20 +141,6 @@ def div(a, b) -> Node:
     return Node(out, (a, b), bwd)
 
 
-def matmul(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    if a.value.ndim < 2 or b.value.ndim < 2:
-        raise ValueError("matmul operands must be at least 2-D")
-    out = a.value @ b.value
-
-    def bwd(g):
-        ga = g @ np.swapaxes(b.value, -1, -2)
-        gb = np.swapaxes(a.value, -1, -2) @ g
-        return _unbroadcast(ga, a.value.shape), _unbroadcast(gb, b.value.shape)
-
-    return Node(out, (a, b), bwd)
-
-
 def log(a):
     if not isinstance(a, Node):
         return np.log(a)
@@ -172,16 +159,6 @@ def exp(a):
 
     def bwd(g):
         return (g * out,)
-
-    return Node(out, (a,), bwd)
-
-
-def tanh(a) -> Node:
-    a = as_node(a)
-    out = np.tanh(a.value)
-
-    def bwd(g):
-        return (g * (1.0 - out * out),)
 
     return Node(out, (a,), bwd)
 
@@ -206,35 +183,18 @@ def nmean(a, axis=None, keepdims=False) -> Node:
     return mul(nsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
-def log_softmax(a, axis=-1) -> Node:
+def log_softmax(a, axis=-1):
     """Numerically stable log softmax; the max shift is treated as a
     constant, which leaves the gradient exact."""
-    a = as_node(a)
-    m = a.value.max(axis=axis, keepdims=True)
-    shifted = a.value - m
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True)) + m
-    out = a.value - lse
+    value = a.value if isinstance(a, Node) else a
+    out = value - value.max(axis=axis, keepdims=True)
+    out -= np.log(np.exp(out).sum(axis=axis, keepdims=True))
+    if not isinstance(a, Node):
+        return out
 
     def bwd(g):
         p = np.exp(out)
         return (g - p * g.sum(axis=axis, keepdims=True),)
-
-    return Node(out, (a,), bwd)
-
-
-def take(a, idx) -> Node:
-    """Row lookup a[idx] along the first axis (embedding gather)."""
-    a = as_node(a)
-    idx = np.asarray(idx, dtype=np.int64)
-    out = a.value[idx]
-
-    def bwd(g):
-        # one bincount over flat (row, column) keys adds the rows of g in
-        # the order np.add.at would, and far faster
-        cols = int(np.prod(a.value.shape[1:]))
-        keys = (idx.reshape(-1, 1) * cols + np.arange(cols)).reshape(-1)
-        ga = np.bincount(keys, weights=g.reshape(-1), minlength=a.value.size)
-        return (ga.reshape(a.value.shape),)
 
     return Node(out, (a,), bwd)
 
@@ -253,7 +213,8 @@ def gather_last(a, idx):
 
     def bwd(g):
         ga = np.zeros_like(a.value)
-        np.add.at(ga, tuple(np.indices(idx.shape)) + (idx,), g)
+        np.put_along_axis(ga, idx[..., None], np.asarray(g)[..., None],
+                          axis=-1)
         return (ga,)
 
     return Node(out, (a,), bwd)

@@ -250,7 +250,9 @@ def cmd_sample(args) -> int:
         raise UsageError(f"--classifier is read only by --guidance cbg and "
                          f"cbg-taylor, not {args.guidance}")
     model = _load_denoiser(args.checkpoint)
-    if args.label is not None and not 0 <= args.label < model.num_classes:
+    # under cbg the label names a classifier class, which generate checks
+    if args.label is not None and not needs_classifier \
+            and not 0 <= args.label < model.num_classes:
         raise UsageError(f"label {args.label} outside "
                          f"[0, {model.num_classes})")
     classifier = None

@@ -16,17 +16,18 @@ Time enters as the pair (alpha_t, 1 - alpha_t) through a learned 2 x d
 projection: the simplest injective encoding under a monotone schedule.
 
 Each trunk concept is written once for both networks: ``_init_trunk``
-draws the parameters, ``_hidden_nodes`` builds the autodiff graph up to
-the head, and ``_fit`` is the one Adam training loop (``train`` and
-``train_classifier`` pass it their own batch loss). Inference (denoise,
-denoise_batch, and classify on one sequence or a batch) runs one
-plain-NumPy trunk forward, ``_trunk_forward``; denoise_batch runs it on
-cache-sized blocks of whole sequences, with the same bytes as one call
-over the batch. classify_grad_wrt_onehot, the Taylor-guidance gradient,
-runs classify's forward and a hand-written backward through it. The
-autodiff graphs (denoiser_logprob_rows, classifier_logprobs) serve
-training only; tests and the gradient checks in ``verify`` also use
-them as the reference for the forward and the backward.
+draws the parameters, ``_fit`` is the one Adam training loop (``train``
+and ``train_classifier`` pass it their own batch loss), and the trunk
+has one forward and one backward. ``_trunk_forward`` is plain NumPy with
+the first linear map folded into the embedding tables; inference
+(denoise, denoise_batch, classify) runs it alone, denoise_batch on
+cache-sized blocks of whole sequences with the same bytes as one call
+over the batch. ``_trunk_backward`` is written by hand and keeps the
+first layer folded. Training wraps the pair as one autodiff Node
+(``_trunk_node``, under denoiser_logprob_rows and classifier_logprobs)
+beneath the log-softmax and the loss; classify_grad_wrt_onehot, the
+Taylor-guidance gradient, calls the same backward for the input
+gradient alone and builds no graph.
 """
 
 from __future__ import annotations
@@ -65,6 +66,12 @@ class _Trunk:
             out += [(f"hidden_w{i}", w), (f"hidden_b{i}", b)]
         out.append(("output_head", self.output_head))
         return out
+
+    def values(self) -> list:
+        """The arrays alone, in checkpoint order, without arrays()'s names:
+        the inference forwards read them on every call."""
+        return [getattr(self, name) for name in self.LEADING] + [
+            a for layer in self.hidden for a in layer] + [self.output_head]
 
     def set_arrays(self, values: list) -> None:
         named = dict(zip([n for n, _ in self.arrays()], values))
@@ -131,7 +138,8 @@ class ClassifierParams(_Trunk):
 
     # Classifier protocol used by guidance: log p(y | z) at time t for all
     # y, for one (L,) sequence or a (B, L) batch, and the gradient of
-    # log p(y | z) with respect to the relaxed one-hot input.
+    # log p(y | z) with respect to the relaxed one-hot input; generate
+    # also reads ``num_classes`` to range-check the target class.
     def log_probs(self, z_seq, t) -> np.ndarray:
         return classify(self, z_seq, t)
 
@@ -260,48 +268,12 @@ def _condition_indices(condition, num_classes: int, batch: int) -> np.ndarray:
     return idx
 
 
-def _hidden_nodes(field_nodes: list, params, feats: ad.Node, t,
-                  cond_idx: np.ndarray | None = None) -> ad.Node:
-    """The trunk on parameter Nodes, from the gathered (B, L, d) token
-    features: add their mean over positions, the position, time and (with
-    ``cond_idx``, the denoiser) condition features, then run the tanh
-    layers."""
-    batch = feats.shape[0]
-    time_in = ad.constant(_time_features(params.schedule, t))      # (B, 2)
-    h = feats + ad.nmean(feats, axis=1, keepdims=True)
-    h = h + ad.reshape(field_nodes[1], (1, params.length, params.d))
-    h = h + ad.reshape(ad.matmul(time_in, field_nodes[2]), (batch, 1, params.d))
-    if cond_idx is not None:
-        h = h + ad.reshape(ad.take(field_nodes[3], cond_idx),
-                           (batch, 1, params.d))
-    layers = field_nodes[len(params.LEADING):-1]
-    for w, b in zip(layers[0::2], layers[1::2]):
-        h = ad.tanh(ad.matmul(h, w) + b)
-    return h
-
-
-def denoiser_logprob_rows(
-    field_nodes: list, params: DenoiserParams,
-    z_batch: np.ndarray, t: np.ndarray, cond_idx: np.ndarray,
-) -> ad.Node:
-    """Batched forward pass on parameter Nodes: (B, L) latents to
-    (B, L, N) per-position log-probabilities over clean tokens."""
-    h = _hidden_nodes(field_nodes, params, ad.take(field_nodes[0], z_batch),
-                      t, cond_idx)
-    logits = ad.matmul(h, field_nodes[-1])                         # (B, L, N)
-    if params.kind == "absorbing":
-        suppress = np.zeros(params.vocab.size)
-        suppress[params.vocab.mask_index] = MASK_LOGIT
-        logits = logits + ad.constant(suppress)
-    return ad.log_softmax(logits)
-
-
 def param_nodes(params) -> list:
-    return [ad.param(a) for _, a in params.arrays()]
+    return [ad.param(a) for a in params.values()]
 
 
 def constant_nodes(params) -> list:
-    return [ad.constant(a) for _, a in params.arrays()]
+    return [ad.constant(a) for a in params.values()]
 
 
 def _time_features(schedule: NoiseSchedule, t) -> np.ndarray:
@@ -329,52 +301,169 @@ def _token_batch(params, z_batch) -> np.ndarray:
     return z
 
 
-def _trunk_forward(params, z_batch, t,
-                   cond_idx: np.ndarray | None = None,
-                   pool: bool = False, keep: list | None = None) -> np.ndarray:
-    """Autodiff-free forward of the trunk both networks share: (B, L)
-    tokens to (B, L, out) head logits, or (B, out) with ``pool``, which
-    mean-pools the positions before the head (the classifier readout).
-    ``t`` is one time for the batch or one per example. A ``keep`` list
-    receives the folded token table and then each tanh output, which the
-    hand-written backward of ``classify_grad_wrt_onehot`` reads.
+def _trunk_forward(params, arrays: list, z_batch, t,
+                   cond_idx: np.ndarray | None = None, pool: bool = False,
+                   keep: list | None = None, scratch=None) -> np.ndarray:
+    """Autodiff-free forward of the trunk both networks share, on the
+    parameter ``arrays`` in checkpoint order: (B, L) tokens, or a Node of
+    (B, L, N) relaxed one-hot rows, to (B, L, out) head logits, or
+    (B, out) with ``pool``, which mean-pools the positions before the head
+    (the classifier readout). ``t`` is one time for the batch or one per
+    example. A ``keep`` list receives what ``_trunk_backward`` reads: the
+    input, the time features, ``cond_idx``, the folded token table and
+    then each tanh output. A (2, rows, d) ``scratch`` buffer takes the
+    hidden activations in turn, in place of fresh arrays.
 
     The features before the first linear map are a sum of table rows, so
     the map is folded into each table (token, position, time, condition)
     and the features are gathered already projected. The tables are
-    rebuilt on every call from the current parameter arrays: they are
-    small (N, L, 2 and K + 1 rows) and can never go stale.
+    rebuilt on every call from the arrays: they are small (N, L, 2 and
+    K + 1 rows) and can never go stale.
     """
-    z_batch = _token_batch(params, z_batch)
-    length = params.length
-    maps = list(params.hidden) + [(params.output_head, None)]
+    length, lead = params.length, len(params.LEADING)
+    maps = list(zip(arrays[lead:-1:2], arrays[lead + 1:-1:2]))
+    maps.append((arrays[-1], None))
     w0, b0 = maps[0]
-    token_table = params.token_embedding @ w0                      # (N, d0)
-    h = token_table[z_batch]                                       # (B, L, d0)
+    token_table = arrays[0] @ w0                                   # (N, d0)
+    if isinstance(z_batch, ad.Node):  # relaxed one-hot rows
+        z_batch = z_batch.value
+        h = z_batch @ token_table
+    else:
+        z_batch = _token_batch(params, z_batch)
+        if scratch is None or b0 is None:
+            h = token_table[z_batch]                               # (B, L, d0)
+        else:  # the tokens are range-checked: "clip" copies unbuffered
+            h = scratch[0, :z_batch.size].reshape(z_batch.shape + (-1,))
+            np.take(token_table, z_batch, axis=0, mode="clip", out=h)
+    time_in = _time_features(params.schedule, t)
     per_seq = h.sum(axis=1, keepdims=True)                         # (B, 1, d0)
     per_seq /= length
-    per_seq += (_time_features(params.schedule, t)
-                @ (params.time_projection @ w0))[:, None, :]
+    per_seq += (time_in @ (arrays[2] @ w0))[:, None, :]
     if cond_idx is not None:
-        per_seq += (params.condition_embedding @ w0)[cond_idx][:, None, :]
-    per_pos = params.position_encoding @ w0                        # (L, d0)
+        per_seq += (arrays[3] @ w0)[cond_idx][:, None, :]
+    per_pos = arrays[1] @ w0                                       # (L, d0)
     if b0 is not None:
         per_pos += b0
     h += per_seq
     h += per_pos
     if keep is not None:
-        keep.append(token_table)
-    for w, b in maps[1:]:
+        keep += [z_batch, time_in, cond_idx, token_table]
+    for k, (w, b) in enumerate(maps[1:]):
         np.tanh(h, out=h)
         if keep is not None:
             keep.append(h)
         if pool and b is None:  # the classifier pools before its head
             h = h.sum(axis=1) / length
             pool = False
-        h = (h.reshape(-1, h.shape[-1]) @ w).reshape(h.shape[:-1] + (-1,))
+        flat = h.reshape(-1, h.shape[-1])
+        if scratch is None or b is None:
+            flat = flat @ w
+        else:
+            flat = np.matmul(flat, w, out=scratch[(k + 1) % 2, :len(flat)])
+        h = flat.reshape(h.shape[:-1] + (-1,))
         if b is not None:
             h += b
     return h.sum(axis=1) / length if pool else h
+
+
+def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(I, J) sum over the leading axes of a[..., i] * b[..., j]."""
+    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+
+
+def _trunk_backward(params, arrays: list, keep: list, g: np.ndarray,
+                    needs: list) -> list:
+    """Reverse pass of ``_trunk_forward`` from the gradient ``g`` of its
+    output, ``keep`` as that forward filled it: one gradient per flag in
+    ``needs``, which holds one flag per array and optionally one for the
+    input read as relaxed one-hot rows. The input's gradient is computed
+    only if its flag is set, and the arrays' gradients, all of them, only
+    if some array's flag is; the rest are None.
+
+    The first layer stays folded. With delta the gradient at its
+    pre-activation, each folded table's gradient is a sum of delta: over
+    the batch (position), times the time features (time), scattered by
+    label (condition), or plus its mean over positions and scattered by
+    token (token). An unfolded table's gradient is its folded one times
+    W0^T and W0's is the sum of table^T times folded one, so no
+    (B L, d) x (d, d) product runs."""
+    inp, time_in, cond_idx, token_table, *acts = keep
+    lead, head = len(params.LEADING), len(arrays) - 1
+    grads = [None] * len(needs)
+    param_grads = any(needs[:len(arrays)])
+    batch, length = g.shape[0], params.length
+    delta = g
+    if acts:  # back through the head to the last tanh output
+        if param_grads:
+            last = acts[-1].sum(axis=1) / length if g.ndim == 2 else acts[-1]
+            grads[head] = _outer_sum(last, g)
+        delta = delta @ arrays[head].T
+    if g.ndim == 2:  # the mean-pool hands each position an equal share
+        delta = np.broadcast_to((delta / length)[:, None, :],
+                                (batch, length, delta.shape[1]))
+    for i in range(len(acts) - 1, -1, -1):
+        delta = delta * (1.0 - acts[i] * acts[i])
+        if i:  # every tanh layer but the first has a weight behind it
+            if param_grads:
+                grads[lead + 2 * i] = _outer_sum(acts[i - 1], delta)
+                grads[lead + 2 * i + 1] = delta.sum(axis=(0, 1))
+            delta = delta @ arrays[lead + 2 * i].T
+    front = delta + delta.mean(axis=1, keepdims=True)
+    if any(needs[len(arrays):]):
+        grads[-1] = front @ token_table.T                          # (B, L, N)
+    if param_grads:
+        w0_at = lead if acts else head
+        per_seq = delta.sum(axis=1)                                # (B, d0)
+        x = inp if inp.ndim == 3 else one_hot_batch(inp, len(token_table))
+        folded = [_outer_sum(x, front), delta.sum(axis=0),
+                  _outer_sum(np.broadcast_to(time_in, (batch, 2)), per_seq)]
+        if cond_idx is not None:
+            folded.append(_outer_sum(
+                one_hot_batch(cond_idx, len(arrays[3])), per_seq))
+        grads[w0_at] = sum(arrays[j].T @ f for j, f in enumerate(folded))
+        for j, f in enumerate(folded):
+            grads[j] = f @ arrays[w0_at].T
+        if acts:
+            grads[lead + 1] = delta.sum(axis=(0, 1))
+    return grads
+
+
+def _trunk_node(field_nodes: list, params, z, t, cond_idx=None,
+                pool: bool = False) -> ad.Node:
+    """``_trunk_forward`` as one autodiff Node of the parameter Nodes and,
+    if it is a Node of relaxed one-hot rows, of ``z``; its backward is
+    ``_trunk_backward`` for the parents that require a gradient. The
+    arrays are the Nodes' values; ``params`` gives shapes and schedule."""
+    arrays = [n.value for n in field_nodes]
+    parents = list(field_nodes) + ([z] if isinstance(z, ad.Node) else [])
+    needs = [p.requires_grad for p in parents]
+    keep = []
+    out = _trunk_forward(params, arrays, z, t, cond_idx, pool, keep)
+    return ad.Node(out, tuple(parents),
+                   lambda g: _trunk_backward(params, arrays, keep, g, needs))
+
+
+def denoiser_logprob_rows(
+    field_nodes: list, params: DenoiserParams,
+    z_batch: np.ndarray, t: np.ndarray, cond_idx: np.ndarray,
+) -> ad.Node:
+    """Batched forward pass on parameter Nodes: (B, L) latents to
+    (B, L, N) per-position log-probabilities over clean tokens."""
+    logits = _trunk_node(field_nodes, params, z_batch, t, cond_idx)
+    if params.kind == "absorbing":
+        suppress = np.zeros(params.vocab.size)
+        suppress[params.vocab.mask_index] = MASK_LOGIT
+        logits = logits + ad.constant(suppress)
+    return ad.log_softmax(logits)
+
+
+def classifier_logprobs(
+    field_nodes: list, params: ClassifierParams, z, t: np.ndarray,
+) -> ad.Node:
+    """Batched classifier forward on parameter Nodes: (B, L) tokens, or a
+    Node of (B, L, N) relaxed one-hot rows, to (B, K) log class
+    probabilities."""
+    return ad.log_softmax(_trunk_node(field_nodes, params, z, t, pool=True))
 
 
 def denoise(
@@ -394,6 +483,7 @@ def denoise_batch(
     z = _token_batch(params, z_batch)
     batch = len(z)
     cond = _condition_indices(cond_idx, params.num_classes, batch)
+    arrays = params.values()
     per_example_t = np.size(t) > 1
     out = np.empty((batch, params.length, params.vocab.size))
     # blocks of whole sequences whose sizes differ by at most one and are
@@ -401,10 +491,14 @@ def denoise_batch(
     # vector path for the time features and changes the bytes
     blocks = max(1, min(-(-batch * params.length // BLOCK_ROWS), batch // 2))
     bounds = [k * batch // blocks for k in range(blocks + 1)]
+    # every block's hidden activations reuse one pair of buffers: arrays
+    # allocated per block fault in fresh pages whenever the allocator has
+    # returned the last block's to the system
+    scratch = np.empty((2, -(-batch // blocks) * params.length, params.d))
     for lo, hi in zip(bounds, bounds[1:]):
-        logits = _trunk_forward(params, z[lo:hi],
+        logits = _trunk_forward(params, arrays, z[lo:hi],
                                 np.asarray(t)[lo:hi] if per_example_t else t,
-                                cond[lo:hi])
+                                cond[lo:hi], scratch=scratch)
         if params.kind == "absorbing":
             logits[..., params.vocab.mask_index] = MASK_LOGIT
         # the row max column by column is exact and far cheaper than
@@ -419,18 +513,6 @@ def denoise_batch(
     return out
 
 
-def classifier_logprobs(
-    field_nodes: list, params: ClassifierParams,
-    z_onehot: ad.Node, t: np.ndarray,
-) -> ad.Node:
-    """Batched classifier forward on a relaxed one-hot input Node
-    (B, L, N) to (B, K) log class probabilities."""
-    h = _hidden_nodes(field_nodes, params,
-                      ad.matmul(z_onehot, field_nodes[0]), t)
-    pooled = ad.nmean(h, axis=1)                                   # (B, d)
-    return ad.log_softmax(ad.matmul(pooled, field_nodes[-1]))
-
-
 def one_hot_batch(z_batch: np.ndarray, n: int) -> np.ndarray:
     """Integer tokens of any shape to (..., n) one-hot rows."""
     z_batch = np.asarray(z_batch, dtype=np.int64)
@@ -439,20 +521,14 @@ def one_hot_batch(z_batch: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-softmax over the last axis, in place."""
-    logits -= logits.max(axis=-1, keepdims=True)
-    logits -= np.log(np.exp(logits).sum(axis=-1, keepdims=True))
-    return logits
-
-
 def classify(params: ClassifierParams, z_seq, t) -> np.ndarray:
     """Log p_phi(y | z, t) over the K classes: (K,) for one (L,) sequence,
     (B, K) for a (B, L) batch, with t shared or one per sequence."""
     z = np.asarray(z_seq)
     single = z.ndim == 1
-    logp = _log_softmax(_trunk_forward(params, z[None] if single else z, t,
-                                       pool=True))
+    logp = ad.log_softmax(_trunk_forward(params, params.values(),
+                                         z[None] if single else z, t,
+                                         pool=True))
     return logp[0] if single else logp
 
 
@@ -463,32 +539,21 @@ def classify_grad_wrt_onehot(
     input treated as a relaxed one-hot L x N matrix: (float, (L, N)) for
     one (L,) sequence, ((B,), (B, L, N)) for a (B, L) batch.
 
-    The forward is ``classify``'s, so the log-prob has its bytes; the
-    backward is written out by hand and builds no autodiff graph. The
-    examples do not interact, so each gets its own gradient. The one-hot
-    input X enters the first pre-activation as X E W0 plus its mean over
-    positions (E W0 the folded token table), so its gradient is
-    (delta0 + mean_l delta0) (E W0)^T."""
+    The forward is ``classify``'s, so the log-prob has its bytes. The
+    backward is ``_trunk_backward`` from e_y - softmax, asked for the input
+    gradient only: it builds no autodiff graph and computes no parameter
+    gradient. The examples do not interact, so each gets its own."""
     z = np.asarray(z_seq)
     single = z.ndim == 1
+    arrays = params.values()
     keep = []
-    logp = _log_softmax(_trunk_forward(params, z[None] if single else z, t,
-                                       pool=True, keep=keep))
-    token_table, acts = keep[0], keep[1:]
+    logp = ad.log_softmax(_trunk_forward(params, arrays,
+                                         z[None] if single else z, t,
+                                         pool=True, keep=keep))
     delta = -np.exp(logp)                                          # (B, K)
     delta[:, y] += 1.0
-    if acts:  # back through the head to the pooled tanh output
-        delta = delta @ params.output_head.T                       # (B, d)
-    # the mean-pool hands each position an equal share
-    delta = np.broadcast_to((delta / params.length)[:, None, :],
-                            (delta.shape[0], params.length, delta.shape[1]))
-    backs = [w.T for w, _ in params.hidden[1:]]
-    for act in reversed(acts):
-        delta = delta * (1.0 - act * act)
-        if backs:  # every tanh layer but the first has a weight behind it
-            delta = delta @ backs.pop()
-    delta = delta + delta.mean(axis=1, keepdims=True)
-    grad = delta @ token_table.T                                   # (B, L, N)
+    grad = _trunk_backward(params, arrays, keep, delta,
+                           [False] * len(arrays) + [True])[-1]
     if single:
         return float(logp[0, y]), grad[0]
     return logp[:, y].copy(), grad
@@ -561,7 +626,7 @@ def _fit(params, count: int, batch_loss, *, epochs: int, batch_size: int,
     makes the batch's own draws from ``rng`` and returns its mean loss as a
     scalar Node of the parameter Nodes. Adam updates the parameter arrays
     in place."""
-    opt = AdamState([a for _, a in params.arrays()])
+    opt = AdamState(params.values())
     trace = []
     for _ in range(epochs):
         order = rng.permutation(count)
@@ -573,7 +638,7 @@ def _fit(params, count: int, batch_loss, *, epochs: int, batch_size: int,
             if not np.isfinite(loss_node.value):
                 raise TrainingError(f"non-finite loss {loss_node.value!r}")
             grads = ad.backprop(loss_node, nodes)
-            opt.step([a for _, a in params.arrays()], grads, lr)
+            opt.step(params.values(), grads, lr)
             epoch_loss += float(loss_node.value) * idx.shape[0]
         trace.append(epoch_loss / count)
     return params, trace
@@ -634,8 +699,7 @@ def train_classifier(
     def batch_loss(nodes, idx):
         t = schedule.draw_t(rng, size=idx.shape[0])
         z = corrupt(x_all[idx], t, prior, schedule, rng)
-        onehot = ad.constant(one_hot_batch(z, vocab.size))
-        logp = classifier_logprobs(nodes, params, onehot, t)
+        logp = classifier_logprobs(nodes, params, z, t)
         return -ad.nmean(ad.gather_last(logp, y_all[idx]))
 
     return _fit(params, x_all.shape[0], batch_loss, epochs=epochs,

@@ -99,6 +99,10 @@ def generate(request: SampleRequest, model, classifier=None):
     if classifier is not None and not config.needs_classifier:
         raise ValueError(f"guidance mode {config.mode!r} reads no classifier; "
                          f"only cbg_exact and cbg_taylor take one")
+    if classifier is not None \
+            and not 0 <= config.target_class < classifier.num_classes:
+        raise ValueError(f"target_class {config.target_class} out of range "
+                         f"[0, {classifier.num_classes})")
     prior = model.prior
     schedule = model.schedule
     rng = np.random.default_rng(request.seed)

@@ -349,6 +349,23 @@ def test_train_classifier_then_cbg_sample(workdir, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cbg_label_is_checked_against_the_classifier(tmp_path, capsys):
+    # an unconditional denoiser has no classes of its own: under cbg the
+    # label names one of the classifier's
+    vocab = Vocabulary(3)
+    save_checkpoint(init_denoiser(vocab, 4, 0, 8, kind="uniform", seed=1),
+                    tmp_path / "den.json")
+    save_checkpoint(init_classifier(vocab, 4, 2, 8, seed=2),
+                    tmp_path / "clf.json")
+    for label, code in (("1", 0), ("2", 1), ("-1", 1)):
+        argv = ["sample", "--checkpoint", str(tmp_path / "den.json"),
+                "--out", str(tmp_path / "s.txt"), "--num", "2",
+                "--steps", "4", "--guidance", "cbg-taylor", "--label", label,
+                "--classifier", str(tmp_path / "clf.json")]
+        assert cli.main(argv) == code
+    assert "target_class -1 out of range [0, 2)" in capsys.readouterr().err
+
+
 def test_absorbing_train_and_sample(tmp_path, capsys):
     ds = gen_labeled_corpus(3, 4, 120, "majority_token", seed=2)
     vocab = Vocabulary(4, mask_index=3)  # data tokens a, b, c plus mask

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,8 +10,12 @@ from catdiff import model as M
 from catdiff.checkpoint import load_checkpoint, save_checkpoint
 from catdiff.core import NoiseSchedule, Vocabulary
 from catdiff.forward import PriorSpec
+from catdiff.guidance import GuidanceConfig
 from catdiff.loss import LossSpec, nelbo_discrete, training_loss_node
+from catdiff.sampler import SampleRequest, generate
 from catdiff.verify import finite_difference_grads
+
+from . import graph_oracle
 
 VOCAB3 = Vocabulary(3)
 VOCAB4M = Vocabulary(4, mask_index=3)
@@ -146,8 +152,8 @@ def test_nelbo_rejects_latents_longer_than_constant_denoiser():
                        rng=np.random.default_rng(0))
 
 
-# The inference forward is pinned to the autodiff graph the models train
-# on, evaluated on constant nodes.
+# The trunk's forward and backward are pinned to the graph of small
+# autodiff nodes in tests/graph_oracle.py, evaluated on constant nodes.
 
 def _randomized(params, rng):
     """Every array redrawn, so hidden biases are non-zero too."""
@@ -186,7 +192,7 @@ def test_denoise_batch_matches_autodiff_graph(kind, num_classes, use_labels,
         mp.setattr(M, "BLOCK_ROWS", 20)
         got = M.denoise_batch(params, z, t, labels)
     rows = np.full(batch, num_classes) if labels is None else labels
-    want = np.exp(M.denoiser_logprob_rows(
+    want = np.exp(graph_oracle.denoiser_logprob_rows(
         M.constant_nodes(params), params, z, t_rows, rows).value)
     assert got.shape == (batch, 5, vocab.size)
     assert np.max(np.abs(got - want)) <= 1e-12
@@ -218,15 +224,16 @@ def test_denoise_batch_blocks_match_one_block(monkeypatch, block_rows, sizes,
     seen = []
     trunk = M._trunk_forward
 
-    def counted(params, z_block, *args):
+    def counted(params, arrays, z_block, *args, **kwargs):
         seen.append(len(z_block))
-        return trunk(params, z_block, *args)
+        return trunk(params, arrays, z_block, *args, **kwargs)
 
     monkeypatch.setattr(M, "_trunk_forward", counted)
     for t in (0.37, rng.uniform(0.01, 0.99, batch)):
         for cond in (None, 1, rng.integers(0, 3, size=batch)):
             # the softmax over the whole batch's logits, row max by max()
-            logits = trunk(params, z, t, M._condition_indices(cond, 3, batch))
+            logits = trunk(params, params.values(), z, t,
+                           M._condition_indices(cond, 3, batch))
             if kind == "absorbing":
                 logits[..., vocab.mask_index] = M.MASK_LOGIT
             logits = np.exp(logits - logits.max(axis=-1, keepdims=True))
@@ -255,7 +262,7 @@ def test_classify_batch_matches_autodiff_graph(n_layers, shared_t, batch,
                                            n_layers=n_layers), rng)
     z, t, t_rows = _latents_and_times(rng, batch, 5, 3, shared_t)
     got = M.classify(params, z, t)
-    want = M.classifier_logprobs(
+    want = graph_oracle.classifier_logprobs(
         M.constant_nodes(params), params,
         ad.constant(M.one_hot_batch(z, 3)), t_rows).value
     assert got.shape == (batch, 3)
@@ -284,7 +291,7 @@ def test_inference_reads_current_parameters():
     for model in (params, clf):
         model.set_arrays([a + 0.5 for _, a in model.arrays()])
     after = M.denoise_batch(params, z, 0.5, None)
-    want = np.exp(M.denoiser_logprob_rows(
+    want = np.exp(graph_oracle.denoiser_logprob_rows(
         M.constant_nodes(params), params, z, np.array([0.5]),
         np.array([2])).value)
     assert not np.allclose(after, before)
@@ -386,8 +393,8 @@ def test_classify_grad_matches_autodiff_graph(n, length, d, n_layers, batch,
     y = int(rng.integers(0, 3))
     rows = z[None] if batch is None else z
     inp = ad.param(M.one_hot_batch(rows, n))
-    logp = M.classifier_logprobs(M.constant_nodes(params), params, inp,
-                                 np.full(rows.shape[0], t))
+    logp = graph_oracle.classifier_logprobs(M.constant_nodes(params), params,
+                                            inp, np.full(rows.shape[0], t))
     picked = ad.gather_last(logp, np.full(rows.shape[0], y))
     (want,) = ad.backprop(ad.nsum(picked), [inp])
 
@@ -434,6 +441,90 @@ def test_classify_grad_matches_finite_differences(seed):
     (fd,) = finite_difference_grads(value, [onehot.copy()], h=1e-5)
     denom = np.maximum(np.maximum(np.abs(fd[0]), np.abs(grad)), 1e-3)
     assert np.max(np.abs(fd[0] - grad) / denom) < 1e-4
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["uniform", "absorbing"]),
+    st.sampled_from([0, 1, 2]),
+    st.booleans(),
+    st.sampled_from(["labels", "unconditional", "none"]),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([1, 4]),
+    st.integers(min_value=0, max_value=10 ** 6),
+)
+def test_trunk_node_matches_graph_oracle(kind, n_layers, shared_t, condition,
+                                         pool, relaxed, batch, seed):
+    # the trunk primitive (folded forward, hand-written backward) against
+    # the graph oracle under a random linear read-out of its output: the
+    # value, every array's gradient and a relaxed input's gradient.
+    # "none" is the classifier, which has no condition table.
+    rng = np.random.default_rng(seed)
+    vocab = VOCAB4M if kind == "absorbing" else VOCAB3
+    if condition == "none":
+        params = M.init_classifier(vocab, 5, 3, 8, n_layers=n_layers)
+    else:
+        params = M.init_denoiser(vocab, 5, 3, 8, kind=kind, n_layers=n_layers)
+    params = _randomized(params, rng)
+    z, t, _ = _latents_and_times(rng, batch, 5, vocab.size, shared_t)
+    cond = {"labels": rng.integers(0, 3, size=batch),
+            "unconditional": np.full(batch, 3), "none": None}[condition]
+    rows = rng.random((batch, 5, vocab.size))
+    n_out = params.output_head.shape[1]
+    readout = rng.standard_normal((batch, n_out) if pool
+                                  else (batch, 5, n_out))
+    results = []
+    for trunk in (M._trunk_node, graph_oracle.trunk):
+        nodes = M.param_nodes(params)
+        inputs = [ad.param(rows)] if relaxed else []
+        out = trunk(nodes, params, inputs[0] if relaxed else z, t, cond, pool)
+        results.append((out.value,
+                        ad.backprop(ad.nsum(out * readout), nodes + inputs)))
+    (got, got_grads), (want, want_grads) = results
+    assert got.shape == want.shape == readout.shape
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert len(got_grads) == len(want_grads)
+    for g, w in zip(got_grads, want_grads):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= 1e-12
+
+
+# sha256 of the outputs _inference_bytes gathers, recorded at the commit
+# before training moved onto the folded trunk (NumPy 2.4.6 with its
+# bundled OpenBLAS on x86-64): inference and the Taylor gradient keep
+# their bytes through that change.
+INFERENCE_DIGESTS = {
+    0: "30d6a6e811c9d63b3fed1b83de0f1e17955cc22195ea6909d5df5582589f6280",
+    1: "d812fe6ba9851c7458cc691ef7042db08799201321165dd5526d372a2317d1d6",
+    2: "359a17c24485908de1b7c4d9c7e1938a8214468f3aa9fa34520afbf88cf9c2b4",
+}
+
+
+def _inference_bytes(n_layers):
+    vocab = Vocabulary(5)
+    den = M.init_denoiser(vocab, 6, 3, 8, kind="uniform", n_layers=n_layers,
+                          seed=1, scale=0.5)
+    clf = M.init_classifier(vocab, 6, 3, 8, n_layers=n_layers, seed=2,
+                            scale=0.5)
+    rng = np.random.default_rng(2024)
+    z = rng.integers(0, 5, size=(7, 6))
+    t = rng.uniform(0.01, 0.99, 7)
+    logp0, grad = M.classify_grad_wrt_onehot(clf, z, 0.37, 1)
+    one_logp, one_grad = M.classify_grad_wrt_onehot(clf, z[2], 0.37, 2)
+    taylor = GuidanceConfig("cbg_taylor", gamma=2.0, target_class=1)
+    drawn, _ = generate(SampleRequest(16, 6, 8, guidance=taylor, seed=5),
+                        den, clf)
+    parts = [M.denoise_batch(den, z, t, rng.integers(0, 3, size=7)),
+             M.classify(clf, z, t), logp0, grad, np.array([one_logp]),
+             one_grad, drawn]
+    return b"".join(p.tobytes() for p in parts)
+
+
+@pytest.mark.parametrize("n_layers", [0, 1, 2])
+def test_inference_and_taylor_gradient_keep_their_bytes(n_layers):
+    digest = hashlib.sha256(_inference_bytes(n_layers)).hexdigest()
+    assert digest == INFERENCE_DIGESTS[n_layers]
 
 
 # -------------------------------------------------------------- optimizers

@@ -270,6 +270,21 @@ def test_generate_rejects_dropped_row_as_target(num_classes):
             S.generate(req, model)
 
 
+@pytest.mark.parametrize("target", [-1, 2])
+@pytest.mark.parametrize("mode", ["cbg_exact", "cbg_taylor"])
+def test_generate_rejects_target_outside_classifier_classes(mode, target):
+    # -1 would guide toward the last class by NumPy wraparound
+    vocab = Vocabulary(3)
+    model = M.init_denoiser(vocab, length=4, num_classes=0, d=8,
+                            kind="uniform", seed=17)
+    clf = M.init_classifier(vocab, length=4, num_classes=2, d=8, seed=18)
+    req = S.SampleRequest(num_sequences=3, length=4, T=4,
+                          guidance=GuidanceConfig(mode, gamma=2.0,
+                                                  target_class=target))
+    with pytest.raises(ValueError, match="target_class"):
+        S.generate(req, model, classifier=clf)
+
+
 def test_argmax_decode_deterministic_and_distinct_from_sampling():
     den = TabularDenoiser(3, seed=22)
     req_a = S.SampleRequest(num_sequences=200, length=4, T=2, seed=23,
