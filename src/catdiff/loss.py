@@ -11,7 +11,8 @@ The denoiser is read only through ``rows_batch(z, t, condition)``, and
 the continuous-time losses take N from its ``prior``. ``nelbo_discrete``
 scores one sequence or a batch: mc mode evaluates every sampled latent in
 one denoiser call, exact mode one call per grid time over the enumerated
-latents of each sequence. ``diffusion_kl`` is the independent
+latents the batch's sequences reach (one per sequence under per-sequence
+conditions). ``diffusion_kl`` is the independent
 one-position reference for ``_kl_terms``.
 
 The forward process is not re-derived here: z_t comes from
@@ -138,11 +139,16 @@ def nelbo_discrete(
         latents = np.array(
             list(itertools.product(range(prior.size), repeat=x.shape[1])),
             dtype=np.int64).reshape(-1, x.shape[1])
-        for b in range(x.shape[0]):
-            cond = condition[b] if per_row else condition
-            for i in range(1, T + 1):
-                total[b] += _exact_kl_term(x[b], latents, denoiser, i / T,
-                                           (i - 1) / T, prior, schedule, cond)
+        # a shared condition gives every sequence the same rows at a
+        # latent, so the batch shares one call per grid time
+        groups = (np.arange(x.shape[0])[:, None] if per_row
+                  else [np.arange(x.shape[0])])
+        for i in range(1, T + 1):
+            for group in groups:
+                cond = condition[group[0]] if per_row else condition
+                total[group] += _exact_kl_terms(
+                    x[group], latents, denoiser, i / T, (i - 1) / T, prior,
+                    schedule, cond)
     else:
         cond = np.repeat(condition, mc_samples) if per_row else condition
         total += _mc_kl_terms(x, denoiser, T, prior, schedule, rng,
@@ -177,17 +183,38 @@ def _mc_kl_terms(x, denoiser, T, prior, schedule, rng, mc_samples,
     return acc / mc_samples
 
 
-def _exact_kl_term(x_seq, latents, denoiser, t, s, prior, schedule,
-                   condition) -> float:
-    """E_{q(z_t | x)} sum_l KL_l over the enumerated (N^L, L) latents: one
-    denoiser call over every latent the forward marginal can reach."""
-    length = x_seq.shape[0]
-    marg = marginal_rows(x_seq, t, prior, schedule)  # (L, N)
-    weights = np.prod(marg[np.arange(length)[None, :], latents], axis=1)
-    live = weights > 0
-    rows_all = denoiser.rows_batch(latents[live], t, condition)
-    kls = _kl_terms(rows_all, x_seq, latents[live], t, s, prior, schedule)
-    return float(weights[live] @ kls)
+def _exact_kl_terms(x, latents, denoiser, t, s, prior, schedule,
+                    condition) -> np.ndarray:
+    """E_{q(z_t | x_b)} sum_l KL_l for each (L,) sequence x_b of x, over
+    the enumerated (N^L, L) latents: one denoiser call over every latent
+    that some sequence's forward marginal can reach, and each sequence's
+    KL terms on the rows of the latents its own marginal reaches. Past
+    the first sequence the weights are computed again in the second
+    pass, so at most two sequences' (N^L,) weights are held at once."""
+    if not len(x):
+        return np.zeros(0)
+    at = np.arange(x.shape[1])[None, :]
+
+    def weights(x_seq):
+        return np.prod(marginal_rows(x_seq, t, prior, schedule)[at, latents],
+                       axis=1)
+
+    first = weights(x[0])
+    live = first > 0
+    for x_seq in x[1:]:
+        live |= weights(x_seq) > 0
+    reached = latents[live]
+    rows = denoiser.rows_batch(reached, t, condition)
+    out = np.empty(x.shape[0])
+    for b, x_seq in enumerate(x):
+        w = (weights(x_seq) if b else first)[live]
+        own = w > 0
+        if own.all():  # a view, not a copy, when every row is the sequence's
+            own = slice(None)
+        kls = _kl_terms(rows[own], x_seq, reached[own], t, s, prior,
+                        schedule)
+        out[b] = w[own] @ kls
+    return out
 
 
 def _kl_terms(xtheta, x, z, t, s, prior: PriorSpec, schedule: NoiseSchedule):

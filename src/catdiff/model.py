@@ -22,8 +22,14 @@ has one forward and one backward. ``_trunk_forward`` is plain NumPy with
 the first linear map folded into the embedding tables; inference
 (denoise, denoise_batch, classify) runs it alone, denoise_batch on
 cache-sized blocks of whole sequences with the same bytes as one call
-over the batch. ``_trunk_backward`` is written by hand and keeps the
-first layer folded. Training wraps the pair as one autodiff Node
+over the batch. A denoise_batch call of more than 1.5 * BLOCK_ROWS
+positions runs blocks of half that size on the calling thread and
+threads started for the call, one worker per two blocks up to the CPUs
+in the process's affinity mask (``taskset`` narrows it) over the
+threads BLAS runs; the rows are byte-identical at any thread count.
+Only ``_trunk_forward`` and the softmax run off the calling thread.
+``_trunk_backward`` is written by hand and keeps the first layer
+folded. Training wraps the pair as one autodiff Node
 (``_trunk_node``, under denoiser_logprob_rows and classifier_logprobs)
 beneath the log-softmax and the loss; classify_grad_wrt_onehot, the
 Taylor-guidance gradient, calls the same backward for the input
@@ -32,6 +38,10 @@ gradient alone and builds no graph.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +51,10 @@ from .core import NoiseSchedule, Vocabulary, check_sequence
 from .forward import PriorSpec, corrupt
 
 MASK_LOGIT = -1e30
-# positions per block of the inference denoiser forward: a block's
-# (rows, d) activations stay in cache (sweep in CHANGES.md)
+# positions per block of the inference denoiser forward on one CPU: a
+# block's (rows, d) activations stay in cache (sweep in CHANGES.md). A
+# call of more than 1.5 * BLOCK_ROWS positions may instead run blocks of
+# at most BLOCK_ROWS / 2 positions on several CPUs (``_free_cpus``).
 BLOCK_ROWS = 8192
 
 
@@ -303,16 +315,20 @@ def _token_batch(params, z_batch) -> np.ndarray:
 
 def _trunk_forward(params, arrays: list, z_batch, t,
                    cond_idx: np.ndarray | None = None, pool: bool = False,
-                   keep: list | None = None, scratch=None) -> np.ndarray:
+                   keep: list | None = None, scratch=None,
+                   out=None) -> np.ndarray:
     """Autodiff-free forward of the trunk both networks share, on the
-    parameter ``arrays`` in checkpoint order: (B, L) tokens, or a Node of
+    parameter ``arrays`` in checkpoint order: (B, L) int64 tokens, which
+    the caller has range-checked with ``_token_batch``, or a Node of
     (B, L, N) relaxed one-hot rows, to (B, L, out) head logits, or
     (B, out) with ``pool``, which mean-pools the positions before the head
     (the classifier readout). ``t`` is one time for the batch or one per
     example. A ``keep`` list receives what ``_trunk_backward`` reads: the
     input, the time features, ``cond_idx``, the folded token table and
     then each tanh output. A (2, rows, d) ``scratch`` buffer takes the
-    hidden activations in turn, in place of fresh arrays.
+    hidden activations in turn, and an ``out`` array of the (B, L, out)
+    logits' shape takes the head's product, in place of fresh arrays; a
+    trunk without hidden layers returns a fresh array instead.
 
     The features before the first linear map are a sum of table rows, so
     the map is folded into each table (token, position, time, condition)
@@ -328,13 +344,11 @@ def _trunk_forward(params, arrays: list, z_batch, t,
     if isinstance(z_batch, ad.Node):  # relaxed one-hot rows
         z_batch = z_batch.value
         h = z_batch @ token_table
-    else:
-        z_batch = _token_batch(params, z_batch)
-        if scratch is None or b0 is None:
-            h = token_table[z_batch]                               # (B, L, d0)
-        else:  # the tokens are range-checked: "clip" copies unbuffered
-            h = scratch[0, :z_batch.size].reshape(z_batch.shape + (-1,))
-            np.take(token_table, z_batch, axis=0, mode="clip", out=h)
+    elif scratch is None or b0 is None:
+        h = token_table[z_batch]                                   # (B, L, d0)
+    else:  # the callers range-check the tokens: "clip" copies unbuffered
+        h = scratch[0, :z_batch.size].reshape(z_batch.shape + (-1,))
+        np.take(token_table, z_batch, axis=0, mode="clip", out=h)
     time_in = _time_features(params.schedule, t)
     per_seq = h.sum(axis=1, keepdims=True)                         # (B, 1, d0)
     per_seq /= length
@@ -356,7 +370,9 @@ def _trunk_forward(params, arrays: list, z_batch, t,
             h = h.sum(axis=1) / length
             pool = False
         flat = h.reshape(-1, h.shape[-1])
-        if scratch is None or b is None:
+        if b is None and out is not None:
+            flat = np.matmul(flat, w, out=out.reshape(len(flat), -1))
+        elif scratch is None or b is None:
             flat = flat @ w
         else:
             flat = np.matmul(flat, w, out=scratch[(k + 1) % 2, :len(flat)])
@@ -435,6 +451,8 @@ def _trunk_node(field_nodes: list, params, z, t, cond_idx=None,
     ``_trunk_backward`` for the parents that require a gradient. The
     arrays are the Nodes' values; ``params`` gives shapes and schedule."""
     arrays = [n.value for n in field_nodes]
+    if not isinstance(z, ad.Node):
+        z = _token_batch(params, z)
     parents = list(field_nodes) + ([z] if isinstance(z, ad.Node) else [])
     needs = [p.requires_grad for p in parents]
     keep = []
@@ -481,36 +499,122 @@ def denoise_batch(
     t. ``cond_idx`` is None (unconditional), a label, or one label
     per example."""
     z = _token_batch(params, z_batch)
-    batch = len(z)
+    batch, length = z.shape
     cond = _condition_indices(cond_idx, params.num_classes, batch)
     arrays = params.values()
     per_example_t = np.size(t) > 1
-    out = np.empty((batch, params.length, params.vocab.size))
+    out = np.empty((batch, length, params.vocab.size))
+    if not batch:
+        return out
+    rows = batch * length
     # blocks of whole sequences whose sizes differ by at most one and are
     # at least two: a one-sequence block with per-example t takes NumPy's
-    # vector path for the time features and changes the bytes
-    blocks = max(1, min(-(-batch * params.length // BLOCK_ROWS), batch // 2))
+    # vector path for the time features and changes the bytes. A call of
+    # four half-size blocks or more runs half-size blocks on up to one
+    # worker per two blocks, so the thread count grows with the call, not
+    # the host; with fewer blocks a worker whose CPU the host gives to
+    # another process holds up the whole call (measured in CHANGES.md)
+    split = min(-(-2 * rows // BLOCK_ROWS), batch // 2)
+    workers = min(_free_cpus(), split // 2) if split >= 4 else 1
+    blocks = (split if workers > 1
+              else max(1, min(-(-rows // BLOCK_ROWS), batch // 2)))
     bounds = [k * batch // blocks for k in range(blocks + 1)]
-    # every block's hidden activations reuse one pair of buffers: arrays
+    todo = list(zip(bounds, bounds[1:]))
+    # each worker's hidden activations reuse one pair of buffers: arrays
     # allocated per block fault in fresh pages whenever the allocator has
     # returned the last block's to the system
-    scratch = np.empty((2, -(-batch // blocks) * params.length, params.d))
-    for lo, hi in zip(bounds, bounds[1:]):
-        logits = _trunk_forward(params, arrays, z[lo:hi],
-                                np.asarray(t)[lo:hi] if per_example_t else t,
-                                cond[lo:hi], scratch=scratch)
-        if params.kind == "absorbing":
-            logits[..., params.vocab.mask_index] = MASK_LOGIT
-        # the row max column by column is exact and far cheaper than
-        # max(axis=-1); the row sum stays sum(axis=-1), whose order a
-        # column-by-column sum matches only below 8 columns
-        row_max = logits[..., 0].copy()
-        for j in range(1, logits.shape[-1]):
-            np.maximum(row_max, logits[..., j], out=row_max)
-        probs = np.subtract(logits, row_max[..., None], out=out[lo:hi])
-        np.exp(probs, out=probs)
-        probs /= probs.sum(axis=-1, keepdims=True)
+    scratch = np.empty((workers, 2, -(-batch // blocks) * length, params.d))
+
+    def share(worker: int) -> None:
+        # each thread takes the next block until none is left, so a thread
+        # whose CPU is busy elsewhere holds up no other thread's blocks;
+        # list.pop is atomic
+        while True:
+            try:
+                lo, hi = todo.pop(0)
+            except IndexError:
+                return
+            logits = _trunk_forward(
+                params, arrays, z[lo:hi],
+                np.asarray(t)[lo:hi] if per_example_t else t, cond[lo:hi],
+                scratch=scratch[worker], out=out[lo:hi])
+            if params.kind == "absorbing":
+                logits[..., params.vocab.mask_index] = MASK_LOGIT
+            # the row max column by column is exact and far cheaper than
+            # max(axis=-1); the row sum stays sum(axis=-1), whose order a
+            # column-by-column sum matches only below 8 columns
+            row_max = logits[..., 0].copy()
+            for j in range(1, logits.shape[-1]):
+                np.maximum(row_max, logits[..., j], out=row_max)
+            probs = np.subtract(logits, row_max[..., None], out=out[lo:hi])
+            np.exp(probs, out=probs)
+            probs /= probs.sum(axis=-1, keepdims=True)
+
+    _run_shares(share, workers)
     return out
+
+
+def _free_cpus() -> int:
+    """CPUs a denoise_batch call may run workers on: those in the
+    process's affinity mask (``taskset`` narrows it) over the threads BLAS
+    runs. OpenBLAS runs one thread per CPU unless OPENBLAS_NUM_THREADS
+    says otherwise, and its threads spin after each matrix product,
+    competing with ours; a BLAS whose thread count cannot be read counts
+    as using every CPU, and so does a platform with no affinity mask."""
+    blas_threads = _blas_threads_getter()
+    if blas_threads is None or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, len(os.sched_getaffinity(0)) // max(1, blas_threads()))
+
+
+@functools.cache
+def _blas_threads_getter():
+    """OpenBLAS's get_num_threads as loaded into this process, or None."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                return getattr(lib, name)
+    return None
+
+
+def _run_shares(share, workers: int) -> None:
+    """``share(0)`` on the calling thread and ``share(1)`` to
+    ``share(workers - 1)`` on threads started for this call. Returns once
+    every thread has been joined, raising the calling thread's error or
+    else the first a thread raised. NumPy releases the interpreter lock in
+    the gathers, ufuncs and matrix products a share spends its time in, so
+    the shares run in parallel."""
+    errors = []
+
+    def guarded(worker: int) -> None:
+        try:
+            share(worker)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    threads = []
+    try:
+        for worker in range(1, workers):
+            thread = threading.Thread(target=guarded, args=(worker,))
+            thread.start()
+            threads.append(thread)
+        share(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def one_hot_batch(z_batch: np.ndarray, n: int) -> np.ndarray:
@@ -526,9 +630,9 @@ def classify(params: ClassifierParams, z_seq, t) -> np.ndarray:
     (B, K) for a (B, L) batch, with t shared or one per sequence."""
     z = np.asarray(z_seq)
     single = z.ndim == 1
-    logp = ad.log_softmax(_trunk_forward(params, params.values(),
-                                         z[None] if single else z, t,
-                                         pool=True))
+    logp = ad.log_softmax(_trunk_forward(
+        params, params.values(), _token_batch(params, z[None] if single else z),
+        t, pool=True))
     return logp[0] if single else logp
 
 
@@ -547,9 +651,9 @@ def classify_grad_wrt_onehot(
     single = z.ndim == 1
     arrays = params.values()
     keep = []
-    logp = ad.log_softmax(_trunk_forward(params, arrays,
-                                         z[None] if single else z, t,
-                                         pool=True, keep=keep))
+    logp = ad.log_softmax(_trunk_forward(
+        params, arrays, _token_batch(params, z[None] if single else z), t,
+        pool=True, keep=keep))
     delta = -np.exp(logp)                                          # (B, K)
     delta[:, y] += 1.0
     grad = _trunk_backward(params, arrays, keep, delta,

@@ -335,6 +335,65 @@ def test_mc_draws_match_per_draw_corrupt_loop(kind, mc_samples):
     assert rng.random() == ref.random()
 
 
+@pytest.mark.parametrize("kind", ["uniform", "absorbing"])
+@pytest.mark.parametrize("labels", [None, 1, "per_row"])
+def test_exact_nelbo_calls_once_per_grid_time(kind, labels):
+    # without per-sequence labels the batch shares one call per grid time
+    # over the union of its sequences' reachable latents; with them each
+    # sequence keeps its own call
+    if kind == "absorbing":
+        vocab = Vocabulary(4, mask_index=3)
+        prior = PriorSpec.absorbing(vocab)
+    else:
+        vocab = Vocabulary(3)
+        prior = PriorSpec.uniform(3)
+    rng = np.random.default_rng(33)
+    x = rng.integers(0, 3, size=(6, 4))
+    x[1] = x[0]  # a repeated sequence reaches the same latents
+    cond = rng.integers(0, 2, size=6) if labels == "per_row" else labels
+    den = M.init_denoiser(vocab, 4, 2, 8, kind=kind, seed=4, scale=0.8)
+    calls = []
+
+    class Spy:
+        def rows_batch(self, z_batch, t, condition=None):
+            calls.append((len(z_batch), t))
+            return den.rows_batch(z_batch, t, condition)
+
+    T = 3
+    got = L.nelbo_discrete(x, Spy(), T, prior, SCHED, mode="exact",
+                           condition=cond)
+    per_seq = len(x) if labels == "per_row" else 1
+    assert [t for _, t in calls] == [i / T for i in range(1, T + 1)
+                                     for _ in range(per_seq)]
+    if labels != "per_row":
+        # latents some sequence's forward marginal reaches at each time
+        want_rows = []
+        for i in range(1, T + 1):
+            a = SCHED.alpha(i / T)
+            want_rows.append(sum(
+                any(np.prod(a * (z == row) + (1 - a) * prior.pi.probs[z]) > 0
+                    for row in x)
+                for z in map(np.array, itertools.product(range(vocab.size),
+                                                         repeat=4))))
+        assert [n for n, _ in calls] == want_rows
+    one_by_one = np.array([
+        L.nelbo_discrete(row, den, T, prior, SCHED, mode="exact",
+                         condition=cond[b] if labels == "per_row" else cond)
+        for b, row in enumerate(x)])
+    assert got.tobytes() == one_by_one.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+@pytest.mark.parametrize("labels", [None, "per_row"])
+def test_nelbo_of_an_empty_batch_is_empty(mode, labels):
+    den = M.init_denoiser(Vocabulary(3), 4, 2, 8, kind="uniform", seed=4)
+    cond = np.zeros(0, dtype=np.int64) if labels == "per_row" else None
+    got = L.nelbo_discrete(np.zeros((0, 4), dtype=np.int64), den, 3,
+                           PriorSpec.uniform(3), SCHED, mode=mode,
+                           rng=np.random.default_rng(0), condition=cond)
+    assert got.shape == (0,)
+
+
 def test_exact_budget_is_checked_before_any_denoiser_call():
     class Untouchable:
         def rows_batch(self, z_batch, t, condition=None):

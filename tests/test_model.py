@@ -1,4 +1,5 @@
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -229,6 +230,9 @@ def test_denoise_batch_blocks_match_one_block(monkeypatch, block_rows, sizes,
         return trunk(params, arrays, z_block, *args, **kwargs)
 
     monkeypatch.setattr(M, "_trunk_forward", counted)
+    # one worker: more workers make half-size blocks, and their threads
+    # would append to ``seen`` out of order
+    monkeypatch.setattr(M, "_free_cpus", lambda: 1)
     for t in (0.37, rng.uniform(0.01, 0.99, batch)):
         for cond in (None, 1, rng.integers(0, 3, size=batch)):
             # the softmax over the whole batch's logits, row max by max()
@@ -246,6 +250,144 @@ def test_denoise_batch_blocks_match_one_block(monkeypatch, block_rows, sizes,
             got = M.denoise_batch(params, z, t, cond)
             assert seen == sizes
             assert np.array_equal(got, whole)
+
+
+class _CountedThread(M.threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+# 14 sequences of 5 positions are 70 rows: (BLOCK_ROWS, the half-size
+# blocks ceil(2 * 70 / BLOCK_ROWS), at most 14 // 2 = 7, they make). Four
+# or more run on min(workers, blocks // 2) threads, fewer on one.
+SPLIT_CASES = [(5, 7), (13, 7), (40, 4), (50, 3)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("block_rows,split", SPLIT_CASES)
+@pytest.mark.parametrize("kind", ["uniform", "absorbing"])
+def test_denoise_batch_threads_match_one_block(monkeypatch, workers,
+                                               block_rows, split, kind):
+    batch = 14
+    rng = np.random.default_rng(workers * 1000 + block_rows)
+    vocab = VOCAB4M if kind == "absorbing" else VOCAB3
+    params = _randomized(M.init_denoiser(vocab, 5, 3, 8, kind=kind,
+                                         n_layers=2), rng)
+    z = rng.integers(0, vocab.size, size=(batch, 5))
+    monkeypatch.setattr(M.threading, "Thread", _CountedThread)
+    monkeypatch.setattr(M, "_free_cpus", lambda: workers)
+    threads = min(workers, split // 2) - 1 if split >= 4 else 0
+    for t in (0.37, rng.uniform(0.01, 0.99, batch)):
+        for cond in (None, 1, rng.integers(0, 3, size=batch)):
+            monkeypatch.setattr(M, "BLOCK_ROWS", 10 ** 9)
+            whole = M.denoise_batch(params, z, t, cond)
+            monkeypatch.setattr(M, "BLOCK_ROWS", block_rows)
+            _CountedThread.started = 0
+            got = M.denoise_batch(params, z, t, cond)
+            assert _CountedThread.started == threads
+            assert got.tobytes() == whole.tobytes()
+
+
+def test_denoise_batch_threads_take_each_block_once(monkeypatch):
+    # more workers than cores and a short switch interval: a block lost
+    # or taken twice from the shared list changes the count or the bytes
+    params = tiny_denoiser(seed=8)
+    z = np.random.default_rng(8).integers(0, 3, size=(64, 4))
+    whole = M.denoise_batch(params, z, 0.5, None)
+    trunk = M._trunk_forward
+    sizes = []
+
+    def counted(params, arrays, z_block, *args, **kwargs):
+        sizes.append(len(z_block))
+        return trunk(params, arrays, z_block, *args, **kwargs)
+
+    monkeypatch.setattr(M, "_trunk_forward", counted)
+    monkeypatch.setattr(M, "_free_cpus", lambda: 8)
+    monkeypatch.setattr(M, "BLOCK_ROWS", 8)  # 32 blocks of 2 sequences
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            sizes.clear()
+            got = M.denoise_batch(params, z, 0.5, None)
+            assert sorted(sizes) == [2] * 32
+            assert got.tobytes() == whole.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 64])
+def test_denoise_batch_threads_grow_with_the_call(monkeypatch, cpus):
+    # a call starts threads from four half-size blocks, one per two
+    # blocks up to the free CPUs, whatever the host's CPU count
+    params = tiny_denoiser(seed=3)
+    z = np.random.default_rng(3).integers(0, 3, size=(64, 4))
+    trunk = M._trunk_forward
+    sizes = []
+
+    def counted(params, arrays, z_block, *args, **kwargs):
+        sizes.append(len(z_block))
+        return trunk(params, arrays, z_block, *args, **kwargs)
+
+    monkeypatch.setattr(M, "_trunk_forward", counted)
+    monkeypatch.setattr(M.threading, "Thread", _CountedThread)
+    monkeypatch.setattr(M, "_free_cpus", lambda: cpus)
+    monkeypatch.setattr(M, "BLOCK_ROWS", 64)
+    # (rows, threads started, block sizes in sequences)
+    for num, threads, want in [
+            (23, 0, [11, 12]), (24, 0, [12, 12]),
+            (25, min(cpus, 2) - 1, [6, 6, 6, 7] if cpus > 1 else [12, 13]),
+            (64, min(cpus, 4) - 1, [8] * 8 if cpus > 1 else [16] * 4)]:
+        _CountedThread.started = 0
+        sizes.clear()
+        M.denoise_batch(params, z[:num], 0.5, None)
+        assert _CountedThread.started == threads
+        assert sorted(sizes) == want
+
+
+def test_free_cpus_leaves_the_cpus_blas_runs_on(monkeypatch):
+    getter = M._blas_threads_getter()
+    assert getter is None or getter() >= 1
+    monkeypatch.setattr(M.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    for blas, free in [(1, 4), (2, 2), (3, 1), (4, 1), (8, 1)]:
+        monkeypatch.setattr(M, "_blas_threads_getter",
+                            lambda blas=blas: lambda: blas)
+        assert M._free_cpus() == free
+    # a BLAS whose thread count cannot be read gets no workers beside it
+    monkeypatch.setattr(M, "_blas_threads_getter", lambda: None)
+    assert M._free_cpus() == 1
+
+
+def test_denoise_batch_raises_a_worker_error(monkeypatch):
+    params = tiny_denoiser(seed=6)
+    z = np.random.default_rng(6).integers(0, 3, size=(8, 4))
+    trunk = M._trunk_forward
+    calls = []
+    worker_called = M.threading.Event()
+
+    def failing_off_main(*args, **kwargs):
+        calls.append(M.threading.current_thread())
+        if M.threading.current_thread() is not M.threading.main_thread():
+            worker_called.set()
+            raise MemoryError("block failed in a worker")
+        # the caller holds its first block until the worker has taken one
+        assert worker_called.wait(timeout=10)
+        return trunk(*args, **kwargs)
+
+    monkeypatch.setattr(M, "_trunk_forward", failing_off_main)
+    monkeypatch.setattr(M, "_free_cpus", lambda: 2)
+    monkeypatch.setattr(M, "BLOCK_ROWS", 8)  # 4 blocks on 2 workers
+    with pytest.raises(MemoryError, match="in a worker"):
+        M.denoise_batch(params, z, 0.5, None)
+    # the worker stopped at its first block, and it had been joined when
+    # the error reached the caller, which ran every other block
+    workers = [t for t in calls if t is not M.threading.main_thread()]
+    assert len(workers) == 1 and len(calls) == 4
+    assert not workers[0].is_alive()
 
 
 @settings(max_examples=40, deadline=None)

@@ -215,7 +215,8 @@ def test_generate_rejects_classifier_it_never_reads(mode):
 @pytest.mark.parametrize("mode", ["none", "cfg"])
 @pytest.mark.parametrize("kind", ["uniform", "absorbing"])
 def test_generate_blocked_forward_matches_one_block(monkeypatch, mode, kind):
-    # 30 sequences of 4 positions are 120 rows: five blocks of 6 at 24
+    # 30 sequences of 4 positions are 120 rows: at 24 rows a block, five
+    # blocks of 6 on one CPU, ten blocks of 3 on two CPUs in two threads
     vocab = Vocabulary(4, mask_index=3) if kind == "absorbing" else Vocabulary(3)
     model = M.init_denoiser(vocab, length=4, num_classes=2, d=8, kind=kind,
                             n_layers=2, seed=24, scale=0.8)
@@ -225,9 +226,11 @@ def test_generate_blocked_forward_matches_one_block(monkeypatch, mode, kind):
     monkeypatch.setattr(M, "BLOCK_ROWS", 10 ** 9)
     whole, whole_diag = S.generate(req, model)
     monkeypatch.setattr(M, "BLOCK_ROWS", 24)
-    blocked, blocked_diag = S.generate(req, model)
-    assert blocked.tobytes() == whole.tobytes()
-    assert blocked_diag == whole_diag
+    for cpus in (1, 2):
+        monkeypatch.setattr(M, "_free_cpus", lambda: cpus)
+        blocked, blocked_diag = S.generate(req, model)
+        assert blocked.tobytes() == whole.tobytes()
+        assert blocked_diag == whole_diag
 
 
 @pytest.mark.parametrize("mode", ["cbg_exact", "cbg_taylor"])
