@@ -2,7 +2,9 @@
 
 One document: format_version, model_kind, vocab, schedule, shapes, and
 the parameter arrays flattened in declared field order. Keys are emitted
-in a fixed order so identical models serialize byte-identically.
+in a fixed order so identical models serialize byte-identically. The
+schedule block records the one fixed schedule; a document with any other
+is refused.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ KIND_TAGS = {
     ("constant", "absorbing"): "constant_absorbing",
 }
 REVERSE_TAGS = {tag: key for key, tag in KIND_TAGS.items()}
+SCHEDULE_BLOCK = {"kind": NoiseSchedule.kind, "t_min": NoiseSchedule.t_min,
+                  "t_max": NoiseSchedule.t_max}
 
 
 def _model_kind(params) -> str:
@@ -57,11 +61,7 @@ def checkpoint_document(params) -> dict:
             "mask_index": params.vocab.mask_index,
             "symbols": list(params.vocab.symbols),
         },
-        "schedule": {
-            "kind": params.schedule.kind,
-            "t_min": params.schedule.t_min,
-            "t_max": params.schedule.t_max,
-        },
+        "schedule": dict(SCHEDULE_BLOCK),
         "hyper": hyper,
         "shapes": {name: list(arr.shape) for name, arr in arrays},
         "params": [
@@ -105,7 +105,8 @@ def load_checkpoint(path: str):
     """Read a checkpoint into the model it describes. Every array's name
     and shape is checked against that model, freshly initialized from the
     document's hyper and vocab (ValueError), and every entry for
-    finiteness (FloatingPointError)."""
+    finiteness (FloatingPointError). A schedule block other than the fixed
+    one, or a trunk without a hidden layer, is a ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format_version") != FORMAT_VERSION:
@@ -117,29 +118,28 @@ def load_checkpoint(path: str):
         mask_index=doc["vocab"]["mask_index"],
         symbols=tuple(doc["vocab"]["symbols"]),
     )
-    schedule = NoiseSchedule(
-        kind=doc["schedule"]["kind"],
-        t_min=doc["schedule"]["t_min"],
-        t_max=doc["schedule"]["t_max"],
-    )
+    if doc["schedule"] != SCHEDULE_BLOCK:
+        raise ValueError(f"checkpoint schedule {doc['schedule']!r} is not "
+                         f"the fixed schedule {SCHEDULE_BLOCK!r}")
     hyper = doc["hyper"]
     kind_tag = doc["model_kind"]
     if kind_tag != "classifier" and kind_tag not in REVERSE_TAGS:
         raise ValueError(f"unknown model_kind {kind_tag!r}")
     family, kind = REVERSE_TAGS.get(kind_tag, ("classifier", None))
     if family == "constant":
+        if hyper["num_classes"] != 0:
+            raise ValueError(f"a constant denoiser reads no condition, so "
+                             f"num_classes must be 0, not "
+                             f"{hyper['num_classes']!r}")
         named = _checked_arrays(
             doc, {"rows_table": (hyper["length"], vocab.size)})
-        return ConstantDenoiser(
-            kind=kind, vocab=vocab, rows_table=named["rows_table"],
-            schedule=schedule, num_classes=hyper["num_classes"],
-        )
+        return ConstantDenoiser(kind=kind, vocab=vocab,
+                                rows_table=named["rows_table"])
     sizes = (vocab, hyper["length"], hyper["num_classes"], hyper["d"])
-    model = (init_classifier(*sizes, n_layers=hyper["n_layers"],
-                             schedule=schedule) if family == "classifier"
-             else init_denoiser(*sizes, kind=kind, n_layers=hyper["n_layers"],
-                                schedule=schedule))
+    model = (init_classifier(*sizes, n_layers=hyper["n_layers"])
+             if family == "classifier"
+             else init_denoiser(*sizes, kind=kind, n_layers=hyper["n_layers"]))
     expected = {name: arr.shape for name, arr in model.arrays()}
     named = _checked_arrays(doc, expected)
-    model.set_arrays([named[name] for name in expected])
+    model.set_arrays([(name, named[name]) for name in expected])
     return model

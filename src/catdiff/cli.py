@@ -249,6 +249,10 @@ def cmd_sample(args) -> int:
     if args.classifier is not None and not needs_classifier:
         raise UsageError(f"--classifier is read only by --guidance cbg and "
                          f"cbg-taylor, not {args.guidance}")
+    if args.gamma is not None and mode == "none":
+        raise UsageError("--gamma is read only by guided sampling, not "
+                         "--guidance none")
+    gamma = 1.0 if args.gamma is None else args.gamma
     model = _load_denoiser(args.checkpoint)
     # under cbg the label names a classifier class, which generate checks
     if args.label is not None and not needs_classifier \
@@ -261,7 +265,7 @@ def cmd_sample(args) -> int:
         if not isinstance(classifier, ClassifierParams):
             raise UsageError(f"{args.classifier} is not a classifier "
                              f"checkpoint")
-    guidance = GuidanceConfig(mode=mode, gamma=args.gamma,
+    guidance = GuidanceConfig(mode=mode, gamma=gamma,
                               target_class=args.label)
     request = sampler_mod.SampleRequest(
         num_sequences=args.num, length=model.length, T=args.steps,
@@ -270,7 +274,7 @@ def cmd_sample(args) -> int:
     echo_config("sample", {
         "checkpoint": args.checkpoint, "classifier": args.classifier,
         "num": args.num, "steps": args.steps, "guidance": args.guidance,
-        "gamma": args.gamma, "label": args.label, "seed": args.seed,
+        "gamma": gamma, "label": args.label, "seed": args.seed,
         "decode": args.decode, "out": args.out,
     })
     samples, diagnostics = sampler_mod.generate(request, model, classifier)
@@ -283,6 +287,9 @@ def cmd_sample(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.mode == "exact" and args.mc_samples is not None:
+        raise UsageError("--mc-samples is read only by --mode mc")
+    mc_samples = 8 if args.mc_samples is None else args.mc_samples
     model = _load_denoiser(args.checkpoint)
     vocab = model.vocab
     if args.mode == "exact":
@@ -298,12 +305,12 @@ def cmd_eval(args) -> int:
     echo_config("eval", {
         "checkpoint": args.checkpoint, "data": args.data,
         "labels": args.labels, "T": args.T, "mode": args.mode,
-        "mc_samples": args.mc_samples, "seed": args.seed,
+        "mc_samples": mc_samples, "seed": args.seed,
     })
     per_seq = loss_mod.nelbo_discrete(
         dataset.sequences, model, args.T, model.prior, model.schedule,
         mode=args.mode, rng=np.random.default_rng(args.seed),
-        mc_samples=args.mc_samples, condition=dataset.labels,
+        mc_samples=mc_samples, condition=dataset.labels,
     )
     # summed left to right, as when sequences were scored one at a time
     mean_nelbo = sum(per_seq.tolist()) / dataset.count
@@ -354,8 +361,7 @@ def cmd_metrics(args) -> int:
         )
         lines.append(f"control_accuracy = {report.accuracy:.12g}")
         lines.append(f"macro_recall = {report.macro_recall:.12g}")
-    novelty = metrics_mod.validity_novelty_property(
-        samples, lambda row: True, reference, lambda row: 0.0)
+    novelty = metrics_mod.validity_novelty_property(samples, reference)
     lines.append(f"num_valid = {novelty['num_valid']}")
     lines.append(f"num_novel = {novelty['num_novel']}")
     text = "\n".join(lines) + "\n"
@@ -410,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--steps", type=_positive_int, required=True)
     sample.add_argument("--guidance", choices=tuple(GUIDANCE_FLAGS),
                         default="none")
-    sample.add_argument("--gamma", type=float, default=1.0)
+    sample.add_argument("--gamma", type=float)  # 1.0 under guidance
     sample.add_argument("--label", type=int)
     sample.add_argument("--seed", type=int, default=0)
     sample.add_argument("--classifier")
@@ -425,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--T", dest="T", type=_positive_int, default=16)
     evaluate.add_argument("--mode", choices=("exact", "mc"), default="exact")
     evaluate.add_argument("--mc-samples", dest="mc_samples",
-                          type=_positive_int, default=8)
+                          type=_positive_int)  # 8 under --mode mc
     evaluate.add_argument("--seed", type=int, default=0)
     evaluate.set_defaults(func=cmd_eval)
 

@@ -1,7 +1,8 @@
-"""Vocabulary, categorical distributions, and noise schedules.
+"""Vocabulary, categorical distributions, and the noise schedule.
 
 Everything here is immutable after construction; the rest of the package
-builds on these primitives.
+builds on these primitives. The schedule is fixed (alpha_t = 1 - t, the
+one the paper's models run under), so ``NoiseSchedule`` has no settings.
 """
 
 from __future__ import annotations
@@ -70,12 +71,17 @@ def check_sequence(tokens: np.ndarray, vocab: Vocabulary) -> np.ndarray:
     arr = np.asarray(tokens, dtype=np.int64)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"sequence must be 1-D and non-empty, got shape {arr.shape}")
-    if arr.min() < 0 or arr.max() >= vocab.size:
-        raise ValueError(
-            f"token indices must lie in [0, {vocab.size}), got range "
-            f"[{arr.min()}, {arr.max()}]"
-        )
+    check_token_range(arr, vocab.size)
     return arr
+
+
+def check_token_range(tokens: np.ndarray, n: int) -> None:
+    """Raise ValueError unless every entry of an integer array lies in
+    [0, n). Tables are indexed by token, so an unchecked -1 would silently
+    read the last row (the mask row of an absorbing vocabulary)."""
+    if tokens.size and (tokens.min() < 0 or tokens.max() >= n):
+        raise ValueError(f"token indices must lie in [0, {n}), got range "
+                         f"[{tokens.min()}, {tokens.max()}]")
 
 
 class Categorical:
@@ -169,28 +175,17 @@ def sample_rows(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.minimum(idx, rows.shape[-1] - 1).astype(np.int64)
 
 
-@dataclass(frozen=True)
 class NoiseSchedule:
-    """Signal-retention schedule alpha(t) on [0, 1].
-
-    Only the log-linear family is supported: alpha(t) = 1 - t, so
-    alpha'(t) = -1. Stochastic evaluations draw t from the clamped
-    interval [t_min, t_max] because the alpha'/alpha factor of the
-    continuous-time loss suffers cancellation as alpha -> 0, even though
-    its limit is finite.
+    """The one signal-retention schedule, log-linear: alpha(t) = 1 - t on
+    [0, 1], so alpha'(t) = -1. It has no settings. Stochastic evaluations
+    draw t from the clamped interval [t_min, t_max] because the alpha'/alpha
+    factor of the continuous-time loss suffers cancellation as alpha -> 0,
+    even though its limit is finite.
     """
 
-    kind: str = "log_linear"
-    t_min: float = 1e-5
-    t_max: float = 1.0 - 1e-5
-
-    def __post_init__(self) -> None:
-        if self.kind != "log_linear":
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if not 0 < self.t_min < self.t_max < 1:
-            raise ValueError(
-                f"need 0 < t_min < t_max < 1, got ({self.t_min}, {self.t_max})"
-            )
+    kind = "log_linear"
+    t_min = 1e-5
+    t_max = 1.0 - 1e-5
 
     def alpha(self, t):
         """alpha(t) = 1 - t, elementwise over scalars or arrays."""

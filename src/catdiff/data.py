@@ -1,8 +1,9 @@
 """Tokenization, dataset IO, and synthetic corpora with known statistics.
 
-Corpora are fixed-length (no padding token); generators record their own
-ground truth (transition matrix, labeling rule) so the metrics module can
-score samples against exact references instead of estimates.
+Corpora are fixed-length (no padding token). Their ground truth is what
+the caller holds: a Markov corpus follows the transition matrix passed
+in, and labels follow ``rule_label``, the metrics module's control
+oracle, so samples are scored against exact references, not estimates.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ RULES = ("majority_token", "prefix_class")
 class Dataset:
     sequences: np.ndarray                 # (count, L) int64
     labels: np.ndarray | None = None      # (count,) int64
-    transition: np.ndarray | None = None  # generator ground truth
-    rule: str | None = None
 
     def __post_init__(self) -> None:
         self.sequences = np.asarray(self.sequences, dtype=np.int64)
@@ -157,8 +156,8 @@ def stationary_distribution(transition: np.ndarray) -> np.ndarray:
 
 def gen_markov_corpus(n: int, length: int, transition: np.ndarray,
                       count: int, seed: int) -> Dataset:
-    """First token from the stationary distribution, then per-row draws;
-    the exact matrix rides along as metric ground truth."""
+    """First token from the stationary distribution, then per-row draws
+    from ``transition``."""
     transition = np.asarray(transition, dtype=np.float64)
     if transition.shape != (n, n):
         raise ValueError(f"transition shape {transition.shape}, "
@@ -169,7 +168,7 @@ def gen_markov_corpus(n: int, length: int, transition: np.ndarray,
     seqs[:, 0] = sample_rows(np.tile(pi, (count, 1)), rng)
     for pos in range(1, length):
         seqs[:, pos] = sample_rows(transition[seqs[:, pos - 1]], rng)
-    return Dataset(seqs, transition=transition)
+    return Dataset(seqs)
 
 
 def rule_label(seq, rule: str, n: int, num_classes: int) -> int:
@@ -184,18 +183,11 @@ def rule_label(seq, rule: str, n: int, num_classes: int) -> int:
     raise ValueError(f"unknown rule {rule!r}")
 
 
-def gen_labeled_corpus(n: int, length: int, count: int, rule: str, seed: int,
-                       num_classes: int | None = None) -> Dataset:
+def gen_labeled_corpus(n: int, length: int, count: int, rule: str,
+                       seed: int) -> Dataset:
+    """Uniform random sequences, each labeled by ``rule`` into n classes."""
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
-    if num_classes is None:
-        num_classes = n
     rng = np.random.default_rng(seed)
     seqs = rng.integers(0, n, size=(count, length))
-    labels = np.array([rule_label(s, rule, n, num_classes) for s in seqs])
-    ds = Dataset(seqs, labels, rule=rule)
-    # self-check: stored labels must reproduce from the rule exactly
-    for s, lab in zip(ds.sequences[:64], ds.labels[:64]):
-        if rule_label(s, rule, n, num_classes) != lab:
-            raise AssertionError("label self-check failed")
-    return ds
+    return Dataset(seqs, [rule_label(s, rule, n, n) for s in seqs])

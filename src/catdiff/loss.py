@@ -43,7 +43,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as model_mod
-from .core import Categorical, NoiseSchedule
+from .core import Categorical, NoiseSchedule, check_token_range
 from .forward import (PriorSpec, bayes_factors, bayes_posterior, corrupt,
                       corrupt_from_uniforms, marginal_rows, posterior_matrix)
 from .model import one_hot_batch
@@ -124,9 +124,7 @@ def nelbo_discrete(
     x = np.asarray(x_seq, dtype=np.int64)
     single = x.ndim == 1
     x = np.atleast_2d(x)
-    if x.size and (x.min() < 0 or x.max() >= prior.size):
-        raise ValueError(f"token indices must lie in [0, {prior.size}), got "
-                         f"range [{x.min()}, {x.max()}]")
+    check_token_range(x, prior.size)
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exact":

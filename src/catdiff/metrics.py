@@ -3,7 +3,9 @@
 Sample quality is scored by base-2 Jensen-Shannon divergence between
 k-mer histograms; controllability by agreement with the exact labeling
 rule that generated the training corpus (no learned oracle at this
-scale); novelty by set difference against the training data.
+scale); novelty by set difference against the training data. Every
+fixed-length sequence over the vocabulary is valid, so validity counts
+all samples.
 """
 
 from __future__ import annotations
@@ -60,10 +62,6 @@ class ControlReport:
     macro_recall: float
     confusion: np.ndarray  # [requested, rule-derived] counts
 
-    def __str__(self) -> str:
-        return (f"accuracy {self.accuracy:.4f}, "
-                f"macro recall {self.macro_recall:.4f}")
-
 
 def control_accuracy(samples, labels_requested, rule_oracle,
                      num_classes: int) -> ControlReport:
@@ -91,23 +89,10 @@ def control_accuracy(samples, labels_requested, rule_oracle,
     )
 
 
-def validity_novelty_property(samples, validator, train_set,
-                              property_fn) -> dict:
-    """num_valid over all samples; novel = valid, deduplicated, and absent
-    from the training set; property_mean only over the novel subset (the
-    key is omitted when there are none)."""
+def validity_novelty_property(samples, train_set) -> dict:
+    """num_valid: every sample; num_novel: the distinct samples absent from
+    the training set."""
     seqs = _seqs(samples)
     train = {tuple(row) for row in _seqs(train_set)}
-    num_valid = 0
-    novel: dict = {}
-    for row in seqs:
-        if not validator(row):
-            continue
-        num_valid += 1
-        key = tuple(row)
-        if key not in train and key not in novel:
-            novel[key] = float(property_fn(row))
-    out = {"num_valid": num_valid, "num_novel": len(novel)}
-    if novel:
-        out["property_mean"] = float(np.mean(list(novel.values())))
-    return out
+    novel = {tuple(row) for row in seqs} - train
+    return {"num_valid": seqs.shape[0], "num_novel": len(novel)}

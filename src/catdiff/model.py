@@ -2,10 +2,10 @@
 
 Both networks share the same position-wise trunk: per-position feature =
 token embedding + position encoding + mean-pooled sequence embedding +
-time features + (denoiser only) condition embedding, through tanh hidden
-layers to a linear head. The denoiser emits one distribution over clean
-tokens per position; the classifier mean-pools the trunk output and
-emits one distribution over classes per sequence.
+time features + (denoiser only) condition embedding, through one or more
+tanh hidden layers to a linear head. The denoiser emits one distribution
+over clean tokens per position; the classifier mean-pools the trunk
+output and emits one distribution over classes per sequence.
 
 The unconditional branch of a conditional denoiser is the extra
 condition-embedding row at index K (condition None); condition dropout
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .core import NoiseSchedule, Vocabulary, check_sequence
+from .core import NoiseSchedule, Vocabulary, check_sequence, check_token_range
 from .forward import PriorSpec, corrupt
 
 MASK_LOGIT = -1e30
@@ -67,9 +67,10 @@ class TrainingError(RuntimeError):
 class _Trunk:
     """Parameter arrays of the trunk both networks share, in checkpoint
     order: the leading tables named by LEADING, each hidden layer's
-    weight and bias, then the head."""
+    weight and bias (at least one layer), then the head."""
 
     LEADING: tuple = ()
+    schedule = NoiseSchedule()  # the fixed schedule; protocol member
 
     def arrays(self) -> list:
         """(name, array) pairs; this order is the checkpoint order."""
@@ -85,8 +86,12 @@ class _Trunk:
         return [getattr(self, name) for name in self.LEADING] + [
             a for layer in self.hidden for a in layer] + [self.output_head]
 
-    def set_arrays(self, values: list) -> None:
-        named = dict(zip([n for n, _ in self.arrays()], values))
+    def set_arrays(self, pairs: list) -> None:
+        """Store the (name, array) pairs arrays() returns, in its order."""
+        names = [name for name, _ in self.arrays()]
+        if [p[0] if isinstance(p, tuple) else None for p in pairs] != names:
+            raise ValueError(f"expected (name, array) pairs named {names}")
+        named = dict(pairs)
         for name in self.LEADING:
             setattr(self, name, named[name])
         self.hidden = [
@@ -103,7 +108,6 @@ class DenoiserParams(_Trunk):
     length: int
     num_classes: int  # K real classes; 0 means unconditional-only
     d: int
-    schedule: NoiseSchedule
     token_embedding: np.ndarray
     position_encoding: np.ndarray
     time_projection: np.ndarray
@@ -117,7 +121,7 @@ class DenoiserParams(_Trunk):
     def copy(self) -> "DenoiserParams":
         return DenoiserParams(
             self.kind, self.vocab, self.length, self.num_classes, self.d,
-            self.schedule, self.token_embedding.copy(),
+            self.token_embedding.copy(),
             self.position_encoding.copy(), self.time_projection.copy(),
             self.condition_embedding.copy(),
             [(w.copy(), b.copy()) for w, b in self.hidden],
@@ -139,7 +143,6 @@ class ClassifierParams(_Trunk):
     length: int
     num_classes: int
     d: int
-    schedule: NoiseSchedule
     token_embedding: np.ndarray
     position_encoding: np.ndarray
     time_projection: np.ndarray
@@ -170,14 +173,13 @@ class ConstantDenoiser:
     kind: str  # uniform | absorbing
     vocab: Vocabulary
     rows_table: np.ndarray  # (L, N), each row a distribution over tokens
-    schedule: NoiseSchedule = None
-    num_classes: int = 0
+
+    num_classes = 0  # reads no condition, so no label is in range
+    schedule = NoiseSchedule()  # the fixed schedule; protocol member
 
     def __post_init__(self) -> None:
         if self.kind not in ("uniform", "absorbing"):
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.schedule is None:
-            self.schedule = NoiseSchedule()
         table = np.asarray(self.rows_table, dtype=np.float64)
         if table.ndim != 2 or table.shape[1] != self.vocab.size:
             raise ValueError(f"rows_table shape {table.shape}, expected "
@@ -194,13 +196,12 @@ class ConstantDenoiser:
 
     @classmethod
     def from_sequence(cls, x_seq, vocab: Vocabulary, *, kind: str = "uniform",
-                      schedule: NoiseSchedule | None = None,
                       ) -> "ConstantDenoiser":
         """One-hot rows at a single clean sequence."""
         x = check_sequence(x_seq, vocab)
         table = np.zeros((x.shape[0], vocab.size))
         table[np.arange(x.shape[0]), x] = 1.0
-        return cls(kind, vocab, table, schedule=schedule)
+        return cls(kind, vocab, table)
 
     @property
     def length(self) -> int:
@@ -224,31 +225,32 @@ def _kind_prior(kind: str, vocab: Vocabulary) -> PriorSpec:
 def init_denoiser(
     vocab: Vocabulary, length: int, num_classes: int, d: int,
     *, kind: str, n_layers: int = 1, seed: int = 0, scale: float = 0.1,
-    schedule: NoiseSchedule | None = None,
 ) -> DenoiserParams:
     if kind not in ("uniform", "absorbing"):
         raise ValueError(f"unknown model kind {kind!r}")
     if kind == "absorbing" and vocab.mask_index is None:
         raise ValueError("absorbing denoiser needs a vocabulary with a mask token")
     return _init_trunk(DenoiserParams, vocab, length, d, vocab.size, n_layers,
-                       seed, scale, schedule, extra_rows=(num_classes + 1,),
+                       seed, scale, extra_rows=(num_classes + 1,),
                        kind=kind, num_classes=num_classes)
 
 
 def init_classifier(
     vocab: Vocabulary, length: int, num_classes: int, d: int,
     *, n_layers: int = 1, seed: int = 0, scale: float = 0.1,
-    schedule: NoiseSchedule | None = None,
 ) -> ClassifierParams:
     return _init_trunk(ClassifierParams, vocab, length, d, num_classes,
-                       n_layers, seed, scale, schedule, num_classes=num_classes)
+                       n_layers, seed, scale, num_classes=num_classes)
 
 
-def _init_trunk(cls, vocab, length, d, n_out, n_layers, seed, scale, schedule,
+def _init_trunk(cls, vocab, length, d, n_out, n_layers, seed, scale,
                 extra_rows=(), **fields):
     """Draw ``scale`` * standard normals in checkpoint order: the token,
     position and time tables, one table per ``extra_rows`` entry, each
     hidden weight (biases start at zero), then the (d, n_out) head."""
+    if n_layers < 1:
+        raise ValueError(f"a trunk needs at least one hidden layer, got "
+                         f"n_layers={n_layers}")
     rng = np.random.default_rng(seed)
 
     def mat(*shape):
@@ -257,8 +259,7 @@ def _init_trunk(cls, vocab, length, d, n_out, n_layers, seed, scale, schedule,
     tables = [mat(vocab.size, d), mat(length, d), mat(2, d)]
     tables += [mat(rows, d) for rows in extra_rows]
     hidden = [(mat(d, d), np.zeros(d)) for _ in range(n_layers)]
-    return cls(vocab=vocab, length=length, d=d,
-               schedule=schedule or NoiseSchedule(), hidden=hidden,
+    return cls(vocab=vocab, length=length, d=d, hidden=hidden,
                output_head=mat(d, n_out), **dict(zip(cls.LEADING, tables)),
                **fields)
 
@@ -300,16 +301,12 @@ def _time_features(schedule: NoiseSchedule, t) -> np.ndarray:
 
 def _token_batch(params, z_batch) -> np.ndarray:
     """``z_batch`` as a (B, L) int64 array of the network's length whose
-    tokens all lie in [0, N). The forwards index tables by token, so an
-    unchecked -1 would silently read the last row (the mask row of an
-    absorbing vocabulary)."""
+    tokens all lie in [0, N)."""
     z = np.asarray(z_batch, dtype=np.int64)
     if z.ndim != 2 or z.shape[1] != params.length:
         raise ValueError(f"expected (B, {params.length}) latents, "
                          f"got shape {z.shape}")
-    if z.size and (z.min() < 0 or z.max() >= params.vocab.size):
-        raise ValueError(f"token indices must lie in [0, {params.vocab.size})"
-                         f", got range [{z.min()}, {z.max()}]")
+    check_token_range(z, params.vocab.size)
     return z
 
 
@@ -327,8 +324,7 @@ def _trunk_forward(params, arrays: list, z_batch, t,
     input, the time features, ``cond_idx``, the folded token table and
     then each tanh output. A (2, rows, d) ``scratch`` buffer takes the
     hidden activations in turn, and an ``out`` array of the (B, L, out)
-    logits' shape takes the head's product, in place of fresh arrays; a
-    trunk without hidden layers returns a fresh array instead.
+    logits' shape takes the head's product, in place of fresh arrays.
 
     The features before the first linear map are a sum of table rows, so
     the map is folded into each table (token, position, time, condition)
@@ -344,7 +340,7 @@ def _trunk_forward(params, arrays: list, z_batch, t,
     if isinstance(z_batch, ad.Node):  # relaxed one-hot rows
         z_batch = z_batch.value
         h = z_batch @ token_table
-    elif scratch is None or b0 is None:
+    elif scratch is None:
         h = token_table[z_batch]                                   # (B, L, d0)
     else:  # the callers range-check the tokens: "clip" copies unbuffered
         h = scratch[0, :z_batch.size].reshape(z_batch.shape + (-1,))
@@ -356,8 +352,7 @@ def _trunk_forward(params, arrays: list, z_batch, t,
     if cond_idx is not None:
         per_seq += (arrays[3] @ w0)[cond_idx][:, None, :]
     per_pos = arrays[1] @ w0                                       # (L, d0)
-    if b0 is not None:
-        per_pos += b0
+    per_pos += b0
     h += per_seq
     h += per_pos
     if keep is not None:
@@ -368,7 +363,6 @@ def _trunk_forward(params, arrays: list, z_batch, t,
             keep.append(h)
         if pool and b is None:  # the classifier pools before its head
             h = h.sum(axis=1) / length
-            pool = False
         flat = h.reshape(-1, h.shape[-1])
         if b is None and out is not None:
             flat = np.matmul(flat, w, out=out.reshape(len(flat), -1))
@@ -379,7 +373,7 @@ def _trunk_forward(params, arrays: list, z_batch, t,
         h = flat.reshape(h.shape[:-1] + (-1,))
         if b is not None:
             h += b
-    return h.sum(axis=1) / length if pool else h
+    return h
 
 
 def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -408,12 +402,10 @@ def _trunk_backward(params, arrays: list, keep: list, g: np.ndarray,
     grads = [None] * len(needs)
     param_grads = any(needs[:len(arrays)])
     batch, length = g.shape[0], params.length
-    delta = g
-    if acts:  # back through the head to the last tanh output
-        if param_grads:
-            last = acts[-1].sum(axis=1) / length if g.ndim == 2 else acts[-1]
-            grads[head] = _outer_sum(last, g)
-        delta = delta @ arrays[head].T
+    if param_grads:  # back through the head to the last tanh output
+        last = acts[-1].sum(axis=1) / length if g.ndim == 2 else acts[-1]
+        grads[head] = _outer_sum(last, g)
+    delta = g @ arrays[head].T
     if g.ndim == 2:  # the mean-pool hands each position an equal share
         delta = np.broadcast_to((delta / length)[:, None, :],
                                 (batch, length, delta.shape[1]))
@@ -428,7 +420,6 @@ def _trunk_backward(params, arrays: list, keep: list, g: np.ndarray,
     if any(needs[len(arrays):]):
         grads[-1] = front @ token_table.T                          # (B, L, N)
     if param_grads:
-        w0_at = lead if acts else head
         per_seq = delta.sum(axis=1)                                # (B, d0)
         x = inp if inp.ndim == 3 else one_hot_batch(inp, len(token_table))
         folded = [_outer_sum(x, front), delta.sum(axis=0),
@@ -436,11 +427,10 @@ def _trunk_backward(params, arrays: list, keep: list, g: np.ndarray,
         if cond_idx is not None:
             folded.append(_outer_sum(
                 one_hot_batch(cond_idx, len(arrays[3])), per_seq))
-        grads[w0_at] = sum(arrays[j].T @ f for j, f in enumerate(folded))
+        grads[lead] = sum(arrays[j].T @ f for j, f in enumerate(folded))
         for j, f in enumerate(folded):
-            grads[j] = f @ arrays[w0_at].T
-        if acts:
-            grads[lead + 1] = delta.sum(axis=(0, 1))
+            grads[j] = f @ arrays[lead].T
+        grads[lead + 1] = delta.sum(axis=(0, 1))
     return grads
 
 

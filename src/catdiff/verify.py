@@ -196,24 +196,33 @@ class OptimalDenoiser:
         self.prior = prior
         self.schedule = schedule
 
-    def rows_batch(self, z_batch, t, condition=None) -> np.ndarray:
-        z = np.asarray(z_batch, dtype=np.int64)          # (B, L)
+    def _per_position(self, z: np.ndarray, t) -> np.ndarray:
+        """(B, M, L) forward likelihood of each latent token given the
+        clean token of each support sequence at that position."""
         a = np.reshape(self.schedule.alpha(t), (-1, 1, 1))  # shared or per row
         pi = self.prior.pi.probs
-        per_pos = a * (self.support[None, :, :] == z[:, None, :]) \
-            + (1.0 - a) * pi[z][:, None, :]              # (B, M, L)
+        return a * (self.support[None, :, :] == z[:, None, :]) \
+            + (1.0 - a) * pi[z][:, None, :]
+
+    def _posterior(self, per_pos: np.ndarray) -> np.ndarray:
+        """(B, M) posterior over the support from the likelihoods of the
+        positions in ``per_pos``."""
         lik = self.weights[None, :] * np.prod(per_pos, axis=2)
         totals = lik.sum(axis=1)
         if np.any(totals <= 0):
             raise ValueError("latent unreachable from the data support")
-        post = lik / totals[:, None]                     # (B, M)
+        return lik / totals[:, None]
+
+    def rows_batch(self, z_batch, t, condition=None) -> np.ndarray:
+        z = np.asarray(z_batch, dtype=np.int64)          # (B, L)
+        post = self._posterior(self._per_position(z, t))  # (B, M)
         rows = np.zeros(z.shape + (self.prior.size,))
         for m in range(self.support.shape[0]):
             rows[:, np.arange(z.shape[1]), self.support[m]] += post[:, m][:, None]
         return rows
 
 
-class LeaveOneOutDenoiser:
+class LeaveOneOutDenoiser(OptimalDenoiser):
     """Bayes posterior mean of each clean token given the OTHER positions'
     latents only. For uniform diffusion these rows make the substituted
     one-step posterior reproduce the exact reverse transition rates, so
@@ -222,30 +231,14 @@ class LeaveOneOutDenoiser:
     is not: substituting a mean into a ratio of likelihoods differs from
     averaging the ratio, which biases reverse sampling toward the prior."""
 
-    def __init__(self, sequences: np.ndarray, prior: PriorSpec,
-                 schedule: NoiseSchedule):
-        seqs = np.asarray(sequences, dtype=np.int64)
-        uniq, counts = np.unique(seqs, axis=0, return_counts=True)
-        self.support = uniq                    # (M, L)
-        self.weights = counts / counts.sum()   # (M,)
-        self.prior = prior
-        self.schedule = schedule
-
     def rows_batch(self, z_batch, t, condition=None) -> np.ndarray:
         z = np.asarray(z_batch, dtype=np.int64)          # (B, L)
         length = z.shape[1]
-        a = np.reshape(self.schedule.alpha(t), (-1, 1, 1))  # shared or per row
-        pi = self.prior.pi.probs
-        per_pos = a * (self.support[None, :, :] == z[:, None, :]) \
-            + (1.0 - a) * pi[z][:, None, :]              # (B, M, L)
+        per_pos = self._per_position(z, t)               # (B, M, L)
         rows = np.zeros(z.shape + (self.prior.size,))
         for pos in range(length):
             keep = [k for k in range(length) if k != pos]
-            loo = self.weights[None, :] * np.prod(per_pos[:, :, keep], axis=2)
-            totals = loo.sum(axis=1)
-            if np.any(totals <= 0):
-                raise ValueError("latent unreachable from the data support")
-            post = loo / totals[:, None]                 # (B, M)
+            post = self._posterior(per_pos[:, :, keep])  # (B, M)
             for m in range(self.support.shape[0]):
                 rows[:, pos, self.support[m, pos]] += post[:, m]
         return rows

@@ -192,6 +192,55 @@ def test_sample_rejects_classifier_without_classifier_guidance(
     assert not (tmp_path / "s.txt").exists()
 
 
+@pytest.mark.parametrize("guidance", [[], ["--guidance", "none"]])
+def test_sample_gamma_without_guidance_is_usage_error(workdir, tmp_path,
+                                                      capsys, guidance):
+    # unguided sampling never reads gamma
+    code = cli.main(["sample", "--checkpoint", str(workdir / "ckpt.json"),
+                     "--out", str(tmp_path / "s.txt"), "--num", "2",
+                     "--steps", "4", "--gamma", "1.0"] + guidance)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "--gamma" in captured.err
+    assert "resolved configuration" not in captured.out
+    assert not (tmp_path / "s.txt").exists()
+
+
+@pytest.mark.parametrize("mode", [[], ["--mode", "exact"]])
+def test_eval_mc_samples_under_exact_mode_is_usage_error(workdir, capsys,
+                                                         monkeypatch, mode):
+    # exact mode enumerates every latent and draws no samples
+    def not_reached(*args, **kwargs):
+        raise AssertionError("evaluation started")
+
+    monkeypatch.setattr(L, "nelbo_discrete", not_reached)
+    code = cli.main(["eval", "--checkpoint", str(workdir / "ckpt.json"),
+                     "--data", str(workdir / "train.txt"), "--T", "4",
+                     "--mc-samples", "8"] + mode)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "--mc-samples" in captured.err
+    assert "resolved configuration" not in captured.out
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["schedule"].update(kind="cosine"),
+    lambda doc: doc["schedule"].update(t_min=1e-3),
+    lambda doc: doc["hyper"].update(n_layers=0),
+], ids=["schedule_kind", "schedule_t_min", "no_hidden_layer"])
+def test_checkpoint_outside_the_fixed_design_is_usage_error(
+        workdir, tmp_path, capsys, edit):
+    doc = json.loads((workdir / "ckpt.json").read_text())
+    edit(doc)
+    (tmp_path / "edited.json").write_text(json.dumps(doc))
+    code = cli.main(["sample", "--checkpoint", str(tmp_path / "edited.json"),
+                     "--out", str(tmp_path / "s.txt"), "--num", "2",
+                     "--steps", "4"])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "s.txt").exists()
+
+
 def test_sample_nonfinite_model_exits_three(workdir, tmp_path, capsys):
     params = load_checkpoint(workdir / "ckpt.json")
     params.output_head = np.full_like(params.output_head, np.nan)

@@ -72,11 +72,6 @@ def test_alpha_strictly_decreasing_on_grid(sched):
     assert np.all(sched.alpha_prime(ts[1:-1]) < 0)
 
 
-def test_schedule_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        NoiseSchedule(kind="cosine")
-
-
 def test_draw_t_respects_clamp(sched):
     rng = np.random.default_rng(0)
     ts = sched.draw_t(rng, size=10_000)

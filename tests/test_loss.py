@@ -681,7 +681,8 @@ def test_training_loss_node_gradients(objective):
 
     def build(nodes):
         work = params.copy()
-        work.set_arrays([n.value for n in nodes])
+        work.set_arrays([(name, n.value)
+                         for (name, _), n in zip(params.arrays(), nodes)])
         return L.training_loss_node(spec, nodes, work, x, cond,
                                     np.random.default_rng(7))
 

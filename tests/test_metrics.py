@@ -92,30 +92,12 @@ def test_macro_recall_ignores_absent_classes():
 def test_vnp_counts():
     train = corpus([[0, 0], [1, 1]])
     samples = np.array([[0, 0], [2, 2], [2, 2], [3, 3], [1, 2]])
-    out = MX.validity_novelty_property(
-        samples,
-        validator=lambda row: row[0] != 3,     # [3,3] invalid
-        train_set=train,
-        property_fn=lambda row: float(row.sum()),
-    )
-    assert out["num_valid"] == 4                # all but [3,3]
-    assert out["num_novel"] == 2                # {(2,2), (1,2)}; dup collapsed
-    assert out["property_mean"] == pytest.approx((4.0 + 3.0) / 2)
+    out = MX.validity_novelty_property(samples, train)
+    assert out == {"num_valid": 5,              # every sample
+                   "num_novel": 3}              # {(2,2), (3,3), (1,2)}
 
 
-def test_vnp_no_novel_omits_property():
+def test_vnp_no_novel():
     train = corpus([[0, 0]])
-    out = MX.validity_novelty_property(
-        np.array([[0, 0], [0, 0]]), lambda row: True, train,
-        lambda row: 1.0,
-    )
+    out = MX.validity_novelty_property(np.array([[0, 0], [0, 0]]), train)
     assert out == {"num_valid": 2, "num_novel": 0}
-
-
-def test_vnp_all_invalid():
-    out = MX.validity_novelty_property(
-        np.array([[0, 0]]), lambda row: False, corpus([[1, 1]]),
-        lambda row: 1.0,
-    )
-    assert out["num_valid"] == 0
-    assert "property_mean" not in out
