@@ -4,7 +4,9 @@ Three mechanisms, all operating on per-position categorical rows:
 
 * classifier-free: geometric interpolation between conditional and
   unconditional predictions, applied to the clean-token probabilities
-  before they enter the posterior.
+  before they enter the posterior. The sampler takes the gamma = 1
+  endpoint itself, by asking the denoiser for the conditional rows
+  alone, and calls ``cfg_combine`` at every other gamma.
 * classifier-based (exact): tempering of the reverse distribution by
   p(y | single-token edit)^gamma, normalized over the N candidate
   tokens at each position; costs one classifier call per (position,

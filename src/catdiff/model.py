@@ -8,9 +8,10 @@ over clean tokens per position; the classifier mean-pools the trunk
 output and emits one distribution over classes per sequence.
 
 The unconditional branch of a conditional denoiser is the extra
-condition-embedding row at index K (condition None); condition dropout
-during training swaps real labels for that row. Absorbing denoisers pin
-the mask column of the logits to -inf so the predictor never emits mask.
+condition-embedding row at index K (condition None, for the batch or for
+one example); condition dropout during training swaps real labels for
+that row. Absorbing denoisers pin the mask column of the logits to -inf
+so the predictor never emits mask.
 
 Time enters as the pair (alpha_t, 1 - alpha_t) through a learned 2 x d
 projection: the simplest injective encoding under a monotone schedule.
@@ -267,17 +268,29 @@ def _init_trunk(cls, vocab, length, d, n_out, n_layers, seed, scale,
 # --------------------------------------------------------------- forward
 
 def _condition_indices(condition, num_classes: int, batch: int) -> np.ndarray:
-    """Map a condition (None/int/array) to embedding row indices. Real
-    labels lie in [0, num_classes); only None selects the unconditional
-    row num_classes."""
+    """Map a condition to one embedding row index per example. The
+    condition is None (every example unconditional), one label for the
+    batch, or one entry per example: an integer array, or a list or tuple
+    whose None entries select the unconditional row. Real labels lie in
+    [0, num_classes); only None reaches the unconditional row
+    num_classes."""
     if condition is None:
         return np.full(batch, num_classes, dtype=np.int64)
-    idx = np.asarray(condition, dtype=np.int64)
-    if idx.ndim == 0:
-        idx = np.full(batch, int(idx), dtype=np.int64)
-    if np.any(idx < 0) or np.any(idx >= num_classes):
+    if isinstance(condition, (list, tuple)):
+        real = np.array([c is not None for c in condition], dtype=bool)
+        idx = np.full(len(condition), num_classes, dtype=np.int64)
+        idx[real] = [c for c in condition if c is not None]
+        labels = idx[real]
+    else:
+        idx = labels = np.asarray(condition, dtype=np.int64)
+        if idx.ndim == 0:
+            idx = np.full(batch, int(idx), dtype=np.int64)
+    if np.any(labels < 0) or np.any(labels >= num_classes):
         raise ValueError(f"condition label out of range [0, {num_classes}); "
                          f"pass None for the unconditional row")
+    if idx.shape != (batch,):
+        raise ValueError(f"expected one condition per example ({batch}), "
+                         f"got shape {idx.shape}")
     return idx
 
 
@@ -486,8 +499,11 @@ def denoise_batch(
     params: DenoiserParams, z_batch: np.ndarray, t, cond_idx
 ) -> np.ndarray:
     """(B, L) latents to (B, L, N) probability rows, shared or per-example
-    t. ``cond_idx`` is None (unconditional), a label, or one label
-    per example."""
+    t. ``cond_idx`` is None (unconditional), a label, or one entry per
+    example: a label, or None for the unconditional row. Classifier-free
+    guidance stacks the batch on itself and asks for both rows in one
+    call, the first half labelled and the second None. Raises ValueError
+    on a label outside [0, K), K included."""
     z = _token_batch(params, z_batch)
     batch, length = z.shape
     cond = _condition_indices(cond_idx, params.num_classes, batch)

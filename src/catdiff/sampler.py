@@ -13,8 +13,10 @@ themselves, with the classifier read at s.
 The model is read only through the denoiser protocol: its ``prior``
 gives the t = 1 draw and the posterior, its ``schedule`` the posterior's
 alphas, and ``rows_batch(z, t, condition)`` the clean-token rows of the
-whole (B, L) batch in one call per step (two under classifier-free
-guidance).
+whole (B, L) batch in one call per step. Classifier-free guidance makes
+that one call over the batch stacked on itself, with a per-example
+condition (the label, then None), except at gamma = 1, where the guided
+rows are the conditional rows alone.
 """
 
 from __future__ import annotations
@@ -57,17 +59,27 @@ def _prior_batch(prior: PriorSpec, num: int, length: int,
 
 
 def _guided_x_rows(denoiser, z, t, config: GuidanceConfig) -> np.ndarray:
-    if config.mode == "cfg":
-        cond = denoiser.rows_batch(z, t, config.target_class)
-        uncond = denoiser.rows_batch(z, t, None)
-        return cfg_combine(cond, uncond, config.gamma)
-    condition = config.target_class if config.mode == "none" else None
+    """The step's clean-token rows from one ``rows_batch`` call. cfg at
+    gamma = 1 is the conditional rows, ``cfg_combine``'s endpoint, so it
+    asks for those alone, as mode none with a label does. At any other
+    gamma one call over the batch stacked on itself gives the conditional
+    rows (first half, labelled) and the unconditional ones (second half,
+    None); gamma = 0 keeps the labelled half so a bad label still
+    raises."""
+    if config.mode == "cfg" and config.gamma != 1.0:
+        batch = len(z)
+        rows = denoiser.rows_batch(
+            np.concatenate([z, z]), t,
+            [config.target_class] * batch + [None] * batch)
+        return cfg_combine(rows[:batch], rows[batch:], config.gamma)
+    condition = None if config.needs_classifier else config.target_class
     return denoiser.rows_batch(z, t, condition)
 
 
 def _step_batch(z, t, s, denoiser, config, rng, classifier, prior, schedule,
                 decode: str = "sample") -> np.ndarray:
-    """One guided reverse step t -> s over the (B, L) latents z. Under
+    """One guided reverse step t -> s over the (B, L) latents z, with one
+    denoiser call under every guidance mode (``_guided_x_rows``). Under
     classifier-based guidance one guidance call tempers the whole batch's
     posterior rows, with the classifier read at s: one gradient call
     (Taylor) or L*N classifier calls (exact). ``decode`` "argmax" takes

@@ -156,11 +156,12 @@ class TabularDenoiser:
     latents does not factorize), derived from (seed, sequence, position)
     and therefore reproducible without shared state."""
 
+    schedule = NoiseSchedule()  # the fixed schedule; protocol member
+
     def __init__(self, n: int, seed: int = 0, kind: str = "uniform",
                  mask_index: int | None = None):
         self.prior = (PriorSpec.absorbing(Vocabulary(n, mask_index=mask_index))
                       if kind == "absorbing" else PriorSpec.uniform(n))
-        self.schedule = NoiseSchedule()
         self.seed = seed
         self._cache: dict = {}
 
@@ -187,14 +188,14 @@ class OptimalDenoiser:
     forward marginals by enumeration; the reference model for sampler
     distribution tests."""
 
-    def __init__(self, sequences: np.ndarray, prior: PriorSpec,
-                 schedule: NoiseSchedule):
+    schedule = NoiseSchedule()  # the fixed schedule; protocol member
+
+    def __init__(self, sequences: np.ndarray, prior: PriorSpec):
         seqs = np.asarray(sequences, dtype=np.int64)
         uniq, counts = np.unique(seqs, axis=0, return_counts=True)
         self.support = uniq                    # (M, L)
         self.weights = counts / counts.sum()   # (M,)
         self.prior = prior
-        self.schedule = schedule
 
     def _per_position(self, z: np.ndarray, t) -> np.ndarray:
         """(B, M, L) forward likelihood of each latent token given the

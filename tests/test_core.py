@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from catdiff import core
 from catdiff.core import (
     Categorical,
     NoiseSchedule,
@@ -9,6 +10,8 @@ from catdiff.core import (
     check_sequence,
     sample_rows,
 )
+
+from .sampling_oracle import cumsum_sample_rows
 
 
 @pytest.fixture
@@ -208,3 +211,57 @@ def test_sample_rows_frequencies_within_3_sigma():
         freq = (draws == k).mean()
         sigma = np.sqrt(p[k] * (1 - p[k]) / n)
         assert abs(freq - p[k]) < 3 * sigma + 1e-9
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(2, 36),
+    lead=st.sampled_from([(), (1,), (5,), (3, 4), (2, 7, 3)]),
+    block=st.sampled_from([1, 3, 4, 4096]),
+    zero_frac=st.sampled_from([0.0, 0.3, 0.9]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_sample_rows_matches_cumsum_oracle(n, lead, block, zero_frac, seed):
+    # small blocks split these shapes across block edges; a row may hold
+    # exact zeros anywhere, first and last column included
+    gen = np.random.default_rng(seed)
+    rows = gen.random(lead + (n,)) * 10.0 ** gen.integers(-3, 3)
+    rows[gen.random(rows.shape) < zero_frac] = 0.0
+    np.put_along_axis(rows, gen.integers(0, n, lead + (1,)), 0.5, axis=-1)
+    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = cumsum_sample_rows(rows, want_rng)
+    saved = core.SAMPLE_BLOCK_ROWS
+    core.SAMPLE_BLOCK_ROWS = block
+    try:
+        got = sample_rows(rows, got_rng)
+    finally:
+        core.SAMPLE_BLOCK_ROWS = saved
+    assert type(got) is type(want) and got.dtype == want.dtype
+    assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    if not lead:
+        assert type(got) is np.int64  # a NumPy scalar, not a 0-d array
+
+
+@pytest.mark.parametrize("count", [1, 4095, 4096, 4097, 9000])
+@pytest.mark.parametrize("n", [2, 6, 36])
+def test_sample_rows_matches_cumsum_oracle_across_blocks(count, n):
+    gen = np.random.default_rng(count * n)
+    rows = gen.dirichlet(np.full(n, 0.3), size=count)
+    want = cumsum_sample_rows(rows, np.random.default_rng(1))
+    assert sample_rows(rows, np.random.default_rng(1)).tobytes() \
+        == want.tobytes()
+
+
+def test_sample_rows_failure_leaves_rng_untouched():
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    rows = np.full((5000, 6), 1 / 6)  # the bad row sits in the second block
+    for bad in (np.nan, np.inf, 0.0):
+        rows[4500] = bad
+        with pytest.raises(FloatingPointError, match=r"row \(4500,\)"):
+            sample_rows(rows, rng)
+        assert rng.bit_generator.state == before
+        with pytest.raises(FloatingPointError):
+            sample_rows(rows.reshape(1000, 5, 6), rng)
+        assert rng.bit_generator.state == before

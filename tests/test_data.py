@@ -5,6 +5,8 @@ from scipy import stats
 from catdiff import data as D
 from catdiff.core import Vocabulary
 
+from .sampling_oracle import cumsum_sample_rows
+
 VOCAB = Vocabulary(4, symbols="abcd")
 
 
@@ -144,6 +146,16 @@ def test_markov_deterministic_per_seed():
     a = D.gen_markov_corpus(2, 5, p, 20, seed=9)
     b = D.gen_markov_corpus(2, 5, p, 20, seed=9)
     assert np.array_equal(a.sequences, b.sequences)
+
+
+@pytest.mark.parametrize("n", [2, 6, 7, 12, 36])
+def test_markov_corpus_bytes_match_cumsum_draw(monkeypatch, n):
+    # 5,000 sequences put each position's draw across a block edge
+    p = np.random.default_rng(n).dirichlet(np.full(n, 0.5), size=n)
+    got = D.gen_markov_corpus(n, 6, p, 5000, seed=n).sequences
+    monkeypatch.setattr(D, "sample_rows", cumsum_sample_rows)
+    want = D.gen_markov_corpus(n, 6, p, 5000, seed=n).sequences
+    assert got.tobytes() == want.tobytes()
 
 
 def test_rule_label_cases():

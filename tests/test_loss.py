@@ -468,7 +468,7 @@ def test_nelbo_optimal_denoiser_beats_tabular():
     # the Bayes-optimal predictor minimizes the expected bound over data
     prior = PriorSpec.uniform(3)
     data = np.array([[0, 1], [0, 1], [2, 1], [0, 0]])
-    opt = OptimalDenoiser(data, prior, SCHED)
+    opt = OptimalDenoiser(data, prior)
     tab = TabularDenoiser(3, seed=7)
     opt_avg = np.mean([
         L.nelbo_discrete(row, opt, 64, prior, SCHED, mode="exact")
@@ -699,7 +699,7 @@ def test_integral_tight_at_leave_one_out_rows():
 
     counts = np.repeat(np.arange(9), np.arange(1, 10))
     data = np.stack([counts // 3, counts % 3], axis=1)
-    den = LeaveOneOutDenoiser(data, PriorSpec.uniform(3), SCHED)
+    den = LeaveOneOutDenoiser(data, PriorSpec.uniform(3))
     for x, mass in (((0, 0), 1 / 45), ((1, 2), 6 / 45), ((2, 2), 9 / 45)):
         got = udlm_integral_reference(np.array(x), den, SCHED, 3)
         assert abs(got - (-np.log(mass))) < 1e-8
@@ -714,8 +714,8 @@ def test_posterior_mean_rows_exceed_entropy_on_average():
     data = np.repeat(np.arange(3), [1, 3, 5]).reshape(-1, 1)
     p = np.array([1, 3, 5]) / 9.0
     entropy = -(p * np.log(p)).sum()
-    loo = LeaveOneOutDenoiser(data, PriorSpec.uniform(3), SCHED)
-    opt = OptimalDenoiser(data, PriorSpec.uniform(3), SCHED)
+    loo = LeaveOneOutDenoiser(data, PriorSpec.uniform(3))
+    opt = OptimalDenoiser(data, PriorSpec.uniform(3))
     avg_loo = sum(p[v] * udlm_integral_reference(np.array([v]), loo, SCHED, 3)
                   for v in range(3))
     avg_opt = sum(p[v] * udlm_integral_reference(np.array([v]), opt, SCHED, 3)

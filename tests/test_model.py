@@ -101,6 +101,38 @@ def test_condition_out_of_range():
         M.denoise_batch(params, np.zeros((2, 4)), 0.4, np.array([0, 2]))
 
 
+def test_per_example_condition_matches_shared_conditions():
+    # None entries take the unconditional row, labels their own; a list
+    # of labels reads as the array of those labels
+    params = tiny_denoiser(seed=4, scale=0.8)
+    z = np.random.default_rng(4).integers(0, 3, size=(4, 4))
+    per_example = [1, None, 0, None]
+    mixed = M.denoise_batch(params, z, 0.4, per_example)
+    for b, cond in enumerate(per_example):
+        assert mixed[b].tobytes() == \
+            M.denoise_batch(params, z, 0.4, cond)[b].tobytes()
+    assert M.denoise_batch(params, z, 0.4, [1, 0, 0, 1]).tobytes() == \
+        M.denoise_batch(params, z, 0.4, np.array([1, 0, 0, 1])).tobytes()
+    with pytest.raises(ValueError, match="one condition per example"):
+        M.denoise_batch(params, z, 0.4, np.array([1, 0]))
+
+
+@pytest.mark.parametrize("num_classes", [0, 2])
+def test_per_example_condition_rejects_labels_outside_classes(num_classes):
+    # K names the unconditional row, reached only through None; -1 would
+    # read it by wraparound
+    params = tiny_denoiser(num_classes=num_classes)
+    z = np.zeros((3, 4), dtype=np.int64)
+    assert M.denoise_batch(params, z, 0.4, [None] * 3).shape == (3, 4, 3)
+    for bad in (num_classes, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            M.denoise_batch(params, z, 0.4, [None, bad, None])
+        with pytest.raises(ValueError, match="out of range"):
+            M.denoise_batch(params, z, 0.4, (bad, None, None))
+    with pytest.raises(ValueError, match="one condition per example"):
+        M.denoise_batch(params, z, 0.4, [None, None])
+
+
 def test_absorbing_mask_column_is_zero():
     params = tiny_denoiser(kind="absorbing", seed=5)
     rows = M.denoise(params, [3, 1, 3, 2], 0.7)

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -11,6 +12,8 @@ from catdiff.forward import PriorSpec, posterior_matrix
 from catdiff.guidance import GuidanceConfig
 from catdiff.metrics import kmer_js
 from catdiff.verify import LeaveOneOutDenoiser, OptimalDenoiser, TabularDenoiser
+
+from .sampling_oracle import two_call_x_rows
 
 SCHED = NoiseSchedule()
 U3 = PriorSpec.uniform(3)
@@ -51,6 +54,8 @@ class ConditionSwitchDenoiser:
         }
 
     def rows_batch(self, z_batch, t, condition=None):
+        if isinstance(condition, (list, tuple)):  # one entry per example
+            return np.stack([self.tables[c] for c in condition])
         return np.tile(self.tables[condition], (len(z_batch), 1, 1))
 
 
@@ -142,10 +147,20 @@ def test_mode_none_equals_cfg_gamma_one():
     assert np.array_equal(plain, cfg)
 
 
+def test_cfg_stacked_call_routes_each_half():
+    # the labelled half and the None half of the one call are the rows a
+    # call per condition gives, combined at gamma
+    den = ConditionSwitchDenoiser(3, 5, num_classes=2, seed=9)
+    z = np.array([[0, 1, 2, 1, 0], [2, 2, 1, 0, 1]], dtype=np.int64)
+    config = GuidanceConfig("cfg", gamma=2.0, target_class=1)
+    assert S._guided_x_rows(den, z, 0.7, config).tobytes() == \
+        two_call_x_rows(den, z, 0.7, config).tobytes()
+
+
 # ----------------------------------------------------------------- generate
 
 def test_generate_seed_reproducible():
-    model = LeaveOneOutDenoiser(counts_dataset(), U3, SCHED)
+    model = LeaveOneOutDenoiser(counts_dataset(), U3)
     req = S.SampleRequest(num_sequences=64, length=2, T=8, seed=11)
     a, diag_a = S.generate(req, model)
     b, diag_b = S.generate(req, model)
@@ -191,7 +206,7 @@ def test_generate_length_mismatch_rejected():
 
 
 def test_generate_cbg_requires_classifier():
-    model = LeaveOneOutDenoiser(counts_dataset(), U3, SCHED)
+    model = LeaveOneOutDenoiser(counts_dataset(), U3)
     req = S.SampleRequest(num_sequences=2, length=2, T=4,
                           guidance=GuidanceConfig("cbg_exact", gamma=2.0,
                                                   target_class=0))
@@ -233,6 +248,69 @@ def test_generate_blocked_forward_matches_one_block(monkeypatch, mode, kind):
         assert blocked_diag == whole_diag
 
 
+def _conditional_model(kind):
+    vocab = Vocabulary(7, mask_index=6) if kind == "absorbing" \
+        else Vocabulary(6)
+    return M.init_denoiser(vocab, length=16, num_classes=3, d=8, kind=kind,
+                           n_layers=2, seed=30, scale=0.8)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 384, 385, 700])
+@pytest.mark.parametrize("kind", ["uniform", "absorbing"])
+def test_generate_cfg_matches_two_call_oracle(monkeypatch, kind, batch):
+    # at L = 16 the stacked call of 385 sequences or more passes 12,288
+    # positions and runs on two threads; the oracle's calls of 384 or
+    # fewer never do
+    model = _conditional_model(kind)
+    monkeypatch.setattr(M, "_free_cpus", lambda: 2)
+    workers, run_shares = [], M._run_shares
+    monkeypatch.setattr(M, "_run_shares", lambda share, count: (
+        workers.append(count), run_shares(share, count)))
+    for gamma in (0.0, 0.5, 1.0, 2.0, 3.0):
+        for decode in S.DECODES:
+            workers.clear()
+            req = S.SampleRequest(batch, 16, 3, GuidanceConfig(
+                "cfg", gamma=gamma, target_class=1), seed=batch,
+                final_decode=decode)
+            got, got_diag = S.generate(req, model)
+            with monkeypatch.context() as patch:
+                patch.setattr(S, "_guided_x_rows", two_call_x_rows)
+                want, want_diag = S.generate(req, model)
+            assert got.tobytes() == want.tobytes(), (gamma, decode)
+            assert got_diag == want_diag
+            threaded = gamma != 1.0 and batch >= 385
+            assert max(workers) == (2 if threaded else 1)
+
+
+@pytest.mark.parametrize("config, stacked", [
+    (GuidanceConfig(), False),
+    (GuidanceConfig("none", target_class=1), False),
+    (GuidanceConfig("cfg", gamma=0.0, target_class=1), True),
+    (GuidanceConfig("cfg", gamma=0.5, target_class=1), True),
+    (GuidanceConfig("cfg", gamma=1.0, target_class=1), False),
+    (GuidanceConfig("cfg", gamma=2.0, target_class=1), True),
+    (GuidanceConfig("cbg_exact", gamma=2.0, target_class=1), False),
+    (GuidanceConfig("cbg_taylor", gamma=2.0, target_class=1), False),
+])
+def test_generate_asks_the_denoiser_once_per_step(monkeypatch, config,
+                                                  stacked):
+    vocab = Vocabulary(3)
+    model = M.init_denoiser(vocab, length=4, num_classes=2, d=8,
+                            kind="uniform", seed=17)
+    clf = (M.init_classifier(vocab, length=4, num_classes=2, d=8, seed=18)
+           if config.needs_classifier else None)
+    sizes = []
+    rows_batch = M.DenoiserParams.rows_batch
+
+    def spy(self, z_batch, t, condition=None):
+        sizes.append(len(z_batch))
+        return rows_batch(self, z_batch, t, condition)
+
+    monkeypatch.setattr(M.DenoiserParams, "rows_batch", spy)
+    S.generate(S.SampleRequest(3, 4, 5, config, seed=31), model, clf)
+    assert sizes == [6 if stacked else 3] * 5
+
+
 @pytest.mark.parametrize("mode", ["cbg_exact", "cbg_taylor"])
 def test_generate_cbg_smoke(mode):
     vocab = Vocabulary(3)
@@ -261,15 +339,19 @@ def test_generate_cfg_smoke_conditional_model():
 
 @pytest.mark.parametrize("num_classes", [0, 2])
 def test_generate_rejects_dropped_row_as_target(num_classes):
-    # target K names the unconditional row, not a class; with K = 0 that
-    # is cfg on an unconditional model
+    # target K names the unconditional row, not a class, and -1 would read
+    # it by wraparound; with K = 0 that is cfg on an unconditional model.
+    # cfg rejects both at every gamma, the endpoints that read one half of
+    # the rows included
     model = M.init_denoiser(Vocabulary(3), length=4, num_classes=num_classes,
                             d=8, kind="uniform", seed=20)
-    for mode in ("none", "cfg"):
+    guided = [("none", 1.0)] + [("cfg", g) for g in (0.0, 0.5, 1.0, 2.0)]
+    for (mode, gamma), target in itertools.product(guided,
+                                                   (num_classes, -1)):
         req = S.SampleRequest(num_sequences=3, length=4, T=4,
                               guidance=GuidanceConfig(
-                                  mode, gamma=2.0, target_class=num_classes))
-        with pytest.raises(ValueError):
+                                  mode, gamma=gamma, target_class=target))
+        with pytest.raises(ValueError, match="out of range"):
             S.generate(req, model)
 
 
@@ -308,7 +390,7 @@ def test_distribution_recovery_at_T256():
     the data distribution: JS (base 2) under 0.01, and in practice within
     a few multiples of the 10^5-sample noise floor."""
     data = counts_dataset()
-    model = LeaveOneOutDenoiser(data, U3, SCHED)
+    model = LeaveOneOutDenoiser(data, U3)
     out, _ = S.generate(S.SampleRequest(num_sequences=100_000, length=2,
                                         T=256, seed=24), model)
     js = kmer_js(out, data, 2)
@@ -318,7 +400,7 @@ def test_distribution_recovery_at_T256():
 
 def test_recovery_improves_with_T():
     data = counts_dataset()
-    model = LeaveOneOutDenoiser(data, U3, SCHED)
+    model = LeaveOneOutDenoiser(data, U3)
     js = []
     for T in (4, 16, 64, 256):
         out, _ = S.generate(S.SampleRequest(num_sequences=30_000, length=2,
@@ -336,7 +418,7 @@ def test_posterior_mean_rows_do_not_recover():
     does not vanish with T. The gap must stay visible, otherwise the
     sampler or the oracle changed meaning."""
     data = counts_dataset()
-    model = OptimalDenoiser(data, U3, SCHED)
+    model = OptimalDenoiser(data, U3)
     out, _ = S.generate(S.SampleRequest(num_sequences=20_000, length=2,
                                         T=64, seed=26), model)
     assert kmer_js(out, data, 2) > 0.005

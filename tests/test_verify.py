@@ -147,8 +147,7 @@ def _corpus():
 
 
 def test_loo_rows_are_distributions():
-    sched = NoiseSchedule()
-    den = V.LeaveOneOutDenoiser(_corpus(), PriorSpec.uniform(3), sched)
+    den = V.LeaveOneOutDenoiser(_corpus(), PriorSpec.uniform(3))
     rows = den.rows_batch(np.array([[2, 0]]), 0.37)[0]
     assert rows.shape == (2, 3)
     np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
@@ -157,9 +156,8 @@ def test_loo_rows_are_distributions():
 
 def test_loo_single_position_ignores_latent():
     # with nothing else to condition on, the rows are the data marginal
-    sched = NoiseSchedule()
     data = np.array([[0]] * 1 + [[1]] * 3 + [[2]] * 5)
-    den = V.LeaveOneOutDenoiser(data, PriorSpec.uniform(3), sched)
+    den = V.LeaveOneOutDenoiser(data, PriorSpec.uniform(3))
     marginal = np.array([1, 3, 5]) / 9.0
     for z in range(3):
         for t in (0.1, 0.5, 0.9):
@@ -172,7 +170,7 @@ def test_loo_rows_match_direct_enumeration():
     sched = NoiseSchedule()
     prior = PriorSpec.uniform(3)
     corpus = _corpus()
-    den = V.LeaveOneOutDenoiser(corpus, prior, sched)
+    den = V.LeaveOneOutDenoiser(corpus, prior)
     seqs, weights = np.unique(corpus, axis=0, return_counts=True)
     weights = weights / weights.sum()
     z = np.array([1, 2])
@@ -189,8 +187,7 @@ def test_loo_rows_match_direct_enumeration():
 
 
 def test_loo_batch_matches_single():
-    sched = NoiseSchedule()
-    den = V.LeaveOneOutDenoiser(_corpus(), PriorSpec.uniform(3), sched)
+    den = V.LeaveOneOutDenoiser(_corpus(), PriorSpec.uniform(3))
     rng = np.random.default_rng(4)
     batch = rng.integers(0, 3, size=(5, 2))
     stacked = den.rows_batch(batch, 0.6)
@@ -203,10 +200,9 @@ def test_loo_unreachable_latent_rejected():
     # a prior with a zero-mass token makes some latents impossible
     from catdiff.core import Categorical
 
-    sched = NoiseSchedule()
     data = np.array([[0, 0], [1, 1]])
     prior = PriorSpec.general(Categorical(np.array([0.5, 0.5, 0.0])))
-    den = V.LeaveOneOutDenoiser(data, prior, sched)
+    den = V.LeaveOneOutDenoiser(data, prior)
     with pytest.raises(ValueError, match="unreachable"):
         den.rows_batch(np.array([[2, 2]]), 0.5)
 
