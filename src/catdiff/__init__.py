@@ -9,13 +9,12 @@ the reverse process, and a brute-force verification suite.
 __version__ = "0.1.0"
 
 from .core import Categorical, NoiseSchedule, Vocabulary
-from .forward import PriorSpec, marginal, posterior
+from .forward import PriorSpec, posterior
 
 __all__ = [
     "Categorical",
     "NoiseSchedule",
     "Vocabulary",
     "PriorSpec",
-    "marginal",
     "posterior",
 ]

@@ -163,24 +163,24 @@ def exp(a):
     return Node(out, (a,), bwd)
 
 
-def nsum(a, axis=None, keepdims=False):
+def nsum(a, axis=None):
     if not isinstance(a, Node):
-        return np.sum(a, axis=axis, keepdims=keepdims)
-    out = a.value.sum(axis=axis, keepdims=keepdims)
+        return np.sum(a, axis=axis)
+    out = a.value.sum(axis=axis)
 
     def bwd(g):
         g = np.asarray(g)
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.value.shape).copy(),)
 
     return Node(out, (a,), bwd)
 
 
-def nmean(a, axis=None, keepdims=False) -> Node:
+def nmean(a) -> Node:
+    """The mean of every entry."""
     a = as_node(a)
-    count = a.value.size if axis is None else a.value.shape[axis]
-    return mul(nsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    return mul(nsum(a), 1.0 / a.value.size)
 
 
 def log_softmax(a, axis=-1):

@@ -116,13 +116,6 @@ def save_text_dataset(path, dataset: Dataset, vocab: Vocabulary,
                 fh.write(f"{int(lab)}\n")
 
 
-def save_vocabulary(path, vocab: Vocabulary) -> None:
-    doc = {"symbols": list(vocab.symbols), "mask_index": vocab.mask_index}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
-
-
 def load_vocabulary(path) -> Vocabulary:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)

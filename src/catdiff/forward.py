@@ -11,10 +11,9 @@ the posterior, written as ``bayes_factors`` (the factors that do not
 depend on x) and ``bayes_posterior`` (their application to one-hot or
 substituted clean-token rows, arrays or autodiff nodes), which
 ``posterior_matrix`` chains. The sampler, the losses and the scalar
-entry points ``marginal`` and ``posterior`` all go through them. The
-uniform and absorbing closed forms are only references that the general
-kernel is checked against, since the specializations are where sign and
-normalization bugs creep in.
+entry point ``posterior`` all go through them. The uniform closed form
+is only a reference that the general kernel is checked against, since
+the specializations are where sign and normalization bugs creep in.
 """
 
 from __future__ import annotations
@@ -98,13 +97,6 @@ def marginal_rows(
     rows = np.tile((1.0 - a_t) * prior.pi.probs, x.shape + (1,))
     rows.reshape(-1, n)[np.arange(x.size), x.reshape(-1)] += a_t
     return rows
-
-
-def marginal(
-    x: int, t: float, prior: PriorSpec, schedule: NoiseSchedule
-) -> Categorical:
-    """q(z_t | x) for one token."""
-    return Categorical(marginal_rows(x, t, prior, schedule))
 
 
 def corrupt(
@@ -241,23 +233,3 @@ def posterior_uniform(
         vec[x] += n * a_t
     den = n * a_t * (1.0 if z_t == x else 0.0) + 1.0 - a_t
     return Categorical(vec / den)
-
-
-def posterior_absorbing(
-    z_t: int, x: int, t: float, s: float, vocab: Vocabulary,
-    schedule: NoiseSchedule,
-) -> Categorical:
-    """Absorbing-prior posterior: carry-over for unmasked z_t, otherwise
-    unmask to x with probability (a_s - a_t) / (1 - a_t)."""
-    mask = vocab.mask_index
-    if mask is None:
-        raise ValueError("absorbing posterior needs a mask token")
-    if z_t != mask:
-        # Unmasked latents are fixed points of the reverse process.
-        return Categorical.one_hot(z_t, vocab.size)
-    a_s = schedule.alpha(s)
-    a_t = schedule.alpha(t)
-    vec = np.zeros(vocab.size)
-    vec[x] = (a_s - a_t) / (1.0 - a_t)
-    vec[mask] += (1.0 - a_s) / (1.0 - a_t)
-    return Categorical(vec)

@@ -20,15 +20,21 @@ Each trunk concept is written once for both networks: ``_init_trunk``
 draws the parameters, ``_fit`` is the one Adam training loop (``train``
 and ``train_classifier`` pass it their own batch loss), and the trunk
 has one forward and one backward. ``_trunk_forward`` is plain NumPy with
-the first linear map folded into the embedding tables; inference
-(denoise, denoise_batch, classify) runs it alone, denoise_batch on
-cache-sized blocks of whole sequences with the same bytes as one call
-over the batch. A denoise_batch call of more than 1.5 * BLOCK_ROWS
-positions runs blocks of half that size on the calling thread and
-threads started for the call, one worker per two blocks up to the CPUs
-in the process's affinity mask (``taskset`` narrows it) over the
-threads BLAS runs; the rows are byte-identical at any thread count.
+the first linear map folded into the embedding tables, in the dtype of
+the arrays it is given; inference (denoise, denoise_batch, classify)
+runs it alone. Training, classify and the Taylor gradient run it in
+float64. denoise_batch runs it and the softmax's exponentials in float32
+on float32 copies of the parameters, its head padded with zero columns
+to a multiple of 16, and returns float64 rows normalised in float64.
+
+denoise_batch runs on cache-sized blocks of whole sequences with the
+same bytes as one call over the batch. A call of more than
+1.5 * BLOCK_ROWS positions runs blocks of half that size on the calling
+thread and threads started for the call, one worker per two blocks up
+to the CPUs in the process's affinity mask (``taskset`` narrows it) over
+the threads BLAS runs; the rows are byte-identical at any thread count.
 Only ``_trunk_forward`` and the softmax run off the calling thread.
+
 ``_trunk_backward`` is written by hand and keeps the first layer
 folded. Training wraps the pair as one autodiff Node
 (``_trunk_node``, under denoiser_logprob_rows and classifier_logprobs)
@@ -338,6 +344,8 @@ def _trunk_forward(params, arrays: list, z_batch, t,
     then each tanh output. A (2, rows, d) ``scratch`` buffer takes the
     hidden activations in turn, and an ``out`` array of the (B, L, out)
     logits' shape takes the head's product, in place of fresh arrays.
+    The activations and logits take the dtype of ``arrays`` (and of the
+    buffers, which must match it); the time features stay float64.
 
     The features before the first linear map are a sum of table rows, so
     the map is folded into each table (token, position, time, condition)
@@ -503,13 +511,25 @@ def denoise_batch(
     example: a label, or None for the unconditional row. Classifier-free
     guidance stacks the batch on itself and asks for both rows in one
     call, the first half labelled and the second None. Raises ValueError
-    on a label outside [0, K), K included."""
+    on a label outside [0, K), K included.
+
+    The network and the softmax's exponentials run in float32; the rows
+    come back as float64, normalised there, so each sums to 1 to within
+    float64 rounding and an absorbing denoiser's mask column is exactly 0.
+    """
     z = _token_batch(params, z_batch)
     batch, length = z.shape
+    n = params.vocab.size
     cond = _condition_indices(cond_idx, params.num_classes, batch)
-    arrays = params.values()
+    # cast on every call: Adam updates the float64 arrays in place. The
+    # head gains zero columns up to a multiple of 16: OpenBLAS's float32
+    # product with a narrow head gives bytes that depend on the row count
+    arrays = [a.astype(np.float32) for a in params.values()]
+    head = np.zeros((params.d, -(-n // 16) * 16), dtype=np.float32)
+    head[:, :n] = arrays[-1]
+    arrays[-1] = head
     per_example_t = np.size(t) > 1
-    out = np.empty((batch, length, params.vocab.size))
+    out = np.empty((batch, length, n))
     if not batch:
         return out
     rows = batch * length
@@ -526,10 +546,12 @@ def denoise_batch(
               else max(1, min(-(-rows // BLOCK_ROWS), batch // 2)))
     bounds = [k * batch // blocks for k in range(blocks + 1)]
     todo = list(zip(bounds, bounds[1:]))
-    # each worker's hidden activations reuse one pair of buffers: arrays
-    # allocated per block fault in fresh pages whenever the allocator has
-    # returned the last block's to the system
-    scratch = np.empty((workers, 2, -(-batch // blocks) * length, params.d))
+    # each worker's hidden activations and head logits reuse buffers:
+    # arrays allocated per block fault in fresh pages whenever the
+    # allocator has returned the last block's to the system
+    most = -(-batch // blocks) * length
+    scratch = np.empty((workers, 2, most, params.d), dtype=np.float32)
+    heads = np.empty((workers, most, head.shape[1]), dtype=np.float32)
 
     def share(worker: int) -> None:
         # each thread takes the next block until none is left, so a thread
@@ -543,18 +565,23 @@ def denoise_batch(
             logits = _trunk_forward(
                 params, arrays, z[lo:hi],
                 np.asarray(t)[lo:hi] if per_example_t else t, cond[lo:hi],
-                scratch=scratch[worker], out=out[lo:hi])
+                scratch=scratch[worker],
+                out=heads[worker, :(hi - lo) * length])[..., :n]
             if params.kind == "absorbing":
                 logits[..., params.vocab.mask_index] = MASK_LOGIT
-            # the row max column by column is exact and far cheaper than
-            # max(axis=-1); the row sum stays sum(axis=-1), whose order a
-            # column-by-column sum matches only below 8 columns
+            # the row max and the row sum column by column, far cheaper
+            # than NumPy's reductions over a short last axis; each row's
+            # sum runs in one fixed order, whatever the block
             row_max = logits[..., 0].copy()
-            for j in range(1, logits.shape[-1]):
+            for j in range(1, n):
                 np.maximum(row_max, logits[..., j], out=row_max)
-            probs = np.subtract(logits, row_max[..., None], out=out[lo:hi])
-            np.exp(probs, out=probs)
-            probs /= probs.sum(axis=-1, keepdims=True)
+            np.subtract(logits, row_max[..., None], out=logits)
+            probs = out[lo:hi]
+            np.exp(logits, out=probs)  # float32 exp, stored as float64
+            total = probs[..., 0].copy()
+            for j in range(1, n):
+                total += probs[..., j]
+            probs /= total[..., None]
 
     _run_shares(share, workers)
     return out

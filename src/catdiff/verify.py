@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .core import Categorical, NoiseSchedule, Vocabulary
 from .forward import PriorSpec
@@ -255,6 +254,8 @@ def udlm_integral_reference(
     The integrand's endpoint limits are finite, so truncating to
     [1e-12, 1 - 1e-9] loses O(1e-18). Each quadrature time scores every
     live latent and position in one call of the training loss kernel."""
+    from scipy import integrate  # here alone: the CLI need not load SciPy
+
     from .loss import _udlm_rate
 
     x_seq = np.asarray(x_seq, dtype=np.int64)

@@ -70,7 +70,8 @@ def trunk(field_nodes: list, params, z, t, cond_idx=None,
     batch, length, d = feats.shape
     time_in = ad.constant(np.broadcast_to(
         _time_features(params.schedule, t), (batch, 2)))
-    h = feats + ad.nmean(feats, axis=1, keepdims=True)
+    mean = ad.reshape(ad.nsum(feats, axis=1), (batch, 1, d)) * (1.0 / length)
+    h = feats + mean
     h = h + ad.reshape(field_nodes[1], (1, length, d))
     h = h + ad.reshape(matmul(time_in, field_nodes[2]), (batch, 1, d))
     if cond_idx is not None:
@@ -79,7 +80,7 @@ def trunk(field_nodes: list, params, z, t, cond_idx=None,
     for w, b in zip(layers[0::2], layers[1::2]):
         h = tanh(matmul(h, w) + b)
     if pool:
-        h = ad.nmean(h, axis=1)
+        h = ad.nsum(h, axis=1) * (1.0 / length)
     return matmul(h, field_nodes[-1])
 
 

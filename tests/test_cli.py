@@ -1,10 +1,14 @@
 """End-to-end command-line checks, run in process via cli.main()."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import catdiff
 import catdiff.cli as cli
 import catdiff.loss as L
 from catdiff.checkpoint import load_checkpoint, save_checkpoint
@@ -458,3 +462,15 @@ def test_denoiser_checkpoint_rejected_as_classifier(workdir, tmp_path,
                      "--classifier", str(workdir / "ckpt.json")])
     assert code == 1
     assert "not a classifier checkpoint" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # SciPy serves one verification quadrature; train, sample and eval
+    # never reach it, so loading the CLI must not import it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(catdiff.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, catdiff.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -17,6 +17,8 @@ from catdiff.verify import (
     udlm_integral_reference,
 )
 
+from . import graph_oracle
+
 SCHED = NoiseSchedule()
 
 # pinned once from the worked example: N=2, t=0.5, x=z=0, x_theta=[0.75,0.25]
@@ -616,7 +618,11 @@ def test_training_loss_node_matches_scalar_path(objective):
     width = sched.t_max - sched.t_min
     per_example = []
     for b in range(x.shape[0]):
-        rows = M.denoise(params, z[b], float(t[b]), condition=int(cond[b]))
+        # float64 rows: the training loss runs the float64 trunk, the
+        # denoiser's inference forward runs in float32
+        rows = np.exp(graph_oracle.denoiser_logprob_rows(
+            M.constant_nodes(params), params, z[b:b + 1], t[b:b + 1],
+            cond[b:b + 1]).value)[0]
         if objective == "udlm_continuous":
             val = width * sum(
                 L.udlm_integrand(int(x[b, l]), int(z[b, l]), float(t[b]),
