@@ -165,9 +165,10 @@ def _resolve_vocab(cfg: dict) -> Vocabulary:
         vocab = Vocabulary(cfg["n"], mask_index=cfg["n"] - 1)
     else:
         vocab = Vocabulary(cfg["n"])
-    if cfg["kind"] == "absorbing" and vocab.mask_index is None:
-        raise UsageError("absorbing training needs a vocabulary with a "
-                         "mask token")
+    if vocab.is_absorbing != (cfg["kind"] == "absorbing"):
+        need = "with" if cfg["kind"] == "absorbing" else "without"
+        raise UsageError(f"{cfg['kind']} training needs a vocabulary {need} "
+                         f"a mask token")
     return vocab
 
 

@@ -148,7 +148,8 @@ def nelbo_discrete(
                     x[group], latents, denoiser, i / T, (i - 1) / T, prior,
                     schedule, cond)
     else:
-        cond = np.repeat(condition, mc_samples) if per_row else condition
+        cond = ([c for c in condition for _ in range(mc_samples)] if per_row
+                else condition)
         total += _mc_kl_terms(x, denoiser, T, prior, schedule, rng,
                               mc_samples, cond)
     return float(total[0]) if single else total

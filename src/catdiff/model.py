@@ -28,12 +28,12 @@ on float32 copies of the parameters, its head padded with zero columns
 to a multiple of 16, and returns float64 rows normalised in float64.
 
 denoise_batch runs on cache-sized blocks of whole sequences with the
-same bytes as one call over the batch. A call of more than
-1.5 * BLOCK_ROWS positions runs blocks of half that size on the calling
-thread and threads started for the call, one worker per two blocks up
-to the CPUs in the process's affinity mask (``taskset`` narrows it) over
-the threads BLAS runs; the rows are byte-identical at any thread count.
-Only ``_trunk_forward`` and the softmax run off the calling thread.
+same bytes as one call over the batch. A call of four blocks or more
+(over 3 * BLOCK_ROWS positions) runs them on the calling thread and pool
+threads started for the call, one worker per two blocks up to the CPUs
+in the process's affinity mask (``taskset`` narrows it) over the threads
+BLAS runs; the rows are byte-identical at any thread count. Only
+``_trunk_forward`` and the softmax run off the calling thread.
 
 ``_trunk_backward`` is written by hand and keeps the first layer
 folded. Training wraps the pair as one autodiff Node
@@ -48,7 +48,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +57,11 @@ from .core import NoiseSchedule, Vocabulary, check_sequence, check_token_range
 from .forward import PriorSpec, corrupt
 
 MASK_LOGIT = -1e30
-# positions per block of the inference denoiser forward on one CPU: a
-# block's (rows, d) activations stay in cache (sweep in CHANGES.md). A
-# call of more than 1.5 * BLOCK_ROWS positions may instead run blocks of
-# at most BLOCK_ROWS / 2 positions on several CPUs (``_free_cpus``).
+# positions per block of the inference denoiser forward: a block's
+# (rows, d) activations stay in cache (sweep in CHANGES.md). A call of
+# four blocks or more, over 3 * BLOCK_ROWS = 24,576 positions (a cfg
+# call counts both halves), runs them on one worker per two blocks, up
+# to ``_free_cpus``.
 BLOCK_ROWS = 8192
 
 
@@ -235,8 +235,9 @@ def init_denoiser(
 ) -> DenoiserParams:
     if kind not in ("uniform", "absorbing"):
         raise ValueError(f"unknown model kind {kind!r}")
-    if kind == "absorbing" and vocab.mask_index is None:
-        raise ValueError("absorbing denoiser needs a vocabulary with a mask token")
+    if vocab.is_absorbing != (kind == "absorbing"):
+        need = "with" if kind == "absorbing" else "without"
+        raise ValueError(f"{kind} denoiser needs a vocabulary {need} a mask token")
     return _init_trunk(DenoiserParams, vocab, length, d, vocab.size, n_layers,
                        seed, scale, extra_rows=(num_classes + 1,),
                        kind=kind, num_classes=num_classes)
@@ -277,18 +278,27 @@ def _condition_indices(condition, num_classes: int, batch: int) -> np.ndarray:
     """Map a condition to one embedding row index per example. The
     condition is None (every example unconditional), one label for the
     batch, or one entry per example: an integer array, or a list or tuple
-    whose None entries select the unconditional row. Real labels lie in
-    [0, num_classes); only None reaches the unconditional row
-    num_classes."""
+    whose None entries select the unconditional row. Real labels are
+    Python or NumPy integers, not bools, in [0, num_classes); only None
+    reaches the unconditional row num_classes."""
     if condition is None:
         return np.full(batch, num_classes, dtype=np.int64)
     if isinstance(condition, (list, tuple)):
         real = np.array([c is not None for c in condition], dtype=bool)
+        bad = [tp.__name__ for tp in set(map(type, condition)) - {type(None)}
+               if tp is bool or not issubclass(tp, (int, np.integer))]
+        if bad:
+            raise ValueError(f"condition labels must be integers or None, "
+                             f"not {', '.join(sorted(bad))}")
         idx = np.full(len(condition), num_classes, dtype=np.int64)
         idx[real] = [c for c in condition if c is not None]
         labels = idx[real]
     else:
-        idx = labels = np.asarray(condition, dtype=np.int64)
+        labels = np.asarray(condition)
+        if labels.dtype.kind not in "iu":
+            raise ValueError(f"condition labels must be integers, not "
+                             f"{labels.dtype}")
+        idx = labels = labels.astype(np.int64)
         if idx.ndim == 0:
             idx = np.full(batch, int(idx), dtype=np.int64)
     if np.any(labels < 0) or np.any(labels >= num_classes):
@@ -536,14 +546,12 @@ def denoise_batch(
     # blocks of whole sequences whose sizes differ by at most one and are
     # at least two: a one-sequence block with per-example t takes NumPy's
     # vector path for the time features and changes the bytes. A call of
-    # four half-size blocks or more runs half-size blocks on up to one
-    # worker per two blocks, so the thread count grows with the call, not
-    # the host; with fewer blocks a worker whose CPU the host gives to
-    # another process holds up the whole call (measured in CHANGES.md)
-    split = min(-(-2 * rows // BLOCK_ROWS), batch // 2)
-    workers = min(_free_cpus(), split // 2) if split >= 4 else 1
-    blocks = (split if workers > 1
-              else max(1, min(-(-rows // BLOCK_ROWS), batch // 2)))
+    # four blocks or more runs on one worker per two blocks, so the thread
+    # count grows with the call, not the host; with fewer blocks a worker
+    # whose CPU the host gives to another process holds up the whole call
+    # (measured in CHANGES.md)
+    blocks = max(1, min(-(-rows // BLOCK_ROWS), batch // 2))
+    workers = max(1, min(_free_cpus(), blocks // 2))
     bounds = [k * batch // blocks for k in range(blocks + 1)]
     todo = list(zip(bounds, bounds[1:]))
     # each worker's hidden activations and head logits reuse buffers:
@@ -583,7 +591,21 @@ def denoise_batch(
                 total += probs[..., j]
             probs /= total[..., None]
 
-    _run_shares(share, workers)
+    if workers == 1:
+        share(0)
+        return out
+    # imported here: a process that never runs two workers, such as the
+    # CLI under OpenBLAS's default thread count, skips its 7 ms import
+    from concurrent.futures import ThreadPoolExecutor
+    # NumPy releases the interpreter lock in the gathers, ufuncs and matrix
+    # products a share spends its time in, so the shares run in parallel.
+    # Leaving the with block joins every thread: an error raised here wins,
+    # else the first worker's is raised
+    with ThreadPoolExecutor(workers - 1) as pool:
+        futures = [pool.submit(share, worker) for worker in range(1, workers)]
+        share(0)
+    for future in futures:
+        future.result()
     return out
 
 
@@ -619,35 +641,6 @@ def _blas_threads_getter():
             if hasattr(lib, name):
                 return getattr(lib, name)
     return None
-
-
-def _run_shares(share, workers: int) -> None:
-    """``share(0)`` on the calling thread and ``share(1)`` to
-    ``share(workers - 1)`` on threads started for this call. Returns once
-    every thread has been joined, raising the calling thread's error or
-    else the first a thread raised. NumPy releases the interpreter lock in
-    the gathers, ufuncs and matrix products a share spends its time in, so
-    the shares run in parallel."""
-    errors = []
-
-    def guarded(worker: int) -> None:
-        try:
-            share(worker)
-        except BaseException as exc:  # re-raised on the calling thread
-            errors.append(exc)
-
-    threads = []
-    try:
-        for worker in range(1, workers):
-            thread = threading.Thread(target=guarded, args=(worker,))
-            thread.start()
-            threads.append(thread)
-        share(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
 
 
 def one_hot_batch(z_batch: np.ndarray, n: int) -> np.ndarray:

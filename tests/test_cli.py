@@ -438,6 +438,18 @@ def test_absorbing_train_and_sample(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_uniform_train_rejects_a_mask_vocabulary(workdir, tmp_path, capsys):
+    (tmp_path / "vocab.json").write_text(
+        json.dumps({"symbols": ["a", "b", "c", "#"], "mask_index": 3}))
+    code = cli.main(["train", "--config", str(workdir / "cfg.txt"),
+                     "--out", str(tmp_path / "o.json"), "--n", "4",
+                     "--vocab", str(tmp_path / "vocab.json")])
+    assert code == 1
+    assert "uniform training needs a vocabulary without a mask token" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_classifier_checkpoint_rejected_as_denoiser(workdir, tmp_path,
                                                     capsys):
     cfg = tmp_path / "clf.txt"

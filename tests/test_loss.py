@@ -396,6 +396,26 @@ def test_nelbo_of_an_empty_batch_is_empty(mode, labels):
     assert got.shape == (0,)
 
 
+@pytest.mark.parametrize("mc_samples", [1, 3])
+def test_mc_nelbo_takes_a_condition_list_with_none(mc_samples):
+    # a per-sequence list may leave a sequence unconditional; the batch
+    # scores each sequence as when it is scored alone, rng included
+    vocab = Vocabulary(3)
+    prior = PriorSpec.uniform(3)
+    den = M.init_denoiser(vocab, 4, 2, 8, kind="uniform", seed=6, scale=0.8)
+    x = np.random.default_rng(6).integers(0, 3, size=(2, 4))
+    got = L.nelbo_discrete(x, den, 8, prior, SCHED, mode="mc",
+                           rng=np.random.default_rng(7),
+                           mc_samples=mc_samples, condition=[1, None])
+    rng = np.random.default_rng(7)
+    want = np.array([
+        L.nelbo_discrete(row, den, 8, prior, SCHED, mode="mc", rng=rng,
+                         mc_samples=mc_samples, condition=cond)
+        for row, cond in zip(x, [1, None])])
+    assert got.shape == (2,)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
 def test_exact_budget_is_checked_before_any_denoiser_call():
     class Untouchable:
         def rows_batch(self, z_batch, t, condition=None):

@@ -1,5 +1,6 @@
 import hashlib
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -99,6 +100,17 @@ def test_condition_out_of_range():
             M.denoise(params, [0, 1, 2, 0], 0.4, condition=label)
     with pytest.raises(ValueError):
         M.denoise_batch(params, np.zeros((2, 4)), 0.4, np.array([0, 2]))
+    # a label that is not an integer is refused, not truncated to 1
+    z = np.zeros((2, 4), dtype=np.int64)
+    for label in (1.7, np.array([1.9, 1.2]), True, np.True_, [1.0, None],
+                  (None, 1.5), [True, 0], [np.True_, None]):
+        with pytest.raises(ValueError, match="integers"):
+            M.denoise_batch(params, z, 0.4, label)
+    # NumPy integer labels of any width read as their value
+    want = M.denoise_batch(params, z, 0.4, 1).tobytes()
+    for label in (np.int32(1), np.uint8(1), np.array([1, 1], dtype=np.int16),
+                  [np.int64(1), 1], (1, np.uint16(1))):
+        assert M.denoise_batch(params, z, 0.4, label).tobytes() == want
 
 
 def test_per_example_condition_matches_shared_conditions():
@@ -269,8 +281,8 @@ def test_denoise_batch_blocks_match_one_block(monkeypatch, block_rows, sizes,
         return trunk(params, arrays, z_block, *args, **kwargs)
 
     monkeypatch.setattr(M, "_trunk_forward", counted)
-    # one worker: more workers make half-size blocks, and their threads
-    # would append to ``seen`` out of order
+    # one worker: the threads of more would append to ``seen`` out of
+    # order
     monkeypatch.setattr(M, "_free_cpus", lambda: 1)
     for t in (0.37, rng.uniform(0.01, 0.99, batch)):
         for cond in (None, 1, rng.integers(0, 3, size=batch)):
@@ -291,7 +303,7 @@ def test_denoise_batch_blocks_match_one_block(monkeypatch, block_rows, sizes,
             assert np.array_equal(got, whole)
 
 
-class _CountedThread(M.threading.Thread):
+class _CountedThread(threading.Thread):
     started = 0
 
     def start(self):
@@ -299,32 +311,58 @@ class _CountedThread(M.threading.Thread):
         super().start()
 
 
-# 14 sequences of 5 positions are 70 rows: (BLOCK_ROWS, the half-size
-# blocks ceil(2 * 70 / BLOCK_ROWS), at most 14 // 2 = 7, they make). Four
-# or more run on min(workers, blocks // 2) threads, fewer on one.
+def _count_threads(monkeypatch):
+    """Count the threads ``denoise_batch`` starts in ``_CountedThread``;
+    returns the function that zeroes the count before a call. A pool
+    starts a thread per submitted share unless an earlier thread has gone
+    idle, so each holds its first block until the calling thread, which
+    submits every share before it takes a block, has taken one."""
+    monkeypatch.setattr(threading, "Thread", _CountedThread)
+    caller_started = threading.Event()
+    trunk = M._trunk_forward
+
+    def gated(*args, **kwargs):
+        if threading.current_thread() is threading.main_thread():
+            caller_started.set()
+        else:
+            assert caller_started.wait(timeout=10)
+        return trunk(*args, **kwargs)
+
+    def start_count():
+        _CountedThread.started = 0
+        caller_started.clear()
+
+    monkeypatch.setattr(M, "_trunk_forward", gated)
+    return start_count
+
+
+# 14 sequences of 10 positions are 140 rows: (BLOCK_ROWS, the blocks
+# ceil(140 / BLOCK_ROWS), at most 14 // 2 = 7, they make). Four or more
+# run on min(workers, blocks // 2) workers, one of them the calling
+# thread; three or fewer on the calling thread alone.
 SPLIT_CASES = [(5, 7), (13, 7), (40, 4), (50, 3)]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("block_rows,split", SPLIT_CASES)
+@pytest.mark.parametrize("block_rows,blocks", SPLIT_CASES)
 @pytest.mark.parametrize("kind", ["uniform", "absorbing"])
 def test_denoise_batch_threads_match_one_block(monkeypatch, workers,
-                                               block_rows, split, kind):
+                                               block_rows, blocks, kind):
     batch = 14
     rng = np.random.default_rng(workers * 1000 + block_rows)
     vocab = VOCAB4M if kind == "absorbing" else VOCAB3
-    params = _randomized(M.init_denoiser(vocab, 5, 3, 8, kind=kind,
+    params = _randomized(M.init_denoiser(vocab, 10, 3, 8, kind=kind,
                                          n_layers=2), rng)
-    z = rng.integers(0, vocab.size, size=(batch, 5))
-    monkeypatch.setattr(M.threading, "Thread", _CountedThread)
+    z = rng.integers(0, vocab.size, size=(batch, 10))
+    start_count = _count_threads(monkeypatch)
     monkeypatch.setattr(M, "_free_cpus", lambda: workers)
-    threads = min(workers, split // 2) - 1 if split >= 4 else 0
+    threads = max(1, min(workers, blocks // 2)) - 1
     for t in (0.37, rng.uniform(0.01, 0.99, batch)):
         for cond in (None, 1, rng.integers(0, 3, size=batch)):
             monkeypatch.setattr(M, "BLOCK_ROWS", 10 ** 9)
             whole = M.denoise_batch(params, z, t, cond)
             monkeypatch.setattr(M, "BLOCK_ROWS", block_rows)
-            _CountedThread.started = 0
+            start_count()
             got = M.denoise_batch(params, z, t, cond)
             assert _CountedThread.started == threads
             assert got.tobytes() == whole.tobytes()
@@ -398,10 +436,11 @@ def test_denoise_batch_threads_take_each_block_once(monkeypatch):
 
 @pytest.mark.parametrize("cpus", [1, 2, 64])
 def test_denoise_batch_threads_grow_with_the_call(monkeypatch, cpus):
-    # a call starts threads from four half-size blocks, one per two
-    # blocks up to the free CPUs, whatever the host's CPU count
+    # a call starts threads from four blocks, one worker per two blocks
+    # up to the free CPUs, whatever the host's CPU count
     params = tiny_denoiser(seed=3)
     z = np.random.default_rng(3).integers(0, 3, size=(64, 4))
+    start_count = _count_threads(monkeypatch)
     trunk = M._trunk_forward
     sizes = []
 
@@ -410,15 +449,14 @@ def test_denoise_batch_threads_grow_with_the_call(monkeypatch, cpus):
         return trunk(params, arrays, z_block, *args, **kwargs)
 
     monkeypatch.setattr(M, "_trunk_forward", counted)
-    monkeypatch.setattr(M.threading, "Thread", _CountedThread)
     monkeypatch.setattr(M, "_free_cpus", lambda: cpus)
-    monkeypatch.setattr(M, "BLOCK_ROWS", 64)
-    # (rows, threads started, block sizes in sequences)
+    monkeypatch.setattr(M, "BLOCK_ROWS", 16)
+    # (sequences of 4 positions, threads started, block sizes in sequences)
     for num, threads, want in [
-            (23, 0, [11, 12]), (24, 0, [12, 12]),
-            (25, min(cpus, 2) - 1, [6, 6, 6, 7] if cpus > 1 else [12, 13]),
-            (64, min(cpus, 4) - 1, [8] * 8 if cpus > 1 else [16] * 4)]:
-        _CountedThread.started = 0
+            (12, 0, [4, 4, 4]), (13, min(cpus, 2) - 1, [3, 3, 3, 4]),
+            (40, min(cpus, 5) - 1, [4] * 10),
+            (64, min(cpus, 8) - 1, [4] * 16)]:
+        start_count()
         sizes.clear()
         M.denoise_batch(params, z[:num], 0.5, None)
         assert _CountedThread.started == threads
@@ -444,11 +482,11 @@ def test_denoise_batch_raises_a_worker_error(monkeypatch):
     z = np.random.default_rng(6).integers(0, 3, size=(8, 4))
     trunk = M._trunk_forward
     calls = []
-    worker_called = M.threading.Event()
+    worker_called = threading.Event()
 
     def failing_off_main(*args, **kwargs):
-        calls.append(M.threading.current_thread())
-        if M.threading.current_thread() is not M.threading.main_thread():
+        calls.append(threading.current_thread())
+        if threading.current_thread() is not threading.main_thread():
             worker_called.set()
             raise MemoryError("block failed in a worker")
         # the caller holds its first block until the worker has taken one
@@ -462,7 +500,7 @@ def test_denoise_batch_raises_a_worker_error(monkeypatch):
         M.denoise_batch(params, z, 0.5, None)
     # the worker stopped at its first block, and it had been joined when
     # the error reached the caller, which ran every other block
-    workers = [t for t in calls if t is not M.threading.main_thread()]
+    workers = [t for t in calls if t is not threading.main_thread()]
     assert len(workers) == 1 and len(calls) == 4
     assert not workers[0].is_alive()
 
@@ -955,6 +993,22 @@ def _corrupted_checkpoint(tmp_path, params, edit):
     edit(doc)
     path.write_text(json.dumps(doc))
     return path
+
+
+def test_uniform_denoiser_rejects_a_mask_vocabulary(tmp_path):
+    # a mask token is noised like any other under uniform noise, and the
+    # classifier, whose prior comes from the vocabulary, would train on
+    # absorbing latents; the checkpoint reader builds through the same
+    # check
+    with pytest.raises(ValueError, match="without a mask token"):
+        M.init_denoiser(VOCAB4M, 4, 2, 8, kind="uniform")
+    with pytest.raises(ValueError, match="with a mask token"):
+        M.init_denoiser(VOCAB3, 4, 2, 8, kind="absorbing")
+    path = _corrupted_checkpoint(
+        tmp_path, tiny_denoiser(seed=15),
+        lambda doc: doc["vocab"].update(mask_index=2))
+    with pytest.raises(ValueError, match="without a mask token"):
+        load_checkpoint(path)
 
 
 def _drop_array(doc, name):
