@@ -6,14 +6,13 @@ q(z_s | z_t, x) follows from Bayes over one interpolating transition.
 
 Each computation is implemented once, batched over any leading shape:
 ``marginal_rows`` (the forward marginal), ``corrupt`` (a draw of z_t,
-applied by ``corrupt_from_uniforms``) and
-the posterior, written as ``bayes_factors`` (the factors that do not
-depend on x) and ``bayes_posterior`` (their application to one-hot or
-substituted clean-token rows, arrays or autodiff nodes), which
-``posterior_matrix`` chains. The sampler, the losses and the scalar
-entry point ``posterior`` all go through them. The uniform closed form
-is only a reference that the general kernel is checked against, since
-the specializations are where sign and normalization bugs creep in.
+applied by ``corrupt_from_uniforms``) and ``posterior_matrix`` (the
+posterior for one-hot or substituted clean-token rows, as arrays or as
+autodiff Nodes). The sampler, the losses, the scalar entry point
+``posterior`` and ``verify`` all go through that one posterior kernel.
+The uniform closed form is only a reference that the general kernel is
+checked against, since the specializations are where sign and
+normalization bugs creep in.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .core import Categorical, NoiseSchedule, Vocabulary
 
 
@@ -132,18 +132,33 @@ def corrupt_from_uniforms(
     return np.where(keep, x, noise)
 
 
-def bayes_factors(z, t, s, prior: PriorSpec, schedule: NoiseSchedule):
-    """The factors of q(z_s | z_t = z, x) that do not depend on x, for
-    latents z of any shape and t, s shared or one per leading row.
+def posterior_matrix(z, x_rows, t, s, prior: PriorSpec,
+                     schedule: NoiseSchedule):
+    """The posterior q(z_s | z_t = z, x) over a batch of latents, by Bayes
+    over one interpolating transition:
 
-    Returns (bridge, a_s, a_t, pi_z, pi): the (..., N) bridge rows
-    q(z_t = z | z_s = j) = a_ts 1[j=z] + (1 - a_ts) pi[z], then alpha at s,
-    alpha at t and pi[z], each shaped (..., 1) to broadcast against rows,
-    and the prior vector pi.
+        q(z_s = j | z_t = z, x) = bridge[j] (a_s x[j] + (1 - a_s) pi[j])
+                                  / (a_t x[z] + (1 - a_t) pi[z])
+
+    with bridge[j] = q(z_t = z | z_s = j) = a_ts 1[j=z] + (1 - a_ts) pi[z].
+
+    Latents z of any leading shape (a scalar included) with clean-token
+    rows x_rows of shape z.shape + (N,) give (..., N) posterior rows. Each
+    row of x_rows is a one-hot x (the true posterior) or any distribution
+    over clean tokens (the x-substituted reverse distribution of the
+    sampler and of the NELBO's model term). ``t`` and ``s`` are shared or
+    one value per leading row. Only autodiff primitives and arithmetic
+    operators touch x_rows, so an autodiff Node works too; plain arrays
+    raise ValueError where the latent has zero mass.
     """
     z = np.asarray(z, dtype=np.int64)
+    if not isinstance(x_rows, ad.Node):
+        x_rows = np.asarray(x_rows, dtype=np.float64)
     pi = prior.pi.probs
     n = pi.shape[0]
+    if x_rows.shape != z.shape + (n,):
+        raise ValueError(f"x_rows shape {x_rows.shape} does not match "
+                         f"latents {z.shape} over N={n}")
     a_s = _per_row(schedule.alpha(s), z.ndim + 1)
     a_t = _per_row(schedule.alpha(t), z.ndim + 1)
     a_ts = _per_row(schedule.alpha_ratio(t, s), z.ndim + 1)
@@ -152,57 +167,13 @@ def bayes_factors(z, t, s, prior: PriorSpec, schedule: NoiseSchedule):
     bridge = np.repeat(off, n, axis=-1)
     bridge.reshape(-1, n)[np.arange(z.size), z.reshape(-1)] = (
         off + a_ts).reshape(-1)
-    return bridge, a_s, a_t, pi_z, pi
-
-
-def bayes_posterior(factors, z, x_rows, x_at_z=None):
-    """Bayes over one interpolating transition, for clean-token rows x
-    (one-hot, or any distribution substituted for it):
-
-        q(z_s = j | z_t = z, x) = bridge[j] (a_s x[j] + (1 - a_s) pi[j])
-                                  / (a_t x[z] + (1 - a_t) pi[z]).
-
-    ``factors`` come from ``bayes_factors`` for the latents z. ``x_at_z``,
-    the rows' entries at z shaped (..., 1), is read from x_rows when not
-    given. Only arithmetic operators touch x_rows, so an autodiff Node
-    works too (passing its own gather); plain arrays raise ValueError
-    where the latent has zero mass.
-    """
-    bridge, a_s, a_t, pi_z, pi = factors
-    if x_at_z is None:
-        z = np.asarray(z, dtype=np.int64)
-        x_at_z = x_rows.reshape(-1, pi.shape[0])[
-            np.arange(z.size), z.reshape(-1)].reshape(z.shape + (1,))
+    x_at_z = ad.reshape(ad.gather_last(x_rows, z), z.shape + (1,))
     den = a_t * x_at_z + (1.0 - a_t) * pi_z
     if isinstance(den, np.ndarray) and (den <= 0).any():
         bad = tuple(int(i) for i in np.argwhere(den <= 0)[0][:-1])
-        raise ValueError(f"latent {np.asarray(z)[bad]} at position {bad} has "
+        raise ValueError(f"latent {z[bad]} at position {bad} has "
                          f"probability zero under the clean-token rows")
     return bridge * (a_s * x_rows + (1.0 - a_s) * pi) / den
-
-
-def posterior_matrix(
-    z,
-    x_rows: np.ndarray,
-    t,
-    s,
-    prior: PriorSpec,
-    schedule: NoiseSchedule,
-) -> np.ndarray:
-    """The posterior q(z_s | z_t = z, x) over a batch of latents.
-
-    Latents z of any leading shape (a scalar included) with clean-token
-    rows x_rows of shape (..., N) give (..., N) posterior rows. Each row of
-    x_rows is a one-hot x (the true posterior) or any distribution over
-    clean tokens (the x-substituted reverse distribution of the sampler
-    and of the NELBO's model term). ``t`` and ``s`` are shared or one value
-    per leading row.
-    """
-    x_rows = np.asarray(x_rows, dtype=np.float64)
-    if x_rows.shape[-1:] != (prior.size,):
-        raise ValueError(f"x_rows shape {x_rows.shape} does not match "
-                         f"N={prior.size}")
-    return bayes_posterior(bayes_factors(z, t, s, prior, schedule), z, x_rows)
 
 
 def posterior(

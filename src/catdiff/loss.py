@@ -17,7 +17,8 @@ one-position reference for ``_kl_terms``.
 
 The forward process is not re-derived here: z_t comes from
 ``forward.corrupt``, marginals from ``forward.marginal_rows``, and every
-posterior from ``forward.bayes_factors`` and ``forward.bayes_posterior``.
+posterior, of the one-hot x and of the predicted rows alike, from
+``forward.posterior_matrix``.
 
 Conventions, resolved once here:
 
@@ -44,8 +45,8 @@ import numpy as np
 from . import autodiff as ad
 from . import model as model_mod
 from .core import Categorical, NoiseSchedule, check_token_range
-from .forward import (PriorSpec, bayes_factors, bayes_posterior, corrupt,
-                      corrupt_from_uniforms, marginal_rows, posterior_matrix)
+from .forward import (PriorSpec, corrupt, corrupt_from_uniforms,
+                      marginal_rows, posterior_matrix)
 from .model import one_hot_batch
 
 _SUPPORT_EPS = 1e-300  # posterior entries below this count as off-support
@@ -220,17 +221,14 @@ def _kl_terms(xtheta, x, z, t, s, prior: PriorSpec, schedule: NoiseSchedule):
     """KL[q(z_s|z_t,x) || p_theta(z_s|z_t)] summed over positions, for a
     stack of latents z (S, L) with predicted clean-token rows xtheta
     (S, L, N), as arrays or autodiff Nodes -> (S,). The clean tokens x and
-    the times t, s are shared by the stack or given one per latent. The
-    posterior's factors are computed once and applied to the one-hot x (q)
-    and to xtheta (p). The sum is the entropy minus the cross term; p is
-    padded to 1 off q's support, so neither value nor gradient leaks from
-    there, and a zero p where q has mass gives inf."""
-    factors = bayes_factors(z, t, s, prior, schedule)
-    q = bayes_posterior(factors, z, one_hot_batch(np.broadcast_to(x, z.shape),
-                                                  prior.size))
-    x_at_z = ad.gather_last(xtheta, z)
-    p = bayes_posterior(factors, z, xtheta,
-                        ad.reshape(x_at_z, x_at_z.shape + (1,)))
+    the times t, s are shared by the stack or given one per latent. q is
+    the posterior of the one-hot x and p that of xtheta. The sum is the
+    entropy minus the cross term; p is padded to 1 off q's support, so
+    neither value nor gradient leaks from there, and a zero p where q has
+    mass gives inf."""
+    q = posterior_matrix(z, one_hot_batch(np.broadcast_to(x, z.shape),
+                                          prior.size), t, s, prior, schedule)
+    p = posterior_matrix(z, xtheta, t, s, prior, schedule)
     support = (q > _SUPPORT_EPS).astype(np.float64)
     q_masked = q * support
     entropy = np.sum(q_masked * np.log(np.where(support > 0, q, 1.0)),
