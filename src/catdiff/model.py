@@ -27,13 +27,14 @@ float64. denoise_batch runs it and the softmax's exponentials in float32
 on float32 copies of the parameters, its head padded with zero columns
 to a multiple of 16, and returns float64 rows normalised in float64.
 
-denoise_batch runs on cache-sized blocks of whole sequences with the
-same bytes as one call over the batch. A call of four blocks or more
-(over 3 * BLOCK_ROWS positions) runs them on the calling thread and pool
-threads started for the call, one worker per two blocks up to the CPUs
-in the process's affinity mask (``taskset`` narrows it) over the threads
-BLAS runs; the rows are byte-identical at any thread count. Only
-``_trunk_forward`` and the softmax run off the calling thread.
+denoise_batch runs on cache-sized blocks of whole sequences; a sequence's
+rows do not depend on its block or batch, unless a call is one position
+(BLAS's vector path). A call of four blocks or more (over 3 * BLOCK_ROWS
+positions) runs them on the calling thread and pool threads started for
+the call, one worker per two blocks up to the CPUs in the process's
+affinity mask (``taskset`` narrows it) over the threads BLAS runs, with
+the same bytes at any thread count. Only ``_trunk_forward`` and the
+softmax run off the calling thread.
 
 ``_trunk_backward`` is written by hand and keeps the first layer
 folded. Training wraps the pair as one autodiff Node
@@ -138,7 +139,7 @@ class DenoiserParams(_Trunk):
     # Denoiser protocol: ``rows_batch``, ``prior`` and ``schedule``.
     @property
     def prior(self) -> PriorSpec:
-        return _kind_prior(self.kind, self.vocab)
+        return PriorSpec.for_vocab(self.vocab)
 
     def rows_batch(self, z_batch, t, condition=None) -> np.ndarray:
         return denoise_batch(self, z_batch, t, condition)
@@ -185,19 +186,16 @@ class ConstantDenoiser:
     schedule = NoiseSchedule()  # the fixed schedule; protocol member
 
     def __post_init__(self) -> None:
-        if self.kind not in ("uniform", "absorbing"):
-            raise ValueError(f"unknown model kind {self.kind!r}")
+        _check_kind(self.kind, self.vocab)
         table = np.asarray(self.rows_table, dtype=np.float64)
         if table.ndim != 2 or table.shape[1] != self.vocab.size:
             raise ValueError(f"rows_table shape {table.shape}, expected "
                              f"(L, {self.vocab.size})")
         if np.any(table < 0) or np.any(np.abs(table.sum(axis=1) - 1.0) > 1e-9):
             raise ValueError("rows_table rows must be distributions")
-        if self.kind == "absorbing":
-            if self.vocab.mask_index is None:
-                raise ValueError("absorbing model needs a mask token")
-            if np.any(table[:, self.vocab.mask_index] > 0):
-                raise ValueError("clean-token rows cannot put mass on the mask")
+        if self.kind == "absorbing" \
+                and np.any(table[:, self.vocab.mask_index] > 0):
+            raise ValueError("clean-token rows cannot put mass on the mask")
         self.rows_table = table / table.sum(axis=1, keepdims=True)
         self.rows_table.setflags(write=False)
 
@@ -216,28 +214,28 @@ class ConstantDenoiser:
 
     @property
     def prior(self) -> PriorSpec:
-        return _kind_prior(self.kind, self.vocab)
+        return PriorSpec.for_vocab(self.vocab)
 
     def rows_batch(self, z_batch, t, condition=None) -> np.ndarray:
         z = _token_batch(self, z_batch)
         return np.tile(self.rows_table, (z.shape[0], 1, 1))
 
 
-def _kind_prior(kind: str, vocab: Vocabulary) -> PriorSpec:
-    if kind == "absorbing":
-        return PriorSpec.absorbing(vocab)
-    return PriorSpec.uniform(vocab.size)
+def _check_kind(kind: str, vocab: Vocabulary) -> None:
+    """The kind must name the prior ``PriorSpec.for_vocab`` picks:
+    absorbing with a mask token, uniform without one."""
+    if kind not in ("uniform", "absorbing"):
+        raise ValueError(f"unknown model kind {kind!r}")
+    if vocab.is_absorbing != (kind == "absorbing"):
+        need = "with" if kind == "absorbing" else "without"
+        raise ValueError(f"{kind} denoiser needs a vocabulary {need} a mask token")
 
 
 def init_denoiser(
     vocab: Vocabulary, length: int, num_classes: int, d: int,
     *, kind: str, n_layers: int = 1, seed: int = 0, scale: float = 0.1,
 ) -> DenoiserParams:
-    if kind not in ("uniform", "absorbing"):
-        raise ValueError(f"unknown model kind {kind!r}")
-    if vocab.is_absorbing != (kind == "absorbing"):
-        need = "with" if kind == "absorbing" else "without"
-        raise ValueError(f"{kind} denoiser needs a vocabulary {need} a mask token")
+    _check_kind(kind, vocab)
     return _init_trunk(DenoiserParams, vocab, length, d, vocab.size, n_layers,
                        seed, scale, extra_rows=(num_classes + 1,),
                        kind=kind, num_classes=num_classes)
@@ -379,7 +377,13 @@ def _trunk_forward(params, arrays: list, z_batch, t,
     time_in = _time_features(params.schedule, t)
     per_seq = h.sum(axis=1, keepdims=True)                         # (B, 1, d0)
     per_seq /= length
-    per_seq += (time_in @ (arrays[2] @ w0))[:, None, :]
+    # alpha and 1 - alpha blend the folded time rows elementwise: as a
+    # (B, 2) x (2, d0) product BLAS takes its vector path for one row and
+    # its matrix path for more, so a sequence's rows would depend on its
+    # batch. A shared t blends from the two scalars, with the same bytes
+    time_rows = arrays[2] @ w0                                     # (2, d0)
+    a, b = time_in[0] if len(time_in) == 1 else time_in.T[..., None]
+    per_seq += (a * time_rows[0] + b * time_rows[1])[..., None, :]
     if cond_idx is not None:
         per_seq += (arrays[3] @ w0)[cond_idx][:, None, :]
     per_pos = arrays[1] @ w0                                       # (L, d0)
@@ -543,14 +547,13 @@ def denoise_batch(
     if not batch:
         return out
     rows = batch * length
-    # blocks of whole sequences whose sizes differ by at most one and are
-    # at least two: a one-sequence block with per-example t takes NumPy's
-    # vector path for the time features and changes the bytes. A call of
+    # blocks of whole sequences whose sizes differ by at most one; a
+    # sequence's rows do not depend on the rest of its block. A call of
     # four blocks or more runs on one worker per two blocks, so the thread
     # count grows with the call, not the host; with fewer blocks a worker
     # whose CPU the host gives to another process holds up the whole call
     # (measured in CHANGES.md)
-    blocks = max(1, min(-(-rows // BLOCK_ROWS), batch // 2))
+    blocks = max(1, min(-(-rows // BLOCK_ROWS), batch))
     workers = max(1, min(_free_cpus(), blocks // 2))
     bounds = [k * batch // blocks for k in range(blocks + 1)]
     todo = list(zip(bounds, bounds[1:]))
@@ -736,7 +739,7 @@ def dropout_indices(labels: np.ndarray, rate: float, num_classes: int,
 
 def _as_xy(dataset):
     """Accept a data.Dataset, (X, y) pair, or bare array of sequences;
-    refuse an empty one."""
+    refuse an empty one. Labels keep their dtype for the trainer's check."""
     if hasattr(dataset, "sequences"):
         x, y = dataset.sequences, getattr(dataset, "labels", None)
     elif isinstance(dataset, tuple):
@@ -746,7 +749,7 @@ def _as_xy(dataset):
     x = np.asarray(x, dtype=np.int64)
     if x.size == 0:
         raise TrainingError("empty dataset")
-    return x, None if y is None else np.asarray(y, dtype=np.int64)
+    return x, None if y is None else np.asarray(y)
 
 
 def _fit(params, count: int, batch_loss, *, epochs: int, batch_size: int,
@@ -785,7 +788,8 @@ def train(
 
     One seeded generator drives shuffling, condition dropout, t draws and
     latent corruption in a fixed order, so a fixed seed reproduces the
-    final parameters bitwise.
+    final parameters bitwise. Labels must be integers in [0, K); a model
+    without classes takes none (ValueError).
     """
     from . import loss as loss_mod
 
@@ -793,10 +797,12 @@ def train(
     if params is None:
         params = init_denoiser(vocab, x_all.shape[1], num_classes, d,
                                kind=kind, n_layers=n_layers, seed=seed)
+    if y_all is not None:  # a model without classes takes no labels
+        y_all = _condition_indices(y_all, params.num_classes, len(x_all))
     rng = np.random.default_rng(seed)
 
     def batch_loss(nodes, idx):
-        if y_all is not None and params.num_classes > 0:
+        if y_all is not None:
             cond = dropout_indices(y_all[idx], condition_dropout,
                                    params.num_classes, rng)
         else:
@@ -815,13 +821,15 @@ def train_classifier(
     params: ClassifierParams | None = None,
 ) -> tuple:
     """Train the classifier on noised latents: draw t uniform over the
-    clamped range, corrupt x to z_t, minimize -log p_phi(y | z_t, t)."""
+    clamped range, corrupt x to z_t, minimize -log p_phi(y | z_t, t).
+    Labels must be integers in [0, K) (ValueError)."""
     x_all, y_all = _as_xy(dataset)
     if y_all is None:
         raise TrainingError("classifier training needs labels")
     if params is None:
         params = init_classifier(vocab, x_all.shape[1], num_classes, d,
                                  n_layers=n_layers, seed=seed)
+    y_all = _condition_indices(y_all, params.num_classes, len(x_all))
     schedule = params.schedule
     prior = PriorSpec.for_vocab(vocab)
     rng = np.random.default_rng(seed)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from catdiff import autodiff as ad
 from catdiff.core import Categorical, NoiseSchedule, Vocabulary
 from catdiff.forward import (
     PriorSpec,
@@ -233,7 +234,8 @@ def test_posterior_matrix_matches_oracles(n, kind, shape, per_row, one_hot,
     """The one posterior kernel against the literal-Bayes oracles, entry by
     entry: one-hot rows against bayes_posterior_oracle, arbitrary rows
     against substituted_posterior_oracle, over scalar, (L,) and (B, L)
-    latents with t and s shared or one per leading row."""
+    latents with t and s shared or one per leading row. The same rows as
+    an autodiff Node (training's KL) give the same bytes."""
     rng = np.random.default_rng(seed)
     pr = _prior(kind, n, rng)
     lead = shape[:1] if per_row and shape else ()
@@ -255,6 +257,10 @@ def test_posterior_matrix_matches_oracles(n, kind, shape, per_row, one_hot,
     got = posterior_matrix(z, rows, float(t) if shared else t,
                            float(s) if shared else s, pr, SCHED)
     assert got.shape == shape + (n,)
+    node = posterior_matrix(z, ad.param(rows), float(t) if shared else t,
+                            float(s) if shared else s, pr, SCHED)
+    assert isinstance(node, ad.Node)
+    assert node.value.tobytes() == got.tobytes()
     for idx in np.ndindex(*shape):
         ti, si, zi = float(t_at[idx]), float(s_at[idx]), int(z[idx])
         if one_hot:
@@ -264,6 +270,18 @@ def test_posterior_matrix_matches_oracles(n, kind, shape, per_row, one_hot,
             ref = substituted_posterior_oracle(zi, rows[idx], ti, si, pr,
                                                SCHED)
         assert np.max(np.abs(got[idx] - ref)) < 1e-12
+
+
+def test_posterior_matrix_rejects_rows_of_another_shape():
+    # one row per latent: rows are never broadcast over the latents
+    pr = PriorSpec.uniform(3)
+    z = np.array([[0, 1], [2, 0]])
+    rows = np.full((2, 2, 3), 1 / 3)
+    for bad in (rows[0], rows[:1], rows[..., :2], rows[None]):
+        with pytest.raises(ValueError, match="does not match"):
+            posterior_matrix(z, bad, 0.6, 0.2, pr, SCHED)
+        with pytest.raises(ValueError, match="does not match"):
+            posterior_matrix(z, ad.param(bad), 0.6, 0.2, pr, SCHED)
 
 
 def test_posterior_matrix_absorbing_distribution_rows():

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from catdiff import loss as L
 from catdiff import model as M
@@ -252,6 +252,9 @@ def _reference_nelbo(x, den, T, prior, mode, rng, mc_samples, labels):
     return np.array(out)
 
 
+# a sequence scored alone with a shared t once took BLAS's vector path for
+# its time features, and its NELBO differed from its batch's by 1.5e-7
+@example("mc", "uniform", "params_labeled", 4, 3, 3, 3, 181)
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from(["exact", "mc"]),

@@ -257,10 +257,10 @@ def test_denoise_batch_matches_autodiff_graph(kind, num_classes, use_labels,
 # 20 rows are 4 sequences: batches below, at and above them, and
 # 9 = 2 * 4 + 1. At 13 rows, 10 sequences would leave a one-sequence tail
 # after blocks of ceil(10 / 4) = 3. At one sequence (5 rows) or less
-# (1 row), blocks still hold two sequences or more, or the batch runs
-# whole.
+# (1 row), each sequence is a block of its own, with the bytes of the
+# whole batch under a per-example t too.
 BLOCK_CASES = [(20, [3]), (20, [4]), (20, [2, 3]), (20, [3, 3, 3]),
-               (13, [2, 3, 2, 3]), (5, [2, 2, 3]), (1, [3]), (1, [1])]
+               (13, [2, 3, 2, 3]), (5, [1] * 7), (1, [1] * 3), (1, [1])]
 
 
 @pytest.mark.parametrize("block_rows,sizes", BLOCK_CASES)
@@ -336,9 +336,9 @@ def _count_threads(monkeypatch):
     return start_count
 
 
-# 14 sequences of 10 positions are 140 rows: (BLOCK_ROWS, the blocks
-# ceil(140 / BLOCK_ROWS), at most 14 // 2 = 7, they make). Four or more
-# run on min(workers, blocks // 2) workers, one of them the calling
+# 7 sequences of 20 positions are 140 rows: (BLOCK_ROWS, the blocks
+# ceil(140 / BLOCK_ROWS), at most one per sequence, they make). Four or
+# more run on min(workers, blocks // 2) workers, one of them the calling
 # thread; three or fewer on the calling thread alone.
 SPLIT_CASES = [(5, 7), (13, 7), (40, 4), (50, 3)]
 
@@ -348,12 +348,12 @@ SPLIT_CASES = [(5, 7), (13, 7), (40, 4), (50, 3)]
 @pytest.mark.parametrize("kind", ["uniform", "absorbing"])
 def test_denoise_batch_threads_match_one_block(monkeypatch, workers,
                                                block_rows, blocks, kind):
-    batch = 14
+    batch = 7
     rng = np.random.default_rng(workers * 1000 + block_rows)
     vocab = VOCAB4M if kind == "absorbing" else VOCAB3
-    params = _randomized(M.init_denoiser(vocab, 10, 3, 8, kind=kind,
+    params = _randomized(M.init_denoiser(vocab, 20, 3, 8, kind=kind,
                                          n_layers=2), rng)
-    z = rng.integers(0, vocab.size, size=(batch, 10))
+    z = rng.integers(0, vocab.size, size=(batch, 20))
     start_count = _count_threads(monkeypatch)
     monkeypatch.setattr(M, "_free_cpus", lambda: workers)
     threads = max(1, min(workers, blocks // 2)) - 1
@@ -767,13 +767,14 @@ def test_trunk_node_matches_graph_oracle(kind, n_layers, shared_t, condition,
 
 
 # sha256 of the outputs _inference_bytes gathers (NumPy 2.4.6 with its
-# bundled OpenBLAS on x86-64), recorded when the denoiser's inference
-# forward moved to float32; of the parts, only the denoise_batch rows
-# changed then, and the classifier's, the Taylor gradient's and the
+# bundled OpenBLAS on x86-64), recorded when the trunk's time features
+# became an elementwise blend instead of a BLAS product; of the parts,
+# the float64 classifier's log-probabilities and Taylor gradients changed
+# then, in the last bits, and the denoise_batch rows and the
 # Taylor-guided draw's bytes held.
 INFERENCE_DIGESTS = {
-    1: "1ccb084fa4690ae6a5a6cc6a8b033f16d9b0e7746dbc31fbe8df654bf9391aab",
-    2: "41ea106a502c43188596a16fe9641c1ae3ed4c86c354814e4c37541c180850e0",
+    1: "f2e786c45d4118d9197033cd1e1a0ea13c3b8b0e42533e0f174da208237129b3",
+    2: "8242546abb4ca3c240e270e06bf494e8a8670549a2020d2d5c07d67b94fd834c",
 }
 
 
@@ -922,6 +923,27 @@ def test_nan_parameter_stops_both_training_loops():
                            batch_size=8, params=clf)
 
 
+@pytest.mark.parametrize("bad", [-1, 2, 3, 1.5])
+def test_training_rejects_labels_outside_classes(bad):
+    # -1 and K would train the unconditional row, K + 1 would escape as an
+    # IndexError, and the classifier would read -1 as the last class
+    x = np.random.default_rng(0).integers(0, 3, size=(8, 4))
+    y = np.array([0, 1] * 3 + [bad, 0])
+    with pytest.raises(ValueError, match="out of range|must be integers"):
+        M.train((x, y), LossSpec("udlm_continuous"), kind="uniform",
+                vocab=VOCAB3, num_classes=2, epochs=1)
+    with pytest.raises(ValueError, match="out of range|must be integers"):
+        M.train_classifier((x, y), vocab=VOCAB3, num_classes=2, epochs=1)
+
+
+def test_training_without_classes_rejects_labels():
+    # labels given to a model without classes were ignored
+    x = np.random.default_rng(0).integers(0, 3, size=(8, 4))
+    with pytest.raises(ValueError, match="out of range"):
+        M.train((x, np.zeros(8, dtype=np.int64)), LossSpec("udlm_continuous"),
+                kind="uniform", vocab=VOCAB3, num_classes=0, epochs=1)
+
+
 def test_empty_dataset_rejected():
     with pytest.raises(M.TrainingError):
         M.train(np.zeros((0, 4), dtype=np.int64), LossSpec("udlm_continuous"),
@@ -1009,6 +1031,12 @@ def test_uniform_denoiser_rejects_a_mask_vocabulary(tmp_path):
         lambda doc: doc["vocab"].update(mask_index=2))
     with pytest.raises(ValueError, match="without a mask token"):
         load_checkpoint(path)
+    # the constant denoiser takes its prior from the vocabulary too
+    rows = np.full((4, 4), 0.25)
+    with pytest.raises(ValueError, match="without a mask token"):
+        M.ConstantDenoiser("uniform", VOCAB4M, rows)
+    with pytest.raises(ValueError, match="with a mask token"):
+        M.ConstantDenoiser("absorbing", VOCAB3, rows[:, :3] * 4 / 3)
 
 
 def _drop_array(doc, name):
