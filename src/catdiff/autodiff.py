@@ -199,6 +199,15 @@ def log_softmax(a, axis=-1):
     return Node(out, (a,), bwd)
 
 
+def flat_index(idx, n: int) -> np.ndarray:
+    """Flat positions of idx[...] along the last axis of (..., n) rows;
+    ValueError for an entry outside [0, n), which would read another row."""
+    idx = np.asarray(idx, dtype=np.int64).reshape(-1)
+    if idx.size and idx.view(np.uint64).max() >= n:  # negatives read as huge
+        raise ValueError(f"indices must lie in [0, {n})")
+    return np.arange(0, idx.size * n, n) + idx
+
+
 def gather_last(a, idx):
     """Pick one entry per row along the last axis: out[...] = a[..., idx[...]]."""
     value = a.value if isinstance(a, Node) else np.asarray(a)
@@ -207,14 +216,14 @@ def gather_last(a, idx):
         raise ValueError(
             f"index shape {idx.shape} must match leading shape {value.shape[:-1]}"
         )
-    out = np.take_along_axis(value, idx[..., None], axis=-1)[..., 0]
+    flat = flat_index(idx, value.shape[-1])
+    out = value.reshape(-1)[flat].reshape(idx.shape)
     if not isinstance(a, Node):
         return out
 
     def bwd(g):
-        ga = np.zeros_like(a.value)
-        np.put_along_axis(ga, idx[..., None], np.asarray(g)[..., None],
-                          axis=-1)
+        ga = np.zeros(a.value.shape)
+        ga.reshape(-1)[flat] = np.asarray(g).reshape(-1)
         return (ga,)
 
     return Node(out, (a,), bwd)

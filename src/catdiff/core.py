@@ -167,6 +167,15 @@ def check_row_totals(totals: np.ndarray) -> None:
             f"{totals[tuple(bad)]!r}; expected finite and > 0")
 
 
+def row_reduce(rows: np.ndarray, ufunc) -> np.ndarray:
+    """Row sums (np.add) or maxima (np.maximum) column by column: faster
+    than NumPy's short-axis reduction, with np.sum's bytes to N = 7."""
+    out = rows[..., 0].copy()
+    for j in range(1, rows.shape[-1]):
+        ufunc(out, rows[..., j], out=out)
+    return out
+
+
 def sample_rows(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Inverse-CDF sample of one index per row of a (..., N) probability
     array: the number of running sums below u, with u drawn uniformly

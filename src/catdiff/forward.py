@@ -91,11 +91,9 @@ def marginal_rows(
 ) -> np.ndarray:
     """q(z_t | x) = alpha_t onehot(x) + (1 - alpha_t) pi for integer tokens
     x of any shape: (..., N) rows."""
-    x = np.asarray(x, dtype=np.int64)
-    n = prior.size
     a_t = schedule.alpha(t)
-    rows = np.tile((1.0 - a_t) * prior.pi.probs, x.shape + (1,))
-    rows.reshape(-1, n)[np.arange(x.size), x.reshape(-1)] += a_t
+    rows = np.tile((1.0 - a_t) * prior.pi.probs, np.shape(x) + (1,))
+    rows.reshape(-1)[ad.flat_index(x, prior.size)] += a_t
     return rows
 
 
@@ -165,8 +163,7 @@ def posterior_matrix(z, x_rows, t, s, prior: PriorSpec,
     pi_z = pi[z][..., None]
     off = (1.0 - a_ts) * pi_z
     bridge = np.repeat(off, n, axis=-1)
-    bridge.reshape(-1, n)[np.arange(z.size), z.reshape(-1)] = (
-        off + a_ts).reshape(-1)
+    bridge.reshape(-1)[ad.flat_index(z, n)] = (off + a_ts).reshape(-1)
     x_at_z = ad.reshape(ad.gather_last(x_rows, z), z.shape + (1,))
     den = a_t * x_at_z + (1.0 - a_t) * pi_z
     if isinstance(den, np.ndarray) and (den <= 0).any():

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_row_totals
+from . import autodiff as ad
+from .core import check_row_totals, row_reduce
 
 MODES = ("none", "cfg", "cbg_exact", "cbg_taylor")
 
@@ -69,8 +70,8 @@ def cfg_combine(cond_rows: np.ndarray, uncond_rows: np.ndarray,
     uncond = np.asarray(uncond_rows, dtype=np.float64)
     if cond.shape != uncond.shape:
         raise ValueError(f"shape mismatch {cond.shape} vs {uncond.shape}")
-    check_row_totals(cond.sum(axis=-1))
-    check_row_totals(uncond.sum(axis=-1))
+    check_row_totals(row_reduce(cond, np.add))
+    check_row_totals(row_reduce(uncond, np.add))
     if gamma == 0.0:
         return uncond.copy()
     if gamma == 1.0:
@@ -120,7 +121,7 @@ def cbg_taylor(classifier, z_t_seq, t_s: float, rows: np.ndarray,
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != rows.shape:
         raise ValueError(f"gradient shape {grad.shape} != rows {rows.shape}")
-    at_current = np.take_along_axis(grad, z[..., None], axis=-1)
+    at_current = ad.gather_last(grad, z)[..., None]
     log_phi = np.asarray(logp0, dtype=np.float64)[..., None, None] \
         + grad - at_current
     return _temper(rows, log_phi, gamma)
@@ -128,7 +129,7 @@ def cbg_taylor(classifier, z_t_seq, t_s: float, rows: np.ndarray,
 
 def _temper(rows: np.ndarray, log_phi: np.ndarray, gamma: float) -> np.ndarray:
     if gamma == 0.0:
-        totals = rows.sum(axis=-1, keepdims=True)
+        totals = row_reduce(rows, np.add)[..., None]
         if np.any(totals <= 0):
             raise ValueError("cannot normalize an all-zero row")
         return rows / totals
@@ -141,8 +142,8 @@ def _temper(rows: np.ndarray, log_phi: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def _normalize_logits(logits: np.ndarray) -> np.ndarray:
-    peak = np.max(logits, axis=-1, keepdims=True)
+    peak = row_reduce(logits, np.maximum)[..., None]
     if np.any(np.isneginf(peak)):
         raise ValueError("a position lost all probability mass under guidance")
     weights = np.exp(logits - peak)
-    return weights / weights.sum(axis=-1, keepdims=True)
+    return weights / row_reduce(weights, np.add)[..., None]

@@ -117,6 +117,40 @@ def test_gather_last_shape_check():
         ad.gather_last(ad.param(rand(4, 5, seed=0)), np.array([1, 2]))
 
 
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_gather_last_rejects_indices_outside_the_row(bad):
+    # a flat index outside [0, N) would read a neighbouring row
+    idx = np.array([[1, 0, 4], [2, bad, 3]])
+    for a in (rand(2, 3, 5, seed=1), ad.param(rand(2, 3, 5, seed=1))):
+        with pytest.raises(ValueError, match=r"\[0, 5\)"):
+            ad.gather_last(a, idx)
+
+
+def test_gather_last_matches_take_along_axis():
+    # the flat-index gather and its scatter against NumPy's along-axis
+    # pair: C-ordered, transposed and strided inputs, and a 0-d index
+    base = rand(6, 7, 5, seed=3)
+    gen = np.random.default_rng(4)
+    cases = [(base, gen.integers(0, 5, (6, 7))),
+             (base.transpose(1, 0, 2), gen.integers(0, 5, (7, 6))),
+             (base[::2, 1::3], gen.integers(0, 5, (3, 2))),
+             (np.asfortranarray(base[0]), gen.integers(0, 5, 7)),
+             (base[1, 2], np.int64(3))]
+    for value, idx in cases:
+        want = np.take_along_axis(value, np.asarray(idx)[..., None],
+                                  axis=-1)[..., 0]
+        got = ad.gather_last(value, idx)
+        assert type(got) is np.ndarray and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        node = ad.param(value)
+        g = rand(*np.shape(idx), seed=5)
+        (grad,) = ad.backprop(ad.nsum(ad.gather_last(node, idx) * g), [node])
+        want_grad = np.zeros(value.shape)
+        np.put_along_axis(want_grad, np.asarray(idx)[..., None],
+                          np.asarray(g)[..., None], axis=-1)
+        assert grad.tobytes() == want_grad.tobytes()
+
+
 def test_reshape_gradient():
     a = rand(2, 6, seed=17)
     err = gradient_check(

@@ -8,6 +8,7 @@ from catdiff.core import (
     NoiseSchedule,
     Vocabulary,
     check_sequence,
+    row_reduce,
     sample_rows,
 )
 
@@ -265,3 +266,25 @@ def test_sample_rows_failure_leaves_rng_untouched():
         with pytest.raises(FloatingPointError):
             sample_rows(rows.reshape(1000, 5, 6), rng)
         assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_row_reduce_matches_numpy_reductions(n, dtype):
+    # row sums column by column have np.sum's bytes up to 7 columns, where
+    # NumPy's short sum is sequential; row maxima have np.max's at any N.
+    # Non-contiguous rows, as denoise_batch's unpadded head columns are
+    gen = np.random.default_rng(n)
+    wide = gen.standard_normal((3, 40, 16)).astype(dtype)
+    wide[0, 0, 0] = -np.inf
+    for rows in (wide[..., :n], np.abs(wide[..., :n]), wide[:, ::3, :n],
+                 np.asfortranarray(wide[1, :, :n])):
+        assert row_reduce(rows, np.add).tobytes() \
+            == rows.sum(axis=-1).tobytes()
+        assert row_reduce(rows, np.maximum).tobytes() \
+            == rows.max(axis=-1).tobytes()
+    long = gen.standard_normal((50, 36))
+    assert row_reduce(long, np.maximum).tobytes() \
+        == long.max(axis=-1).tobytes()
+    assert np.allclose(row_reduce(long, np.add), long.sum(axis=-1),
+                       rtol=1e-13, atol=1e-13)

@@ -111,6 +111,33 @@ def test_condition_out_of_range():
     for label in (np.int32(1), np.uint8(1), np.array([1, 1], dtype=np.int16),
                   [np.int64(1), 1], (1, np.uint16(1))):
         assert M.denoise_batch(params, z, 0.4, label).tobytes() == want
+    # a list is parsed one run of equal entries at a time: a bool, float or
+    # bad label inside a run of equal labels is still refused
+    z4 = np.zeros((4, 4), dtype=np.int64)
+    for label in ([1, True, 1, 1], [1, 1, 1.0, 1], [0, 0, np.True_, None],
+                  (None, None, 1, np.float64(1.0))):
+        with pytest.raises(ValueError, match="integers"):
+            M.denoise_batch(params, z4, 0.4, label)
+    for label in ([1, 1, 2, 2], [None, None, -1, None], (0, 0, 0, 5)):
+        with pytest.raises(ValueError, match="out of range"):
+            M.denoise_batch(params, z4, 0.4, label)
+    with pytest.raises(ValueError, match="one condition per example"):
+        M.denoise_batch(params, z4, 0.4, [1] * 3 + [None] * 2)
+
+
+def test_condition_runs_match_entry_by_entry():
+    # each entry maps to its label, None to the unconditional row K
+    gen = np.random.default_rng(6)
+    for size in (0, 1, 2, 7, 40):
+        for choices in ([None, 0, 1], [1], [None], [0, np.int64(1), None]):
+            cond = [choices[i] for i in gen.integers(0, len(choices), size)]
+            if size > 5:  # long runs, as classifier-free guidance stacks
+                cond = sorted(cond, key=lambda c: c is None)
+            want = np.array([2 if c is None else c for c in cond], np.int64)
+            got = M._condition_indices(cond, 2, size)
+            assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+            got = M._condition_indices(tuple(cond), 2, size)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_per_example_condition_matches_shared_conditions():
@@ -143,6 +170,47 @@ def test_per_example_condition_rejects_labels_outside_classes(num_classes):
             M.denoise_batch(params, z, 0.4, (bad, None, None))
     with pytest.raises(ValueError, match="one condition per example"):
         M.denoise_batch(params, z, 0.4, [None, None])
+
+
+@pytest.mark.parametrize("kind", ["uniform", "absorbing"])
+def test_one_position_rows_match_the_batch(kind):
+    # a lone position runs as two copies: as a one-row product it took
+    # BLAS's vector path, and at d = 64 its rows differed from the batch's
+    vocab = VOCAB4M if kind == "absorbing" else VOCAB3
+    z = np.arange(vocab.size)[:, None]
+    n = len(z)
+    cases = [(0.4, None), (0.4, 1), (np.full(n, 0.7), [0] * n),
+             (np.full(n, 0.7), [None] * n)]
+    for seed in range(4):
+        params = M.init_denoiser(vocab, 1, 2, 64, kind=kind, n_layers=2,
+                                 seed=seed, scale=0.5)
+        for t, cond in cases:
+            batch = M.denoise_batch(params, z, t, cond)
+            for i in range(n):
+                one = M.denoise_batch(
+                    params, z[i:i + 1], t if np.ndim(t) == 0 else t[i:i + 1],
+                    cond if np.ndim(cond) == 0 else cond[i:i + 1])
+                assert one.shape == (1, 1, vocab.size)
+                assert one.tobytes() == batch[i:i + 1].tobytes()
+        assert M.denoise(params, z[1], 0.4).tobytes() \
+            == M.denoise_batch(params, z, 0.4, None)[1].tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 48])
+def test_pool_sum_keeps_the_bytes_of_sum(d, dtype):
+    # einsum adds the positions in order, as sum over a middle axis does;
+    # at d = 1 sum sees contiguous positions and adds them pairwise, so
+    # _pool_sum keeps sum there
+    gen = np.random.default_rng(d)
+    for length in range(1, 34):
+        for batch in (1, 3):
+            h = gen.standard_normal((batch, length, d)).astype(dtype)
+            want = h.sum(axis=1)
+            got = M._pool_sum(h)
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+            if d > 1:
+                assert np.einsum("bld->bd", h).tobytes() == want.tobytes()
 
 
 def test_absorbing_mask_column_is_zero():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import threading
@@ -456,3 +457,37 @@ def test_write_samples_without_request(tmp_path):
     S.write_samples(path, np.array([[0, 1]], dtype=np.int64), vocab)
     assert path.read_text(encoding="utf-8") == "01\n"
     assert not (tmp_path / "plain.txt.meta.json").exists()
+
+
+# sha256 of the tokens _generate_digest draws (NumPy 2.4.6 with its bundled
+# OpenBLAS on x86-64), recorded before the sampling path's mean-pool,
+# gathers and row sums moved to einsum, flat indices and column sums;
+# those moves keep every byte
+GENERATE_DIGESTS = {
+    ("uniform", "none"): "8e710a9d267cee7dcfe1b97ba90f8aeca0bb860d802f3748aebf5770d6069515",
+    ("uniform", "cfg"): "b3726596a47286e040b770ba293f8f5dbb952b2b0975e4664ff1ef870434ffaf",
+    ("uniform", "cbg_exact"): "30add947eda8a8dd93f6a4c4b234e23086564e4ac64f11175f137c3aa9898e75",
+    ("uniform", "cbg_taylor"): "119eb7ff9cdc117e41186f70b07402a51ac3b9f177a69bafa0a95da4355d9023",
+    ("absorbing", "none"): "9c29c4a1fc9900a65fc190090e5e91e7fdb109c3b8ddd0a5176726d5ef94e0d1",
+    ("absorbing", "cfg"): "40b0bb076b9f9670348aefc140d9bad68b64678ff601b97181b70b045e1bea16",
+    ("absorbing", "cbg_exact"): "98d7b934e843e86efa30c4936e4dbe4d5af96b3cfb20de88a1267a89620b449a",
+    ("absorbing", "cbg_taylor"): "9e002e32592d339eb2d6b31ac781b3ff875225112e4597778150308d143d441a",
+}
+
+
+def _generate_digest(kind, mode):
+    vocab = Vocabulary(7, mask_index=6) if kind == "absorbing" \
+        else Vocabulary(6)
+    den = M.init_denoiser(vocab, 5, 2, 16, kind=kind, n_layers=2, seed=3,
+                          scale=0.7)
+    clf = M.init_classifier(vocab, 5, 2, 16, seed=4, scale=0.7)
+    config = GuidanceConfig(mode, gamma=2.5,
+                            target_class=None if mode == "none" else 1)
+    z, _ = S.generate(S.SampleRequest(12, 5, 10, guidance=config, seed=11),
+                      den, clf if config.needs_classifier else None)
+    return hashlib.sha256(z.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("kind, mode", sorted(GENERATE_DIGESTS))
+def test_generate_keeps_its_bytes(kind, mode):
+    assert _generate_digest(kind, mode) == GENERATE_DIGESTS[kind, mode]
