@@ -1,4 +1,4 @@
-"""The paired-run driver's statistics, without running the benchmark."""
+"""The paired-run benchmark tool's statistics, without running the benchmark."""
 
 import importlib.util
 import os

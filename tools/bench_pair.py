@@ -17,9 +17,11 @@ pairs won and a median difference larger than the parent's IQR. Running
 again with another workload and the same --out adds that workload's
 entry and keeps the others.
 
-Use checkouts whose root paths have equal length: the train workload's
-speed has been seen to follow the checkout's directory name (glibc heap
-trimming), so unequal names can pass for a code change.
+The train workload's speed moves with glibc's heap layout, which has
+been seen to follow the checkout's directory name, so use root paths of
+equal length and check a train comparison again with the thresholds
+fixed (MALLOC_MMAP_THRESHOLD_, MALLOC_TRIM_THRESHOLD_); the file records
+any MALLOC_* variable the runs saw.
 """
 
 from __future__ import annotations
@@ -145,10 +147,13 @@ def main(argv=None) -> int:
     entry = {
         "seconds": seconds, "pairs": args.pairs, "first_seed": args.seed,
         "trees": {side: {
-            "path": path, "commit": runs[0][side]["record"]["commit"]
-            or git_commit(path),
+            "dir": os.path.basename(path),
+            "commit": runs[0][side]["record"]["commit"] or git_commit(path),
             "src_sha256": runs[0][side]["record"]["src_sha256"]}
             for side, path in trees.items()},
+        # glibc's heap thresholds move the train workload's speed
+        "malloc_env": {k: v for k, v in os.environ.items()
+                       if k.startswith("MALLOC_")},
         "failed_ops": {side: sum(r[side]["failed"] for r in runs)
                        for side in trees},
         "attempted_ops": {side: sum(r[side]["attempted"] for r in runs)
