@@ -167,9 +167,11 @@ def check_row_totals(totals: np.ndarray) -> None:
             f"{totals[tuple(bad)]!r}; expected finite and > 0")
 
 
-def row_reduce(rows: np.ndarray, ufunc) -> np.ndarray:
-    """Row sums (np.add) or maxima (np.maximum) column by column: faster
-    than NumPy's short-axis reduction, with np.sum's bytes to N = 7."""
+def row_reduce(rows: np.ndarray, ufunc, loop_max: int = 7) -> np.ndarray:
+    """Row sums (np.add) or maxima (np.maximum): column by column to loop_max
+    columns (np.sum's bytes to 7, and faster), ufunc.reduce above them."""
+    if rows.shape[-1] > loop_max:
+        return ufunc.reduce(rows, axis=-1)
     out = rows[..., 0].copy()
     for j in range(1, rows.shape[-1]):
         ufunc(out, rows[..., j], out=out)

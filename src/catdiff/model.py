@@ -588,11 +588,12 @@ def denoise_batch(
                 out=heads[worker, :(hi - lo) * length])[..., :n]
             if params.kind == "absorbing":
                 logits[..., params.vocab.mask_index] = MASK_LOGIT
-            np.subtract(logits, row_reduce(logits, np.maximum)[..., None],
+            # column by column at any N: the order its rows' bytes follow
+            np.subtract(logits, row_reduce(logits, np.maximum, n)[..., None],
                         out=logits)
             probs = out[lo:hi]
             np.exp(logits, out=probs)  # float32 exp, stored as float64
-            probs /= row_reduce(probs, np.add)[..., None]
+            probs /= row_reduce(probs, np.add, n)[..., None]
 
     if workers == 1:
         share(0)

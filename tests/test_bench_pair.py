@@ -17,11 +17,12 @@ METRICS = [{"name": "items_per_s", "unit": "1/s", "better": "higher",
             "bound": 0.25}]
 
 
-def _pairs(parent, change):
-    def side(v):
+def _pairs(parent, change, change_failed=0):
+    def side(v, failed=0):
         return {"metrics": {"items_per_s": {"value": v},
-                            "op_p50_ms": {"value": 1000.0 / v}}}
-    return [{"parent": side(p), "change": side(c)}
+                            "op_p50_ms": {"value": 1000.0 / v}},
+                "failed": failed}
+    return [{"parent": side(p), "change": side(c, change_failed)}
             for p, c in zip(parent, change)]
 
 
@@ -52,6 +53,11 @@ def test_summary_counts_pairs_and_applies_the_gain_rule():
     summary = bench_pair.summarize(_pairs(parent, close), METRICS)
     assert summary["items_per_s"]["pairs_won"] == 9
     assert not summary["items_per_s"]["gain_rule_holds"]
+    # every pair won is no gain when the change fails more operations
+    failing = bench_pair.summarize(_pairs(parent, faster, change_failed=1),
+                                   METRICS)
+    assert failing["items_per_s"]["pairs_won"] == 10
+    assert not failing["items_per_s"]["gain_rule_holds"]
     slower = [p * 0.7 for p in parent]
     assert bench_pair.summarize(_pairs(parent, slower), METRICS)[
         "items_per_s"]["worse_than_bound"]

@@ -283,8 +283,26 @@ def test_row_reduce_matches_numpy_reductions(n, dtype):
             == rows.sum(axis=-1).tobytes()
         assert row_reduce(rows, np.maximum).tobytes() \
             == rows.max(axis=-1).tobytes()
-    long = gen.standard_normal((50, 36))
-    assert row_reduce(long, np.maximum).tobytes() \
-        == long.max(axis=-1).tobytes()
-    assert np.allclose(row_reduce(long, np.add), long.sum(axis=-1),
-                       rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [8, 9, 12, 27, 64])
+def test_row_reduce_keeps_numpys_bytes_on_longer_rows(n):
+    # from 8 columns np.sum adds pairwise, so row_reduce hands longer rows
+    # to the ufunc's own reduction; loop_max=n still adds left to right
+    gen = np.random.default_rng(n)
+    wide = gen.standard_normal((7, 40, 80))
+    for rows in (wide[..., :n], wide[:, ::3, :n]):
+        assert row_reduce(rows, np.add).tobytes() \
+            == rows.sum(axis=-1).tobytes()
+        assert row_reduce(rows, np.maximum).tobytes() \
+            == rows.max(axis=-1).tobytes()
+        in_order = rows[..., 0].copy()
+        for j in range(1, n):
+            in_order = in_order + rows[..., j]
+        assert row_reduce(rows, np.add, loop_max=n).tobytes() \
+            == in_order.tobytes()
+        assert row_reduce(rows, np.maximum, loop_max=n).tobytes() \
+            == rows.max(axis=-1).tobytes()
+    # the column order differs from the pairwise one on some rows
+    assert row_reduce(wide[..., :n], np.add, loop_max=n).tobytes() \
+        != wide[..., :n].sum(axis=-1).tobytes()

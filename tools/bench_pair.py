@@ -1,21 +1,21 @@
 """Paired benchmark runs of two source trees on one workload.
 
     python3 tools/bench_pair.py --parent DIR --change DIR --workload NAME \
-        --pairs N --seed S --out BENCH_<name>.json [--seconds X]
+        --pairs N --seed S --out BENCH_<name>.json
 
 Runs ``perfbench/run.py --trace 0`` N times in each tree, alternating
 which tree goes first (pair i runs both trees at seed S + i, the parent
 first when i is even), each run in a fresh process from the tree's own
-root. The gated metrics, their directions and the run length come from
-the change tree's BENCHMARK.json.
+root. The gated metrics, their directions and the run length
+(run_seconds) come from the change tree's BENCHMARK.json.
 
 The output file holds, per workload, every run's record (its last JSON
 line and its ``record`` line) and, per end-to-end metric, each side's
 median, quartiles and IQR, the pairs the change won (ties count for
 neither), and whether the gain rule holds: at least nine tenths of the
-pairs won and a median difference larger than the parent's IQR. Running
-again with another workload and the same --out adds that workload's
-entry and keeps the others.
+pairs won, a median difference larger than the parent's IQR, and no more
+failed operations than the parent's. Running again with another workload
+and the same --out adds that workload's entry and keeps the others.
 
 The train workload's speed moves with glibc's heap layout, which has
 been seen to follow the checkout's directory name, so use root paths of
@@ -44,8 +44,6 @@ def parse_args(argv):
     parser.add_argument("--seed", type=int, required=True,
                         help="seed of the first pair; pair i uses seed + i")
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--seconds", type=float,
-                        help="run length (default: BENCHMARK.json's)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -96,7 +94,10 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
 
 def summarize(runs: list, metrics: list) -> dict:
     """Per end-to-end metric: both sides' quartiles and IQR, the pairs the
-    change won, and the gain rule."""
+    change won, and the gain rule, which a change that fails more
+    operations than the parent never meets."""
+    failed = {side: sum(r[side]["failed"] for r in runs)
+              for side in ("parent", "change")}
     out = {}
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -119,7 +120,9 @@ def summarize(runs: list, metrics: list) -> dict:
                                          for k, v in s.items()},
             "pairs": len(runs), "pairs_won": won,
             "median_gain_frac": gain / parent["median"],
-            "gain_rule_holds": won >= 0.9 * len(runs) and gain > parent["iqr"],
+            "gain_rule_holds": (won >= 0.9 * len(runs)
+                                and gain > parent["iqr"]
+                                and failed["change"] <= failed["parent"]),
             "worse_than_bound": -gain / parent["median"] > metric["bound"],
         }
     return out
@@ -130,7 +133,7 @@ def main(argv=None) -> int:
     with open(os.path.join(args.change, "BENCHMARK.json"),
               encoding="utf-8") as fh:
         bench = json.load(fh)
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     trees = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
     runs = []
