@@ -24,6 +24,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import row_reduce
+
+# rows from which log_softmax reduces column by column: at N = 6 the loop
+# takes 7.9 us against NumPy's 7.7 at 64 rows, 11.3 against 20.4 at 256
+LOOP_MIN_ROWS = 64
+
 
 class Node:
     __slots__ = ("value", "grad", "parents", "backward_fn", "requires_grad")
@@ -183,18 +189,28 @@ def nmean(a) -> Node:
     return mul(nsum(a), 1.0 / a.value.size)
 
 
-def log_softmax(a, axis=-1):
-    """Numerically stable log softmax; the max shift is treated as a
-    constant, which leaves the gradient exact."""
+def _row_reduce(rows: np.ndarray, ufunc) -> np.ndarray:
+    """``core.row_reduce`` over the last axis from LOOP_MIN_ROWS rows, and
+    NumPy's reduction, with the same bytes, below them, where the column
+    loop's per-column calls cost more than they save."""
+    if rows.size < LOOP_MIN_ROWS * rows.shape[-1]:
+        return ufunc.reduce(rows, axis=-1)
+    return row_reduce(rows, ufunc)
+
+
+def log_softmax(a):
+    """Numerically stable log softmax over the last axis; the max shift is
+    treated as a constant, which leaves the gradient exact."""
     value = a.value if isinstance(a, Node) else a
-    out = value - value.max(axis=axis, keepdims=True)
-    out -= np.log(np.exp(out).sum(axis=axis, keepdims=True))
+    out = value - _row_reduce(value, np.maximum)[..., None]
+    out -= np.log(_row_reduce(np.exp(out), np.add))[..., None]
     if not isinstance(a, Node):
         return out
 
     def bwd(g):
         p = np.exp(out)
-        return (g - p * g.sum(axis=axis, keepdims=True),)
+        # + 0.0: NumPy's sum of a row of -0.0 is +0.0, the loop's -0.0
+        return (g - p * (_row_reduce(g, np.add) + 0.0)[..., None],)
 
     return Node(out, (a,), bwd)
 

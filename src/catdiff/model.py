@@ -647,6 +647,28 @@ def _blas_threads_getter():
     return None
 
 
+# glibc's mallopt parameters (malloc.h)
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def _keep_heap() -> None:
+    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 64
+    MiB, once per process; nothing where ``mallopt`` is missing. Under the
+    dynamic defaults a training step's freed arrays go back to the kernel
+    and the next step faults the same pages in again, a third of a step's
+    time at batch 256 (measured in CHANGES.md). Only where freed memory
+    goes changes, never a number."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(M_TRIM_THRESHOLD, 64 << 20)
+
+
 def one_hot_batch(z_batch: np.ndarray, n: int) -> np.ndarray:
     """Integer tokens of any shape to (..., n) one-hot rows."""
     out = np.zeros(np.shape(z_batch) + (n,))
@@ -654,15 +676,30 @@ def one_hot_batch(z_batch: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _classify_forward(params: ClassifierParams, z_seq, t,
+                      keep: list | None = None) -> tuple:
+    """The forward ``classify`` and ``classify_grad_wrt_onehot`` share:
+    (log-probabilities, the number of sequences asked, whether ``z_seq``
+    was one (L,) sequence). A batch of one runs as two copies, off BLAS's
+    one-row vector path for the pooled head product, so a lone sequence's
+    rows have the bytes they have in a batch of two or three; only the
+    first ``asked`` rows are the caller's."""
+    z = np.asarray(z_seq)
+    single = z.ndim == 1
+    z = _token_batch(params, z[None] if single else z)
+    asked = len(z)
+    if asked == 1:
+        z = np.repeat(z, 2, axis=0)
+    logp = ad.log_softmax(_trunk_forward(params, params.values(), z, t,
+                                         pool=True, keep=keep))
+    return logp, asked, single
+
+
 def classify(params: ClassifierParams, z_seq, t) -> np.ndarray:
     """Log p_phi(y | z, t) over the K classes: (K,) for one (L,) sequence,
     (B, K) for a (B, L) batch, with t shared or one per sequence."""
-    z = np.asarray(z_seq)
-    single = z.ndim == 1
-    logp = ad.log_softmax(_trunk_forward(
-        params, params.values(), _token_batch(params, z[None] if single else z),
-        t, pool=True))
-    return logp[0] if single else logp
+    logp, asked, single = _classify_forward(params, z_seq, t)
+    return logp[0] if single else logp[:asked]
 
 
 def classify_grad_wrt_onehot(
@@ -676,20 +713,16 @@ def classify_grad_wrt_onehot(
     backward is ``_trunk_backward`` from e_y - softmax, asked for the input
     gradient only: it builds no autodiff graph and computes no parameter
     gradient. The examples do not interact, so each gets its own."""
-    z = np.asarray(z_seq)
-    single = z.ndim == 1
-    arrays = params.values()
     keep = []
-    logp = ad.log_softmax(_trunk_forward(
-        params, arrays, _token_batch(params, z[None] if single else z), t,
-        pool=True, keep=keep))
+    logp, asked, single = _classify_forward(params, z_seq, t, keep)
     delta = -np.exp(logp)                                          # (B, K)
     delta[:, y] += 1.0
+    arrays = params.values()
     grad = _trunk_backward(params, arrays, keep, delta,
                            [False] * len(arrays) + [True])[-1]
     if single:
         return float(logp[0, y]), grad[0]
-    return logp[:, y].copy(), grad
+    return logp[:asked, y].copy(), grad[:asked]
 
 
 # ------------------------------------------------------------ optimizers
@@ -759,6 +792,7 @@ def _fit(params, count: int, batch_loss, *, epochs: int, batch_size: int,
     makes the batch's own draws from ``rng`` and returns its mean loss as a
     scalar Node of the parameter Nodes. Adam updates the parameter arrays
     in place."""
+    _keep_heap()
     opt = AdamState(params.values())
     trace = []
     for _ in range(epochs):

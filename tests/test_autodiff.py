@@ -79,6 +79,26 @@ def test_log_softmax_rows_normalize():
     assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", range(1, 12))
+@pytest.mark.parametrize("rows", [3, 63, 64, 4096])
+def test_log_softmax_keeps_numpy_reduction_bytes(rows, n):
+    # rows reduce column by column from LOOP_MIN_ROWS on; both directions
+    # keep the bytes of NumPy's reductions along the last axis, signed
+    # zeros in the upstream gradient included
+    rng = np.random.default_rng(rows * 100 + n)
+    a = rng.normal(size=(rows, n)) * 5.0
+    g = rng.normal(size=(rows, n))
+    g[:rows // 2] = rng.choice([-0.0, 0.0, 1.5], size=(rows // 2, n))
+    want = a - a.max(axis=-1, keepdims=True)
+    want -= np.log(np.exp(want).sum(axis=-1, keepdims=True))
+    want_grad = g - np.exp(want) * g.sum(axis=-1, keepdims=True)
+    node = ad.log_softmax(ad.param(a))
+    assert node.value.tobytes() == want.tobytes()
+    assert ad.log_softmax(a).tobytes() == want.tobytes()
+    (grad,) = node.backward_fn(g)
+    assert grad.tobytes() == want_grad.tobytes()
+
+
 def test_take_gradient_with_repeats():
     emb = rand(6, 3, seed=14)
     idx = np.array([0, 2, 2, 5, 0])

@@ -1,6 +1,7 @@
 """The paired-run benchmark tool's statistics, without running the benchmark."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -61,3 +62,41 @@ def test_summary_counts_pairs_and_applies_the_gain_rule():
     slower = [p * 0.7 for p in parent]
     assert bench_pair.summarize(_pairs(parent, slower), METRICS)[
         "items_per_s"]["worse_than_bound"]
+
+
+STUB_RUN = '''import json
+blob = b"x" * (8 << 20)  # 2,048 pages written, so faulted in
+print("record " + json.dumps({"commit": "abc", "src_sha256": "0" * 64,
+                              "nproc": 2, "cpu_affinity": [0, 1],
+                              "numpy": "2", "blas": "stub"}))
+print(json.dumps({"metrics": {"items_per_s": {"value": 100.0},
+                              "op_p50_ms": {"value": 10.0}},
+                  "failed": 0, "attempted": 5}))
+'''
+
+
+def _stub_tree(root):
+    os.makedirs(os.path.join(root, "perfbench"))
+    with open(os.path.join(root, "perfbench", "run.py"), "w") as fh:
+        fh.write(STUB_RUN)
+    with open(os.path.join(root, "BENCHMARK.json"), "w") as fh:
+        json.dump({"run_seconds": 1, "end_to_end": METRICS}, fh)
+    return str(root)
+
+
+def test_runs_record_their_minor_page_faults(tmp_path):
+    parent = _stub_tree(tmp_path / "parent")
+    change = _stub_tree(tmp_path / "change")
+    run = bench_pair.run_once(change, "train", 3, 1)
+    assert run["record"]["commit"] == "abc"
+    assert run["metrics"]["items_per_s"]["value"] == 100.0
+    assert isinstance(run["minor_faults"], int)
+    assert run["minor_faults"] >= 2048
+    out = tmp_path / "bench.json"
+    assert bench_pair.main(["--parent", parent, "--change", change,
+                            "--workload", "train", "--pairs", "2",
+                            "--seed", "1", "--out", str(out)]) == 0
+    entry = json.loads(out.read_text())["workloads"]["train"]
+    assert all(r[side]["minor_faults"] >= 2048
+               for r in entry["runs"] for side in ("parent", "change"))
+    assert entry["minor_faults_median"]["change"] >= 2048

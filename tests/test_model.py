@@ -1,4 +1,5 @@
 import hashlib
+import platform
 import sys
 import threading
 
@@ -716,6 +717,33 @@ def test_classifier_protocol_batches_match_single_sequences():
         assert np.max(np.abs(grad[b] - single_grad)) <= 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([16, 48, 64]), st.integers(min_value=2, max_value=6),
+       st.integers(min_value=1, max_value=2),
+       st.integers(min_value=2, max_value=3),
+       st.integers(min_value=0, max_value=10 ** 6))
+def test_one_sequence_classifier_rows_match_a_small_batch(d, k, n_layers,
+                                                         batch, seed):
+    # a lone sequence runs as two copies: its pooled (1, d) x (d, K) head
+    # product took BLAS's vector path, and most rows differed from the
+    # batch's. A batch of up to three rows stays inside one of OpenBLAS's
+    # four-row tiles (a row in a full tile may still differ; see README)
+    params = M.init_classifier(VOCAB3, 5, k, d, n_layers=n_layers,
+                               seed=seed, scale=0.5)
+    rng = np.random.default_rng(seed)
+    z = rng.integers(0, 3, size=(batch, 5))
+    t, y = float(rng.uniform(0.01, 0.99)), int(rng.integers(k))
+    logp = M.classify(params, z, t)
+    logp0, grad = M.classify_grad_wrt_onehot(params, z, t, y)
+    for i in range(batch):
+        assert M.classify(params, z[i], t).tobytes() == logp[i].tobytes()
+        assert M.classify(params, z[i:i + 1], t).tobytes() \
+            == logp[i:i + 1].tobytes()
+        one_logp, one_grad = M.classify_grad_wrt_onehot(params, z[i], t, y)
+        assert one_logp == logp0[i] == logp[i, y]
+        assert one_grad.tobytes() == grad[i].tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=2, max_value=6),
@@ -839,10 +867,12 @@ def test_trunk_node_matches_graph_oracle(kind, n_layers, shared_t, condition,
 # became an elementwise blend instead of a BLAS product; of the parts,
 # the float64 classifier's log-probabilities and Taylor gradients changed
 # then, in the last bits, and the denoise_batch rows and the
-# Taylor-guided draw's bytes held.
+# Taylor-guided draw's bytes held. Re-recorded when a one-sequence
+# classifier call began to run as two copies: the lone sequence's Taylor
+# gradient changed in the last bits, and every other part held.
 INFERENCE_DIGESTS = {
-    1: "f2e786c45d4118d9197033cd1e1a0ea13c3b8b0e42533e0f174da208237129b3",
-    2: "8242546abb4ca3c240e270e06bf494e8a8670549a2020d2d5c07d67b94fd834c",
+    1: "1bc83d1deba8c4b2695a9cf0d17ecec6ee3357838173b1d9ccdf3ba11852b083",
+    2: "b9be622f6e44e5a2728635e8ca5dabf5a4272ca7bd11c7132754f702bc88d95b",
 }
 
 
@@ -888,6 +918,31 @@ def test_nonfinite_gradient_raises():
 
 
 # ---------------------------------------------------------------- training
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="glibc's heap thresholds")
+def test_training_steps_fault_in_no_fresh_pages():
+    # training fixes glibc's mmap and trim thresholds: under the dynamic
+    # defaults each step's freed arrays went back to the kernel and the
+    # next step faulted them in again, about 2,500 minor faults per step
+    # at this shape (the perfbench train workload's mdlm_continuous step)
+    resource = pytest.importorskip("resource")
+    vocab = Vocabulary(7, mask_index=6)
+    x = np.random.default_rng(0).integers(0, 6, size=(256, 16))
+    params = M.init_denoiser(vocab, 16, 0, 48, kind="absorbing", n_layers=2,
+                             seed=0)
+
+    def step(seed):
+        M.train(x, LossSpec("mdlm_continuous"), kind="absorbing", vocab=vocab,
+                epochs=1, batch_size=256, lr=0.01, seed=seed, params=params)
+
+    step(0)
+    for seed in (1, 2, 3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        step(seed)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50
+
 
 def test_dropout_rate_chi_square():
     rng = np.random.default_rng(0)

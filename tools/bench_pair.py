@@ -17,11 +17,14 @@ pairs won, a median difference larger than the parent's IQR, and no more
 failed operations than the parent's. Running again with another workload
 and the same --out adds that workload's entry and keeps the others.
 
-The train workload's speed moves with glibc's heap layout, which has
-been seen to follow the checkout's directory name, so use root paths of
-equal length and check a train comparison again with the thresholds
-fixed (MALLOC_MMAP_THRESHOLD_, MALLOC_TRIM_THRESHOLD_); the file records
-any MALLOC_* variable the runs saw.
+Each run's record also holds its minor page faults (``minor_faults``,
+from getrusage of the finished child), set-up and start-up included. A
+tree whose training leaves glibc's mmap and trim thresholds dynamic
+returns each step's freed arrays to the kernel and faults them in again,
+and its train speed has followed the checkout's directory name; a tree
+that fixes them should read the same from root paths of any length, and
+its fault count shows whether it does. The file records any MALLOC_*
+variable the runs saw, since those set the same thresholds.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import json
 import math
 import os
 import platform
+import resource
 import subprocess
 import sys
 
@@ -77,11 +81,14 @@ def git_commit(tree: str) -> str | None:
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     """One untraced perfbench run in ``tree``: its last JSON line, with
-    the ``record`` line's fields under "record"."""
+    the ``record`` line's fields under "record" and the run's minor page
+    faults under "minor_faults"."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     if proc.returncode != 0:
         raise SystemExit(f"error: {' '.join(cmd)} in {tree} exited "
                          f"{proc.returncode}:\n{proc.stderr[-2000:]}")
@@ -89,6 +96,7 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(lines[-1])
     result["record"] = next(json.loads(line[len("record "):])
                             for line in lines if line.startswith("record "))
+    result["minor_faults"] = faults
     return result
 
 
@@ -145,7 +153,8 @@ def main(argv=None) -> int:
                                   seconds)
             value = pair[side]["metrics"]["items_per_s"]["value"]
             print(f"pair {i} seed {args.seed + i} {side}: items_per_s "
-                  f"{value:.1f}", flush=True)
+                  f"{value:.1f}, minor faults {pair[side]['minor_faults']}",
+                  flush=True)
         runs.append(pair)
     entry = {
         "seconds": seconds, "pairs": args.pairs, "first_seed": args.seed,
@@ -154,6 +163,9 @@ def main(argv=None) -> int:
             "commit": runs[0][side]["record"]["commit"] or git_commit(path),
             "src_sha256": runs[0][side]["record"]["src_sha256"]}
             for side, path in trees.items()},
+        "minor_faults_median": {
+            side: quartiles([r[side]["minor_faults"] for r in runs])[1]
+            for side in trees},
         # glibc's heap thresholds move the train workload's speed
         "malloc_env": {k: v for k, v in os.environ.items()
                        if k.startswith("MALLOC_")},
