@@ -189,28 +189,28 @@ def nmean(a) -> Node:
     return mul(nsum(a), 1.0 / a.value.size)
 
 
-def _row_reduce(rows: np.ndarray, ufunc) -> np.ndarray:
-    """``core.row_reduce`` over the last axis from LOOP_MIN_ROWS rows, and
-    NumPy's reduction, with the same bytes, below them, where the column
-    loop's per-column calls cost more than they save."""
-    if rows.size < LOOP_MIN_ROWS * rows.shape[-1]:
-        return ufunc.reduce(rows, axis=-1)
-    return row_reduce(rows, ufunc)
-
-
 def log_softmax(a):
     """Numerically stable log softmax over the last axis; the max shift is
-    treated as a constant, which leaves the gradient exact."""
+    treated as a constant, which leaves the gradient exact. Rows reduce
+    column by column (``core.row_reduce``) from LOOP_MIN_ROWS rows on, and
+    by NumPy's reduction, with the same bytes, below them, where the
+    column loop's per-column calls cost more than they save."""
     value = a.value if isinstance(a, Node) else a
-    out = value - _row_reduce(value, np.maximum)[..., None]
-    out -= np.log(_row_reduce(np.exp(out), np.add))[..., None]
+    if value.size < LOOP_MIN_ROWS * value.shape[-1]:
+        def rows(x, ufunc):
+            return ufunc.reduce(x, axis=-1, keepdims=True)
+    else:
+        def rows(x, ufunc):
+            return row_reduce(x, ufunc)[..., None]
+    out = value - rows(value, np.maximum)
+    out -= np.log(rows(np.exp(out), np.add))
     if not isinstance(a, Node):
         return out
 
     def bwd(g):
         p = np.exp(out)
         # + 0.0: NumPy's sum of a row of -0.0 is +0.0, the loop's -0.0
-        return (g - p * (_row_reduce(g, np.add) + 0.0)[..., None],)
+        return (g - p * (rows(g, np.add) + 0.0),)
 
     return Node(out, (a,), bwd)
 

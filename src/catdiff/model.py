@@ -676,30 +676,27 @@ def one_hot_batch(z_batch: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _classify_forward(params: ClassifierParams, z_seq, t,
-                      keep: list | None = None) -> tuple:
-    """The forward ``classify`` and ``classify_grad_wrt_onehot`` share:
-    (log-probabilities, the number of sequences asked, whether ``z_seq``
-    was one (L,) sequence). A batch of one runs as two copies, off BLAS's
-    one-row vector path for the pooled head product, so a lone sequence's
-    rows have the bytes they have in a batch of two or three; only the
-    first ``asked`` rows are the caller's."""
-    z = np.asarray(z_seq)
-    single = z.ndim == 1
-    z = _token_batch(params, z[None] if single else z)
-    asked = len(z)
-    if asked == 1:
+def _classify_forward(params: ClassifierParams, z: np.ndarray, t,
+                      keep: list | None = None) -> np.ndarray:
+    """The forward ``classify`` and ``classify_grad_wrt_onehot`` share, on
+    (B, L) tokens ``_token_batch`` has checked: (B, K) log-probabilities.
+    A batch of one runs as two copies, off BLAS's one-row vector path for
+    the pooled head product, so a lone sequence's rows have the bytes they
+    have in a batch of two or three; the caller keeps the first row."""
+    if len(z) == 1:
         z = np.repeat(z, 2, axis=0)
-    logp = ad.log_softmax(_trunk_forward(params, params.values(), z, t,
+    return ad.log_softmax(_trunk_forward(params, params.values(), z, t,
                                          pool=True, keep=keep))
-    return logp, asked, single
 
 
 def classify(params: ClassifierParams, z_seq, t) -> np.ndarray:
     """Log p_phi(y | z, t) over the K classes: (K,) for one (L,) sequence,
     (B, K) for a (B, L) batch, with t shared or one per sequence."""
-    logp, asked, single = _classify_forward(params, z_seq, t)
-    return logp[0] if single else logp[:asked]
+    z = np.asarray(z_seq)
+    single = z.ndim == 1
+    z = _token_batch(params, z[None] if single else z)
+    logp = _classify_forward(params, z, t)
+    return logp[0] if single else logp[:len(z)]
 
 
 def classify_grad_wrt_onehot(
@@ -713,8 +710,11 @@ def classify_grad_wrt_onehot(
     backward is ``_trunk_backward`` from e_y - softmax, asked for the input
     gradient only: it builds no autodiff graph and computes no parameter
     gradient. The examples do not interact, so each gets its own."""
+    z = np.asarray(z_seq)
+    single = z.ndim == 1
+    z = _token_batch(params, z[None] if single else z)
     keep = []
-    logp, asked, single = _classify_forward(params, z_seq, t, keep)
+    logp = _classify_forward(params, z, t, keep)
     delta = -np.exp(logp)                                          # (B, K)
     delta[:, y] += 1.0
     arrays = params.values()
@@ -722,7 +722,7 @@ def classify_grad_wrt_onehot(
                            [False] * len(arrays) + [True])[-1]
     if single:
         return float(logp[0, y]), grad[0]
-    return logp[:asked, y].copy(), grad[:asked]
+    return logp[:len(z), y].copy(), grad[:len(z)]
 
 
 # ------------------------------------------------------------ optimizers

@@ -99,4 +99,3 @@ def test_runs_record_their_minor_page_faults(tmp_path):
     entry = json.loads(out.read_text())["workloads"]["train"]
     assert all(r[side]["minor_faults"] >= 2048
                for r in entry["runs"] for side in ("parent", "change"))
-    assert entry["minor_faults_median"]["change"] >= 2048

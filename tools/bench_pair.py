@@ -163,9 +163,6 @@ def main(argv=None) -> int:
             "commit": runs[0][side]["record"]["commit"] or git_commit(path),
             "src_sha256": runs[0][side]["record"]["src_sha256"]}
             for side, path in trees.items()},
-        "minor_faults_median": {
-            side: quartiles([r[side]["minor_faults"] for r in runs])[1]
-            for side in trees},
         # glibc's heap thresholds move the train workload's speed
         "malloc_env": {k: v for k, v in os.environ.items()
                        if k.startswith("MALLOC_")},
