@@ -78,6 +78,52 @@ def save_checkpoint(params, path: str) -> None:
         fh.write("\n")
 
 
+TYPE_NAMES = {int: "an integer", str: "a string", list: "a list",
+              dict: "an object"}
+
+
+def _field(obj: dict, key: str, kind: type, where: str = ""):
+    """obj[key], which must be of JSON type ``kind`` (ValueError); a bool
+    is no integer."""
+    if key not in obj:
+        raise ValueError(f"checkpoint has no field {where + key!r}")
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"checkpoint field {where + key!r} must be "
+                         f"{TYPE_NAMES[kind]}, not {type(value).__name__}")
+    return value
+
+
+def _check_fields(doc) -> None:
+    """ValueError unless each field load_checkpoint reads has its JSON
+    type, so no array is built from, and no model sized by, a value of
+    another type."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a checkpoint is a JSON object, not "
+                         f"{type(doc).__name__}")
+    _field(doc, "model_kind", str)
+    vocab = _field(doc, "vocab", dict)
+    _field(vocab, "size", int, "vocab.")
+    if vocab.get("mask_index") is not None:
+        _field(vocab, "mask_index", int, "vocab.")
+    if not all(isinstance(s, str)
+               for s in _field(vocab, "symbols", list, "vocab.")):
+        raise ValueError("checkpoint field 'vocab.symbols' must list strings")
+    hyper = _field(doc, "hyper", dict)
+    for key in ("length", "num_classes", "d", "n_layers"):
+        _field(hyper, key, int, "hyper.")
+    for name, shape in _field(doc, "shapes", dict).items():
+        if not (isinstance(shape, list)
+                and all(type(k) is int for k in shape)):
+            raise ValueError(f"checkpoint shape of {name!r} must list "
+                             f"integers")
+    for entry in _field(doc, "params", list):
+        if not (isinstance(entry, list) and len(entry) == 2
+                and isinstance(entry[0], str)):
+            raise ValueError("checkpoint params must be [name, values] "
+                             "pairs")
+
+
 def _checked_arrays(doc: dict, expected: dict) -> dict:
     """The document's arrays by name, each checked against the expected
     shape (ValueError) and for finiteness (FloatingPointError)."""
@@ -86,7 +132,11 @@ def _checked_arrays(doc: dict, expected: dict) -> dict:
         if name not in expected:
             raise ValueError(f"unexpected array {name!r} in a "
                              f"{doc['model_kind']} checkpoint")
-        arr = np.asarray(flat, dtype=np.float64)
+        arr = np.asarray(flat)
+        if arr.ndim != 1 or arr.dtype.kind not in "if":
+            raise ValueError(f"array {name!r} must be a flat list of "
+                             f"numbers")
+        arr = arr.astype(np.float64, copy=False)
         shape = tuple(doc["shapes"].get(name, ()))
         if shape != expected[name] or arr.size != np.prod(shape):
             raise ValueError(
@@ -102,13 +152,15 @@ def _checked_arrays(doc: dict, expected: dict) -> dict:
 
 
 def load_checkpoint(path: str):
-    """Read a checkpoint into the model it describes. Every array's name
-    and shape is checked against that model, freshly initialized from the
+    """Read a checkpoint into the model it describes. Every field's JSON
+    type is checked first (ValueError). Every array's name and shape is
+    checked against that model, freshly initialized from the
     document's hyper and vocab (ValueError), and every entry for
     finiteness (FloatingPointError). A schedule block other than the fixed
     one, or a trunk without a hidden layer, is a ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    _check_fields(doc)
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(
             f"unsupported checkpoint version {doc.get('format_version')!r}"

@@ -141,8 +141,9 @@ def resolve_train_config(config: dict, overrides: dict) -> dict:
     for key in ("n", "length", "d_hidden", "n_layers", "epochs", "batch"):
         if merged[key] < 1:
             raise UsageError(f"{key} must be >= 1, got {merged[key]}")
-    if merged["lr"] <= 0:
-        raise UsageError(f"lr must be positive, got {merged['lr']}")
+    if not 0.0 < merged["lr"] < float("inf"):  # refuses NaN too
+        raise UsageError(f"lr must be positive and finite, got "
+                         f"{merged['lr']}")
     if not 0.0 <= merged["condition_dropout"] <= 1.0:
         raise UsageError("condition_dropout must lie in [0, 1]")
     if merged["num_classes"] > 0 and merged["labels"] is None:

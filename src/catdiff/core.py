@@ -81,10 +81,13 @@ def check_sequence(tokens: np.ndarray, vocab: Vocabulary) -> np.ndarray:
 
 
 def check_token_range(tokens: np.ndarray, n: int) -> None:
-    """Raise ValueError unless every entry of an integer array lies in
+    """Raise ValueError unless every entry of an int64 array lies in
     [0, n). Tables are indexed by token, so an unchecked -1 would silently
-    read the last row (the mask row of an absorbing vocabulary)."""
-    if tokens.size and (tokens.min() < 0 or tokens.max() >= n):
+    read the last row (the mask row of an absorbing vocabulary). One
+    reduction: read as unsigned, a negative token is huge."""
+    if tokens.dtype != np.int64:
+        raise TypeError(f"tokens must be int64, not {tokens.dtype}")
+    if tokens.size and tokens.view(np.uint64).max() >= n:
         raise ValueError(f"token indices must lie in [0, {n}), got range "
                          f"[{tokens.min()}, {tokens.max()}]")
 
@@ -164,7 +167,7 @@ def check_row_totals(totals: np.ndarray) -> None:
         bad = np.argwhere(~ok)[0]
         raise FloatingPointError(
             f"row {tuple(int(i) for i in bad)} has total mass "
-            f"{totals[tuple(bad)]!r}; expected finite and > 0")
+            f"{float(totals[tuple(bad)])}; expected finite and > 0")
 
 
 def row_reduce(rows: np.ndarray, ufunc, loop_max: int = 7) -> np.ndarray:

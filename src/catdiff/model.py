@@ -19,13 +19,17 @@ projection: the simplest injective encoding under a monotone schedule.
 Each trunk concept is written once for both networks: ``_init_trunk``
 draws the parameters, ``_fit`` is the one Adam training loop (``train``
 and ``train_classifier`` pass it their own batch loss), and the trunk
-has one forward and one backward. ``_trunk_forward`` is plain NumPy with
-the first linear map folded into the embedding tables, in the dtype of
-the arrays it is given; inference (denoise, denoise_batch, classify)
-runs it alone. Training, classify and the Taylor gradient run it in
-float64. denoise_batch runs it and the softmax's exponentials in float32
-on float32 copies of the parameters, its head padded with zero columns
-to a multiple of 16, and returns float64 rows normalised in float64.
+has one forward and one backward. ``_trunk_forward`` is plain NumPy on
+a ``_Folded`` trunk: the arrays with the first linear map folded into
+the embedding tables, in one dtype. Training folds its parameter Nodes'
+values once per step, in float64. Inference (denoise, denoise_batch,
+classify) runs the forward alone on the snapshot ``_Trunk.prepared``
+keeps per parameter version: the parameter arrays are read-only, and
+``set_arrays`` and each training step bump the version. classify and the
+Taylor gradient read the float64 snapshot. denoise_batch runs the
+forward and the softmax's exponentials in float32, on the float32
+snapshot, whose head is padded with zero columns to a multiple of 16,
+and returns float64 rows normalised in float64.
 
 denoise_batch runs on cache-sized blocks of whole sequences; a sequence's
 rows do not depend on its block or batch (one position runs as two
@@ -49,6 +53,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import itertools
+import operator
 import os
 from dataclasses import dataclass
 
@@ -77,10 +82,22 @@ class TrainingError(RuntimeError):
 class _Trunk:
     """Parameter arrays of the trunk both networks share, in checkpoint
     order: the leading tables named by LEADING, each hidden layer's
-    weight and bias (at least one layer), then the head."""
+    weight and bias (at least one layer), then the head.
+
+    The arrays are read-only from construction on. Two writers change
+    them: ``set_arrays`` stores new ones, and a training step (``_fit``)
+    lifts the flag for Adam's in-place update alone; each bumps
+    ``version``. Any other in-place write raises ValueError, so the
+    folded snapshot ``prepared`` keeps per version cannot go stale; an
+    array assigned directly to a field is seen by its identity."""
 
     LEADING: tuple = ()
     schedule = NoiseSchedule()  # the fixed schedule; protocol member
+    version = 0  # bumped by set_arrays and by each training step
+
+    def __post_init__(self) -> None:
+        _freeze(self.values())
+        self._snapshots = {}
 
     def arrays(self) -> list:
         """(name, array) pairs; this order is the checkpoint order."""
@@ -91,17 +108,18 @@ class _Trunk:
         return out
 
     def values(self) -> list:
-        """The arrays alone, in checkpoint order, without arrays()'s names:
-        the inference forwards read them on every call."""
+        """The arrays alone, in checkpoint order, without arrays()'s names."""
         return [getattr(self, name) for name in self.LEADING] + [
             a for layer in self.hidden for a in layer] + [self.output_head]
 
     def set_arrays(self, pairs: list) -> None:
-        """Store the (name, array) pairs arrays() returns, in its order."""
+        """Store the (name, array) pairs arrays() returns, in its order,
+        as they are, made read-only."""
         names = [name for name, _ in self.arrays()]
         if [p[0] if isinstance(p, tuple) else None for p in pairs] != names:
             raise ValueError(f"expected (name, array) pairs named {names}")
         named = dict(pairs)
+        _freeze(named.values())
         for name in self.LEADING:
             setattr(self, name, named[name])
         self.hidden = [
@@ -109,6 +127,59 @@ class _Trunk:
             for i in range(len(self.hidden))
         ]
         self.output_head = named["output_head"]
+        self.version += 1
+
+    def prepared(self, dtype=np.float64) -> "_Folded":
+        """The folded trunk of the current arrays in ``dtype``: float64
+        for the classifier, float32 for ``denoise_batch``, whose head gains
+        zero columns up to a multiple of 16 (OpenBLAS's float32 product
+        with a narrow head gives bytes that depend on the row count).
+        Built once per version and reused while every array it was built
+        from is still in place; it reads nothing of the tokens."""
+        arrays = self.values()
+        version, sources, fold = self._snapshots.get(dtype, (None, (), None))
+        if version == self.version and all(map(operator.is_, sources,
+                                               arrays)):
+            return fold
+        _freeze(arrays)  # an array assigned to a field directly, too
+        work = arrays
+        if dtype is not np.float64:
+            work = [a.astype(dtype) for a in arrays]
+            n = work[-1].shape[1]
+            work[-1] = np.zeros((self.d, -(-n // 16) * 16), dtype=dtype)
+            work[-1][:, :n] = arrays[-1]
+        fold = _Folded(self, work)
+        self._snapshots[dtype] = (self.version, tuple(arrays), fold)
+        return fold
+
+
+def _freeze(arrays) -> None:
+    for a in arrays:
+        a.setflags(write=False)
+
+
+class _Folded:
+    """A trunk's arrays in one dtype with the first linear map folded into
+    the tables before it. The features before that map are a sum of table
+    rows, so each table (token, position plus the map's bias, time, and
+    the denoiser's condition) is multiplied through W0 once and the
+    forward gathers rows already projected. ``maps`` holds the remaining
+    (weight, bias) pairs and then (head, None); ``last_t`` the blended
+    time row of the last scalar t, as one (t, row) tuple that is only
+    ever replaced whole, so a concurrent reader never pairs one t with
+    another t's row."""
+
+    def __init__(self, params, arrays: list) -> None:
+        lead = len(params.LEADING)
+        w0, b0 = arrays[lead], arrays[lead + 1]
+        self.token = arrays[0] @ w0                                # (N, d0)
+        self.position = arrays[1] @ w0                             # (L, d0)
+        self.position += b0
+        self.time = arrays[2] @ w0                                 # (2, d0)
+        self.condition = arrays[3] @ w0 if lead == 4 else None     # (K+1, d0)
+        self.maps = list(zip(arrays[lead + 2:-1:2], arrays[lead + 3:-1:2]))
+        self.maps.append((arrays[-1], None))
+        self.last_t = (None, None)
 
 
 @dataclass
@@ -338,35 +409,29 @@ def _token_batch(params, z_batch) -> np.ndarray:
     return z
 
 
-def _trunk_forward(params, arrays: list, z_batch, t,
+def _trunk_forward(params, fold: _Folded, z_batch, t,
                    cond_idx: np.ndarray | None = None, pool: bool = False,
                    keep: list | None = None, scratch=None,
                    out=None) -> np.ndarray:
     """Autodiff-free forward of the trunk both networks share, on the
-    parameter ``arrays`` in checkpoint order: (B, L) int64 tokens, which
-    the caller has range-checked with ``_token_batch``, or a Node of
-    (B, L, N) relaxed one-hot rows, to (B, L, out) head logits, or
-    (B, out) with ``pool``, which mean-pools the positions before the head
-    (the classifier readout). ``t`` is one time for the batch or one per
-    example. A ``keep`` list receives what ``_trunk_backward`` reads: the
-    input, the time features, ``cond_idx``, the folded token table and
-    then each tanh output. A (2, rows, d) ``scratch`` buffer takes the
-    hidden activations in turn, and an ``out`` array of the (B, L, out)
-    logits' shape takes the head's product, in place of fresh arrays.
-    The activations and logits take the dtype of ``arrays`` (and of the
+    folded arrays ``fold``: (B, L) int64 tokens, which the caller has
+    range-checked with ``_token_batch``, or a Node of (B, L, N) relaxed
+    one-hot rows, to (B, L, out) head logits, or (B, out) with ``pool``,
+    which mean-pools the positions before the head (the classifier
+    readout). ``t`` is one time for the batch or one per example. A
+    ``keep`` list receives what ``_trunk_backward`` reads: the input, the
+    time features, ``cond_idx``, the folded token table and then each
+    tanh output. A (2, rows, d) ``scratch`` buffer takes the hidden
+    activations in turn, and an ``out`` array of the (B, L, out) logits'
+    shape takes the head's product, in place of fresh arrays. The
+    activations and logits take the dtype of ``fold`` (and of the
     buffers, which must match it); the time features stay float64.
 
-    The features before the first linear map are a sum of table rows, so
-    the map is folded into each table (token, position, time, condition)
-    and the features are gathered already projected. The tables are
-    rebuilt on every call from the arrays: they are small (N, L, 2 and
-    K + 1 rows) and can never go stale.
+    Inference passes the trunk's ``prepared`` snapshot, training a fold
+    of its parameter Nodes' values made once per step.
     """
-    length, lead = params.length, len(params.LEADING)
-    maps = list(zip(arrays[lead:-1:2], arrays[lead + 1:-1:2]))
-    maps.append((arrays[-1], None))
-    w0, b0 = maps[0]
-    token_table = arrays[0] @ w0                                   # (N, d0)
+    length = params.length
+    token_table = fold.token
     if isinstance(z_batch, ad.Node):  # relaxed one-hot rows
         z_batch = z_batch.value
         h = z_batch @ token_table
@@ -375,25 +440,17 @@ def _trunk_forward(params, arrays: list, z_batch, t,
     else:  # the callers range-check the tokens: "clip" copies unbuffered
         h = scratch[0, :z_batch.size].reshape(z_batch.shape + (-1,))
         np.take(token_table, z_batch, axis=0, mode="clip", out=h)
-    time_in = _time_features(params.schedule, t)
     per_seq = _pool_sum(h)[:, None, :]                             # (B, 1, d0)
     per_seq /= length
-    # alpha and 1 - alpha blend the folded time rows elementwise: as a
-    # (B, 2) x (2, d0) product BLAS takes its vector path for one row and
-    # its matrix path for more, so a sequence's rows would depend on its
-    # batch. A shared t blends from the two scalars, with the same bytes
-    time_rows = arrays[2] @ w0                                     # (2, d0)
-    a, b = time_in[0] if len(time_in) == 1 else time_in.T[..., None]
-    per_seq += (a * time_rows[0] + b * time_rows[1])[..., None, :]
+    per_seq += _time_rows(fold, params.schedule, t)[..., None, :]
     if cond_idx is not None:
-        per_seq += (arrays[3] @ w0)[cond_idx][:, None, :]
-    per_pos = arrays[1] @ w0                                       # (L, d0)
-    per_pos += b0
+        per_seq += fold.condition[cond_idx][:, None, :]
     h += per_seq
-    h += per_pos
+    h += fold.position
     if keep is not None:
-        keep += [z_batch, time_in, cond_idx, token_table]
-    for k, (w, b) in enumerate(maps[1:]):
+        keep += [z_batch, _time_features(params.schedule, t), cond_idx,
+                 token_table]
+    for k, (w, b) in enumerate(fold.maps):
         np.tanh(h, out=h)
         if keep is not None:
             keep.append(h)
@@ -410,6 +467,25 @@ def _trunk_forward(params, arrays: list, z_batch, t,
         if b is not None:
             h += b
     return h
+
+
+def _time_rows(fold: _Folded, schedule: NoiseSchedule, t) -> np.ndarray:
+    """alpha_t and 1 - alpha_t blending the folded time rows: one (d0,)
+    row for a shared t, (B, d0) rows for one t per example. The blend is
+    elementwise: as a (B, 2) x (2, d0) product BLAS takes its vector path
+    for one row and its matrix path for more, so a sequence's rows would
+    depend on its batch. A shared t blends from the two scalars, with the
+    same bytes. The row of the last scalar float t is kept in ``fold``:
+    guidance asks for one t L*N times a step."""
+    last_t, row = fold.last_t
+    if type(t) is float and t == last_t:
+        return row
+    time_in = _time_features(schedule, t)
+    a, b = time_in[0] if len(time_in) == 1 else time_in.T[..., None]
+    row = a * fold.time[0] + b * fold.time[1]
+    if type(t) is float:
+        fold.last_t = (t, row)
+    return row
 
 
 def _pool_sum(h: np.ndarray) -> np.ndarray:
@@ -480,14 +556,16 @@ def _trunk_node(field_nodes: list, params, z, t, cond_idx=None,
     """``_trunk_forward`` as one autodiff Node of the parameter Nodes and,
     if it is a Node of relaxed one-hot rows, of ``z``; its backward is
     ``_trunk_backward`` for the parents that require a gradient. The
-    arrays are the Nodes' values; ``params`` gives shapes and schedule."""
+    arrays are the Nodes' values, folded here once per call; ``params``
+    gives shapes and schedule."""
     arrays = [n.value for n in field_nodes]
     if not isinstance(z, ad.Node):
         z = _token_batch(params, z)
     parents = list(field_nodes) + ([z] if isinstance(z, ad.Node) else [])
     needs = [p.requires_grad for p in parents]
     keep = []
-    out = _trunk_forward(params, arrays, z, t, cond_idx, pool, keep)
+    out = _trunk_forward(params, _Folded(params, arrays), z, t, cond_idx,
+                         pool, keep)
     return ad.Node(out, tuple(parents),
                    lambda g: _trunk_backward(params, arrays, keep, g, needs))
 
@@ -543,13 +621,8 @@ def denoise_batch(
         z, cond = np.repeat(z, 2, axis=0), np.repeat(cond, 2)
     batch, length = z.shape
     n = params.vocab.size
-    # cast on every call: Adam updates the float64 arrays in place. The
-    # head gains zero columns up to a multiple of 16: OpenBLAS's float32
-    # product with a narrow head gives bytes that depend on the row count
-    arrays = [a.astype(np.float32) for a in params.values()]
-    head = np.zeros((params.d, -(-n // 16) * 16), dtype=np.float32)
-    head[:, :n] = arrays[-1]
-    arrays[-1] = head
+    # the float32 arrays, padded head and folded tables of this version
+    fold = params.prepared(np.float32)
     per_example_t = np.size(t) > 1
     out = np.empty((batch, length, n))
     if not batch:
@@ -570,7 +643,8 @@ def denoise_batch(
     # allocator has returned the last block's to the system
     most = -(-batch // blocks) * length
     scratch = np.empty((workers, 2, most, params.d), dtype=np.float32)
-    heads = np.empty((workers, most, head.shape[1]), dtype=np.float32)
+    heads = np.empty((workers, most, fold.maps[-1][0].shape[1]),
+                     dtype=np.float32)
 
     def share(worker: int) -> None:
         # each thread takes the next block until none is left, so a thread
@@ -582,7 +656,7 @@ def denoise_batch(
             except IndexError:
                 return
             logits = _trunk_forward(
-                params, arrays, z[lo:hi],
+                params, fold, z[lo:hi],
                 np.asarray(t)[lo:hi] if per_example_t else t, cond[lo:hi],
                 scratch=scratch[worker],
                 out=heads[worker, :(hi - lo) * length])[..., :n]
@@ -685,7 +759,7 @@ def _classify_forward(params: ClassifierParams, z: np.ndarray, t,
     have in a batch of two or three; the caller keeps the first row."""
     if len(z) == 1:
         z = np.repeat(z, 2, axis=0)
-    return ad.log_softmax(_trunk_forward(params, params.values(), z, t,
+    return ad.log_softmax(_trunk_forward(params, params.prepared(), z, t,
                                          pool=True, keep=keep))
 
 
@@ -746,7 +820,15 @@ class AdamState:
         for i, (a, g) in enumerate(zip(arrays, grads)):
             self.m[i] = b1 * self.m[i] + (1 - b1) * g
             self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
-            a -= lr * (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + self.EPS)
+            step = lr * (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2)
+                                             + self.EPS)
+            # a trunk's arrays are read-only but for this write
+            writeable = a.flags.writeable
+            a.setflags(write=True)
+            try:
+                a -= step
+            finally:
+                a.setflags(write=writeable)
         return arrays
 
 
@@ -791,7 +873,7 @@ def _fit(params, count: int, batch_loss, *, epochs: int, batch_size: int,
     returns (params, per-epoch mean loss trace). ``batch_loss(nodes, idx)``
     makes the batch's own draws from ``rng`` and returns its mean loss as a
     scalar Node of the parameter Nodes. Adam updates the parameter arrays
-    in place."""
+    in place, and each step bumps the trunk's version."""
     _keep_heap()
     opt = AdamState(params.values())
     trace = []
@@ -805,6 +887,7 @@ def _fit(params, count: int, batch_loss, *, epochs: int, batch_size: int,
             if not np.isfinite(loss_node.value):
                 raise TrainingError(f"non-finite loss {loss_node.value!r}")
             grads = ad.backprop(loss_node, nodes)
+            params.version += 1  # the step writes the arrays in place
             opt.step(params.values(), grads, lr)
             epoch_loss += float(loss_node.value) * idx.shape[0]
         trace.append(epoch_loss / count)

@@ -75,10 +75,28 @@ print(json.dumps({"metrics": {"items_per_s": {"value": 100.0},
 '''
 
 
+# the CLI: train writes the checkpoint sample reads; each records the
+# BLAS thread variables it saw
+STUB_CLI = '''import json, os, sys
+args = sys.argv[1:]
+if args[0] == "sample":
+    assert open(args[args.index("--checkpoint") + 1]).read() == "ckpt"
+with open(args[args.index("--out") + 1], "w") as fh:
+    fh.write("ckpt" if args[0] == "train" else "samples")
+with open("seen.jsonl", "a") as fh:
+    fh.write(json.dumps([args, os.environ.get("OPENBLAS_NUM_THREADS")])
+             + "\\n")
+'''
+
+
 def _stub_tree(root):
     os.makedirs(os.path.join(root, "perfbench"))
     with open(os.path.join(root, "perfbench", "run.py"), "w") as fh:
         fh.write(STUB_RUN)
+    os.makedirs(os.path.join(root, "src", "catdiff"))
+    open(os.path.join(root, "src", "catdiff", "__init__.py"), "w").close()
+    with open(os.path.join(root, "src", "catdiff", "cli.py"), "w") as fh:
+        fh.write(STUB_CLI)
     with open(os.path.join(root, "BENCHMARK.json"), "w") as fh:
         json.dump({"run_seconds": 1, "end_to_end": METRICS}, fh)
     return str(root)
@@ -99,3 +117,38 @@ def test_runs_record_their_minor_page_faults(tmp_path):
     entry = json.loads(out.read_text())["workloads"]["train"]
     assert all(r[side]["minor_faults"] >= 2048
                for r in entry["runs"] for side in ("parent", "change"))
+
+
+def test_each_tree_records_a_cli_sample_outside_the_metrics(tmp_path,
+                                                            monkeypatch):
+    # the CLI calls run unpinned even when the tool's own process is
+    # pinned, train once per tree, and time every sample call
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    seen = []
+    real = bench_pair._cli
+
+    def spy(tree, workdir, args):
+        wall = real(tree, workdir, args)
+        with open(os.path.join(workdir, "seen.jsonl")) as fh:
+            seen.append(json.loads(fh.readlines()[-1]))
+        return wall
+
+    monkeypatch.setattr(bench_pair, "_cli", spy)
+    parent = _stub_tree(tmp_path / "parent")
+    change = _stub_tree(tmp_path / "change")
+    out = tmp_path / "bench.json"
+    assert bench_pair.main(["--parent", parent, "--change", change,
+                            "--workload", "sample", "--pairs", "1",
+                            "--seed", "1", "--out", str(out)]) == 0
+    entry = json.loads(out.read_text())["workloads"]["sample"]
+    repeats = bench_pair.CLI_SAMPLE_REPEATS
+    for side in ("parent", "change"):
+        record = entry["trees"][side]["cli_sample"]
+        assert record["argv"] == ["sample", "--num", "1", "--steps", "64"]
+        assert len(record["wall_s"]) == repeats
+        assert all(w > 0 for w in record["wall_s"])
+        assert record["median_s"] == sorted(record["wall_s"])[repeats // 2]
+    assert "cli_sample" not in entry["metrics"]
+    assert [args[0] for args, _ in seen] == ["train"] * 2 + \
+        ["sample"] * (2 * repeats)
+    assert all(threads is None for _, threads in seen)

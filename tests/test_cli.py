@@ -245,6 +245,56 @@ def test_checkpoint_outside_the_fixed_design_is_usage_error(
     assert not (tmp_path / "s.txt").exists()
 
 
+def _set_in(doc, block, key, value):
+    doc[block][key] = value
+    return doc
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: _set_in(doc, "hyper", "d", "abc"),
+    lambda doc: _set_in(doc, "hyper", "d", 8.5),
+    lambda doc: _set_in(doc, "hyper", "num_classes", "2"),
+    lambda doc: _set_in(doc, "vocab", "size", "6"),
+    lambda doc: _set_in(doc, "vocab", "symbols", 5),
+    lambda doc: dict(doc, params=5),
+    lambda doc: dict(doc, model_kind=["denoiser_uniform"]),
+    lambda doc: [doc],
+    lambda doc: _set_in(doc, "hyper", "n_layers", True),
+    lambda doc: _set_in(doc, "vocab", "mask_index", False),
+    lambda doc: _set_in(doc, "shapes", "output_head", ["8", "3"]),
+    lambda doc: dict(doc, params=[[name, [str(v) for v in flat]]
+                                  for name, flat in doc["params"]]),
+], ids=["d_text", "d_fraction", "num_classes_text", "vocab_size_text",
+        "symbols_number", "params_number", "model_kind_list", "document_list",
+        "n_layers_bool", "mask_index_bool", "shape_text", "params_text"])
+def test_checkpoint_of_the_wrong_json_types_is_usage_error(
+        workdir, tmp_path, capsys, edit):
+    # refused by type before any array is built: ValueError from the
+    # reader, exit 1 with no traceback from the CLI
+    doc = edit(json.loads((workdir / "ckpt.json").read_text()))
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError):
+        load_checkpoint(path)
+    code = cli.main(["sample", "--checkpoint", str(path),
+                     "--out", str(tmp_path / "s.txt"), "--num", "2",
+                     "--steps", "4"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error:" in err and "Traceback" not in err
+    assert not (tmp_path / "s.txt").exists()
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf", "0", "-0.1"])
+def test_train_refuses_a_nonfinite_or_nonpositive_lr(workdir, tmp_path,
+                                                      capsys, lr):
+    code = cli.main(["train", "--config", str(workdir / "cfg.txt"),
+                     "--out", str(tmp_path / "o.json"), "--lr", lr])
+    assert code == 1
+    assert "error: lr must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_sample_nonfinite_model_exits_three(workdir, tmp_path, capsys):
     params = load_checkpoint(workdir / "ckpt.json")
     params.output_head = np.full_like(params.output_head, np.nan)

@@ -186,6 +186,23 @@ def test_check_sequence():
         check_sequence([], v)
 
 
+I64 = np.iinfo(np.int64)
+
+
+@pytest.mark.parametrize("bad,low,high", [
+    (-1, -1, 2), (3, 0, 3), (I64.min, I64.min, 2), (I64.max, 0, I64.max)])
+def test_check_token_range_refuses_each_side(bad, low, high):
+    # one unsigned reduction: a negative token reads as huge, and the
+    # message still gives the signed range
+    tokens = np.array([[0, 2], [1, bad]], dtype=np.int64)
+    with pytest.raises(ValueError, match=rf"got range \[{low}, {high}\]"):
+        core.check_token_range(tokens, 3)
+    core.check_token_range(np.array([[0, 2], [1, 0]]), 3)
+    core.check_token_range(np.zeros((0, 4), dtype=np.int64), 3)
+    with pytest.raises(TypeError):
+        core.check_token_range(tokens.astype(np.int32), 3)
+
+
 # ------------------------------------------------------------- sample_rows
 
 def test_sample_rows_deterministic_rows():
@@ -201,6 +218,15 @@ def test_sample_rows_rejects_nonfinite_and_zero_mass_rows(bad):
     rows = np.array([[0.2, 0.3, 0.5], bad])
     with pytest.raises(FloatingPointError):
         sample_rows(rows, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("total,shown", [(np.nan, "nan"), (0.0, "0.0"),
+                                         (-np.inf, "-inf"), (np.inf, "inf")])
+def test_row_total_message_prints_a_plain_float(total, shown):
+    with pytest.raises(FloatingPointError) as info:
+        core.check_row_totals(np.array([[1.0, 2.0], [0.5, total]]))
+    assert str(info.value) == (f"row (1, 1) has total mass {shown}; "
+                               f"expected finite and > 0")
 
 
 def test_sample_rows_frequencies_within_3_sigma():

@@ -356,7 +356,7 @@ def test_denoise_batch_blocks_match_one_block(monkeypatch, block_rows, sizes,
     for t in (0.37, rng.uniform(0.01, 0.99, batch)):
         for cond in (None, 1, rng.integers(0, 3, size=batch)):
             # the float64 softmax over the whole batch's float64 logits
-            logits = trunk(params, params.values(), z, t,
+            logits = trunk(params, params.prepared(), z, t,
                            M._condition_indices(cond, 3, batch))
             if kind == "absorbing":
                 logits[..., vocab.mask_index] = M.MASK_LOGIT
@@ -638,10 +638,125 @@ def test_inference_reads_current_parameters():
         np.array([2])).value)
     assert not np.allclose(after, before)
     assert np.max(np.abs(after - want)) <= FLOAT32_ROWS
-    # Adam writes the arrays in place: no float32 copy may outlive a call
-    params.output_head *= 2.0
+    # no snapshot may outlive a write: an outside in-place write raises,
+    # and an Adam step, which writes the arrays in place, moves both
+    with pytest.raises(ValueError, match="read-only"):
+        params.output_head *= 2.0
+    after_clf = M.classify(clf, z, 0.5)
+    x = np.random.default_rng(7).integers(0, 3, size=(8, 4))
+    M.train(x, LossSpec("udlm_continuous"), kind="uniform", vocab=VOCAB3,
+            epochs=1, batch_size=8, params=params)
+    M.train_classifier((x, np.arange(8) % 3), vocab=VOCAB3, num_classes=3,
+                       epochs=1, batch_size=8, params=clf)
     assert not np.allclose(M.denoise_batch(params, z, 0.5, None), after)
-    assert not np.allclose(M.classify(clf, z, 0.5), before_clf)
+    assert not np.allclose(M.classify(clf, z, 0.5), after_clf)
+
+
+def _fresh(model):
+    """A model that has built no snapshot, holding copies of ``model``'s
+    arrays: its calls run on tables folded for them alone."""
+    fresh = (M.init_classifier(model.vocab, model.length, model.num_classes,
+                               model.d, n_layers=len(model.hidden))
+             if isinstance(model, M.ClassifierParams) else
+             M.init_denoiser(model.vocab, model.length, model.num_classes,
+                             model.d, kind=model.kind,
+                             n_layers=len(model.hidden)))
+    fresh.set_arrays([(name, a.copy()) for name, a in model.arrays()])
+    return fresh
+
+
+def _outputs(model, z):
+    """The bytes of every inference call a model makes, at a shared and a
+    per-sequence t, for a batch and for one sequence."""
+    if isinstance(model, M.ClassifierParams):
+        logp, grad = M.classify_grad_wrt_onehot(model, z, 0.3, 1)
+        parts = [M.classify(model, z, 0.3), M.classify(model, z[0], 0.3),
+                 M.classify(model, z, np.linspace(0.2, 0.8, len(z))),
+                 logp, grad]
+    else:
+        parts = [M.denoise_batch(model, z, 0.3, 1),
+                 M.denoise_batch(model, z[:1], 0.3, None),
+                 M.denoise_batch(model, z, np.linspace(0.2, 0.8, len(z)),
+                                 None)]
+    return b"".join(p.tobytes() for p in parts)
+
+
+@pytest.mark.parametrize("family", ["denoiser", "classifier"])
+def test_snapshot_follows_every_writer(tmp_path, family):
+    # the folded snapshot is built once per parameter version and read by
+    # every later call, so after each writer a call must have the bytes of
+    # a model that never built one
+    rng = np.random.default_rng(21)
+    x = rng.integers(0, 3, size=(16, 4))
+    z = rng.integers(0, 3, size=(3, 4))
+    if family == "classifier":
+        model = M.init_classifier(VOCAB3, 4, 3, 8, n_layers=2, seed=21)
+
+        def adam_step():
+            M.train_classifier((x, np.arange(16) % 3), vocab=VOCAB3,
+                               num_classes=3, epochs=1, batch_size=8,
+                               params=model)
+    else:
+        model = tiny_denoiser(seed=21)
+
+        def adam_step():
+            M.train(x, LossSpec("udlm_continuous"), kind="uniform",
+                    vocab=VOCAB3, epochs=1, batch_size=8, params=model)
+
+    def check(write):
+        before = _outputs(model, z)
+        snap = model.prepared(), model.prepared(np.float32)
+        write()
+        got = _outputs(model, z)
+        assert got != before
+        assert got == _outputs(_fresh(model), z)
+        # rebuilt once, then reused until the next write
+        assert model.prepared() is not snap[0]
+        assert model.prepared() is model.prepared()
+        assert model.prepared(np.float32) is model.prepared(np.float32)
+
+    check(lambda: model.set_arrays([(name, a * 1.5)
+                                    for name, a in model.arrays()]))
+    check(adam_step)  # two Adam steps in place
+    # an array assigned to a field directly is seen by its identity
+    check(lambda: setattr(model, "output_head", model.output_head * 2.0))
+    check(lambda: setattr(model, "hidden", [(w, b + 0.5)
+                                            for w, b in model.hidden]))
+    assert not model.output_head.flags.writeable
+    path = tmp_path / "model.json"
+    save_checkpoint(model, path)
+    loaded = load_checkpoint(path)
+    assert _outputs(loaded, z) == _outputs(model, z)
+    if family == "denoiser":  # a copy has its own arrays and snapshot
+        kept = _outputs(model, z)
+        work = model.copy()
+        assert _outputs(work, z) == kept
+        work.set_arrays([(name, a + 0.25) for name, a in work.arrays()])
+        assert _outputs(work, z) != kept and _outputs(model, z) == kept
+    for m in (model, loaded) + ((work,) if family == "denoiser" else ()):
+        for name, a in m.arrays():
+            assert not a.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                a += 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+
+
+def test_adam_restores_the_flags_on_every_exit():
+    # read-only arrays become writeable for the update alone, writeable
+    # ones stay so, and a failing update restores the flag too
+    frozen, plain = np.zeros(3), np.zeros(3)
+    frozen.setflags(write=False)
+    state = M.AdamState([frozen, plain])
+    state.step([frozen, plain], [np.ones(3), np.ones(3)], lr=0.01)
+    assert np.array_equal(frozen, plain) and np.all(frozen < 0)
+    assert not frozen.flags.writeable and plain.flags.writeable
+    bad = np.full(2, np.inf)
+    bad.setflags(write=False)
+    state = M.AdamState([bad])
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        state.step([bad], [np.ones(2)], lr=np.inf)  # inf - inf
+    assert not bad.flags.writeable
 
 
 def test_inference_builds_no_autodiff_nodes(monkeypatch):
@@ -1029,18 +1144,26 @@ def _uniform_rows_denoiser(n):
     return _U()
 
 
+def _with_nan_head(params):
+    """``params`` with a NaN in its head, stored through set_arrays: the
+    arrays are read-only."""
+    head = params.output_head.copy()
+    head[0, 0] = np.nan
+    params.set_arrays([(name, head if name == "output_head" else a)
+                       for name, a in params.arrays()])
+    return params
+
+
 def test_nan_parameter_stops_both_training_loops():
     rng = np.random.default_rng(0)
     x = rng.integers(0, 3, size=(16, 4))
     y = rng.integers(0, 2, size=16)
-    den = tiny_denoiser()
-    den.output_head[0, 0] = np.nan
+    den = _with_nan_head(tiny_denoiser())
     with pytest.raises(M.TrainingError, match="non-finite loss"):
         M.train((x, y), LossSpec("udlm_continuous"), kind="uniform",
                 vocab=VOCAB3, num_classes=2, epochs=1, batch_size=8,
                 params=den)
-    clf = M.init_classifier(VOCAB3, 4, 2, 8)
-    clf.output_head[0, 0] = np.nan
+    clf = _with_nan_head(M.init_classifier(VOCAB3, 4, 2, 8))
     with pytest.raises(M.TrainingError, match="non-finite loss"):
         M.train_classifier((x, y), vocab=VOCAB3, num_classes=2, epochs=1,
                            batch_size=8, params=clf)

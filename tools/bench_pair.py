@@ -25,6 +25,13 @@ and its train speed has followed the checkout's directory name; a tree
 that fixes them should read the same from root paths of any length, and
 its fault count shows whether it does. The file records any MALLOC_*
 variable the runs saw, since those set the same thresholds.
+
+Each tree's record also holds the wall time of a user's call, outside
+the gated metrics: ``catdiff sample --num 1`` on a small checkpoint that
+the tool trains once per tree in a temporary directory, timed
+CLI_SAMPLE_REPEATS times per tree, alternating, each in a fresh process
+at OpenBLAS's default thread count (perfbench pins it to one thread).
+Import and start-up are part of it, as they are for the user.
 """
 
 from __future__ import annotations
@@ -34,9 +41,31 @@ import json
 import math
 import os
 import platform
+import random
 import resource
 import subprocess
 import sys
+import tempfile
+import time
+
+CLI_SAMPLE_REPEATS = 5
+# the checkpoint the CLI call samples from: perfbench's sample shapes
+# (N 6, L 16, d 48, two layers), one short epoch of training
+CLI_TRAIN_CONFIG = """kind = uniform
+n = 6
+length = 16
+d_hidden = 48
+n_layers = 2
+objective = udlm_continuous
+epochs = 1
+batch = 64
+lr = 0.01
+data = {data}
+"""
+CLI_SAMPLE_ARGS = ["--num", "1", "--steps", "64"]
+# variables that would pin the BLAS thread count of the CLI call
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS", "GOTO_NUM_THREADS")
 
 
 def parse_args(argv):
@@ -100,6 +129,51 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
+def _cli(tree: str, workdir: str, args: list) -> float:
+    """Wall seconds of ``python -m catdiff.cli ARGS`` from ``tree``'s
+    source in a fresh process, BLAS threads unpinned."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.path.join(tree, "src")
+    cmd = [sys.executable, "-m", "catdiff.cli"] + args
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True,
+                          text=True)
+    wall = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise SystemExit(f"error: {' '.join(cmd)} from {tree} exited "
+                         f"{proc.returncode}:\n{proc.stderr[-2000:]}")
+    return wall
+
+
+def cli_sample_times(trees: dict) -> dict:
+    """Per tree: its own trained checkpoint, then CLI_SAMPLE_REPEATS timed
+    ``catdiff sample --num 1`` calls, the trees alternating."""
+    rng = random.Random(0)
+    corpus = "".join("".join(rng.choice("abcdef") for _ in range(16)) + "\n"
+                     for _ in range(256))
+    out = {side: {"argv": ["sample"] + CLI_SAMPLE_ARGS, "wall_s": []}
+           for side in trees}
+    with tempfile.TemporaryDirectory() as tmp:
+        for side, tree in trees.items():
+            work = os.path.join(tmp, side)
+            os.mkdir(work)
+            with open(os.path.join(work, "data.txt"), "w") as fh:
+                fh.write(corpus)
+            with open(os.path.join(work, "train.cfg"), "w") as fh:
+                fh.write(CLI_TRAIN_CONFIG.format(data="data.txt"))
+            _cli(tree, work, ["train", "--config", "train.cfg",
+                              "--out", "ckpt.json"])
+        for i in range(CLI_SAMPLE_REPEATS):
+            for side in (trees if i % 2 == 0 else list(trees)[::-1]):
+                out[side]["wall_s"].append(_cli(
+                    trees[side], os.path.join(tmp, side),
+                    ["sample", "--checkpoint", "ckpt.json", "--out",
+                     "samples.txt", "--seed", str(i)] + CLI_SAMPLE_ARGS))
+    for record in out.values():
+        record["median_s"] = quartiles(record["wall_s"])[1]
+    return out
+
+
 def summarize(runs: list, metrics: list) -> dict:
     """Per end-to-end metric: both sides' quartiles and IQR, the pairs the
     change won, and the gain rule, which a change that fails more
@@ -156,12 +230,14 @@ def main(argv=None) -> int:
                   f"{value:.1f}, minor faults {pair[side]['minor_faults']}",
                   flush=True)
         runs.append(pair)
+    cli_sample = cli_sample_times(trees)
     entry = {
         "seconds": seconds, "pairs": args.pairs, "first_seed": args.seed,
         "trees": {side: {
             "dir": os.path.basename(path),
             "commit": runs[0][side]["record"]["commit"] or git_commit(path),
-            "src_sha256": runs[0][side]["record"]["src_sha256"]}
+            "src_sha256": runs[0][side]["record"]["src_sha256"],
+            "cli_sample": cli_sample[side]}
             for side, path in trees.items()},
         # glibc's heap thresholds move the train workload's speed
         "malloc_env": {k: v for k, v in os.environ.items()
@@ -191,6 +267,9 @@ def main(argv=None) -> int:
               f"(IQR {m['parent_iqr']:.3g}), change {m['change_median']:.4g}"
               f" (IQR {m['change_iqr']:.3g}), won {m['pairs_won']}/"
               f"{m['pairs']}, gain rule {m['gain_rule_holds']}")
+    print("catdiff sample --num 1 wall s: " + ", ".join(
+        f"{side} {record['median_s']:.4g}"
+        for side, record in cli_sample.items()))
     return 0
 
 
