@@ -712,6 +712,7 @@ def test_snapshot_follows_every_writer(tmp_path, family):
         assert got == _outputs(_fresh(model), z)
         # rebuilt once, then reused until the next write
         assert model.prepared() is not snap[0]
+        assert model.prepared(np.float32) is not snap[1]
         assert model.prepared() is model.prepared()
         assert model.prepared(np.float32) is model.prepared(np.float32)
 
