@@ -13,11 +13,11 @@ finite differences in the test suite.
 Gradients flow only into nodes with ``requires_grad`` (parameters);
 constants are recorded but skipped during the reverse sweep.
 
-``log``, ``exp``, ``nsum``, ``log_softmax``, ``gather_last`` and
-``reshape`` pass plain arrays through as plain NumPy results, and an ndarray on the left of an
-operator defers to the Node on its right. So a formula written with these
-primitives and operators runs on arrays (evaluation) or on Nodes
-(training) through one code path.
+``log``, ``exp``, ``nsum``, ``log_softmax``, ``gather_last``, ``scatter``
+and ``reshape`` pass plain arrays through as plain NumPy results, and an
+ndarray on the left of an operator defers to the Node on its right. So a
+formula written with these primitives and operators runs on arrays
+(evaluation) or on Nodes (training) through one code path.
 """
 
 from __future__ import annotations
@@ -241,6 +241,21 @@ def gather_last(a, idx):
         ga = np.zeros(a.value.shape)
         ga.reshape(-1)[flat] = np.asarray(g).reshape(-1)
         return (ga,)
+
+    return Node(out, (a,), bwd)
+
+
+def scatter(a, flat, shape):
+    """Zeros of ``shape`` with the rows of a at the flat leading positions
+    ``flat``: out.reshape((-1,) + a.shape[1:])[flat] = a."""
+    value = a.value if isinstance(a, Node) else np.asarray(a)
+    out = np.zeros(shape)
+    out.reshape((-1,) + value.shape[1:])[flat] = value
+    if not isinstance(a, Node):
+        return out
+
+    def bwd(g):
+        return (g.reshape((-1,) + value.shape[1:])[flat],)
 
     return Node(out, (a,), bwd)
 

@@ -23,7 +23,6 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .core import Vocabulary
 from .data import load_text_dataset, load_vocabulary, rule_label
 from .model import ClassifierParams, TrainingError
-from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -376,6 +375,11 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # imported here: no other command runs a check suite, and the import
+    # costs every CLI process about 11 ms. run_suite refuses an unknown
+    # suite name with ValueError, a usage error.
+    from .verify import run_suite
+
     echo_config("verify", {
         "suite": args.suite, "seed": args.seed, "json": args.json,
     })
@@ -450,8 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.set_defaults(func=cmd_metrics)
 
     verify = subs.add_parser("verify", help="run the self-check suites")
-    verify.add_argument("--suite", choices=SUITE_NAMES + ("all",),
-                        default="all")
+    verify.add_argument("--suite", default="all",
+                        help="a check suite's name, or all")
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--json")
     verify.set_defaults(func=cmd_verify)

@@ -115,7 +115,8 @@ class Categorical:
                 raise ValueError("probs contain NaN or inf")
             if np.any(vec < 0):
                 raise ValueError(f"negative probability entry: min={vec.min()}")
-            raise ValueError(f"probabilities sum to {total!r}, expected 1")
+            raise ValueError(f"probabilities sum to {float(total)!r}, "
+                             "expected 1")
         object.__setattr__(self, "probs", vec / total)
         self.probs.setflags(write=False)
 
@@ -212,6 +213,12 @@ def sample_rows(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return (cum[:-1] < u).sum(axis=0).reshape(lead)[()]
 
 
+def _plain(value):
+    """A time for an error message: a NumPy scalar or 0-d array as the
+    plain float it holds, so it prints as 1.1 and not np.float64(1.1)."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
 class NoiseSchedule:
     """The one signal-retention schedule, log-linear: alpha(t) = 1 - t on
     [0, 1], so alpha'(t) = -1. It has no settings. Stochastic evaluations
@@ -232,7 +239,7 @@ class NoiseSchedule:
             return 1.0 - t
         t = np.asarray(t, dtype=np.float64)
         if np.any(t < 0) or np.any(t > 1):
-            raise ValueError(f"t outside [0, 1]: {t!r}")
+            raise ValueError(f"t outside [0, 1]: {_plain(t)!r}")
         out = 1.0 - t
         return float(out) if out.ndim == 0 else out
 
@@ -244,7 +251,7 @@ class NoiseSchedule:
             return -1.0
         t = np.asarray(t, dtype=np.float64)
         if np.any(t <= 0) or np.any(t >= 1):
-            raise ValueError(f"t outside (0, 1): {t!r}")
+            raise ValueError(f"t outside (0, 1): {_plain(t)!r}")
         out = np.full_like(t, -1.0)
         return float(out) if out.ndim == 0 else out
 
@@ -261,7 +268,8 @@ class NoiseSchedule:
         t_arr = np.asarray(t, dtype=np.float64)
         s_arr = np.asarray(s, dtype=np.float64)
         if np.any(s_arr > t_arr):
-            raise ValueError(f"need s <= t, got s={s!r}, t={t!r}")
+            raise ValueError(f"need s <= t, got s={_plain(s)!r}, "
+                             f"t={_plain(t)!r}")
         a_s = self.alpha(s_arr)
         a_t = self.alpha(t_arr)
         if np.any(np.asarray(a_s) == 0):

@@ -8,8 +8,9 @@ Each computation is implemented once, batched over any leading shape:
 ``marginal_rows`` (the forward marginal), ``corrupt`` (a draw of z_t,
 applied by ``corrupt_from_uniforms``) and ``posterior_matrix`` (the
 posterior for one-hot or substituted clean-token rows, as arrays or as
-autodiff Nodes). The sampler, the losses, the scalar entry point
-``posterior`` and ``verify`` all go through that one posterior kernel.
+autodiff Nodes; ``posterior_bridge`` builds its x-free factors). The
+sampler, the losses, the scalar entry point ``posterior`` and ``verify``
+all go through that one posterior kernel.
 The uniform closed form is only a reference that the general kernel is
 checked against, since the specializations are where sign and
 normalization bugs creep in.
@@ -131,7 +132,7 @@ def corrupt_from_uniforms(
 
 
 def posterior_matrix(z, x_rows, t, s, prior: PriorSpec,
-                     schedule: NoiseSchedule):
+                     schedule: NoiseSchedule, bridge=None):
     """The posterior q(z_s | z_t = z, x) over a batch of latents, by Bayes
     over one interpolating transition:
 
@@ -147,16 +148,37 @@ def posterior_matrix(z, x_rows, t, s, prior: PriorSpec,
     sampler and of the NELBO's model term). ``t`` and ``s`` are shared or
     one value per leading row. Only autodiff primitives and arithmetic
     operators touch x_rows, so an autodiff Node works too; plain arrays
-    raise ValueError where the latent has zero mass.
+    raise ValueError where the latent has zero mass. ``bridge``, what
+    ``posterior_bridge`` returns for the same z, t, s, prior and schedule,
+    lets several sets of rows at one set of latents share the x-free
+    factors; the bytes are the same.
     """
     z = np.asarray(z, dtype=np.int64)
     if not isinstance(x_rows, ad.Node):
         x_rows = np.asarray(x_rows, dtype=np.float64)
     pi = prior.pi.probs
-    n = pi.shape[0]
-    if x_rows.shape != z.shape + (n,):
+    if x_rows.shape != z.shape + (pi.shape[0],):
         raise ValueError(f"x_rows shape {x_rows.shape} does not match "
-                         f"latents {z.shape} over N={n}")
+                         f"latents {z.shape} over N={pi.shape[0]}")
+    if bridge is None:
+        bridge = posterior_bridge(z, t, s, prior, schedule)
+    ratio, a_s, a_t, pi_z = bridge
+    x_at_z = ad.reshape(ad.gather_last(x_rows, z), z.shape + (1,))
+    den = a_t * x_at_z + (1.0 - a_t) * pi_z
+    if isinstance(den, np.ndarray) and (den <= 0).any():
+        bad = tuple(int(i) for i in np.argwhere(den <= 0)[0][:-1])
+        raise ValueError(f"latent {z[bad]} at position {bad} has "
+                         f"probability zero under the clean-token rows")
+    return ratio * (a_s * x_rows + (1.0 - a_s) * pi) / den
+
+
+def posterior_bridge(z, t, s, prior: PriorSpec,
+                     schedule: NoiseSchedule) -> tuple:
+    """The factors of ``posterior_matrix`` that do not read x, for int64
+    latents z: the (..., N) bridge rows q(z_t = z | z_s = j), then a_s,
+    a_t and pi[z], shaped to broadcast against them."""
+    pi = prior.pi.probs
+    n = pi.shape[0]
     a_s = _per_row(schedule.alpha(s), z.ndim + 1)
     a_t = _per_row(schedule.alpha(t), z.ndim + 1)
     a_ts = _per_row(schedule.alpha_ratio(t, s), z.ndim + 1)
@@ -164,13 +186,7 @@ def posterior_matrix(z, x_rows, t, s, prior: PriorSpec,
     off = (1.0 - a_ts) * pi_z
     bridge = np.repeat(off, n, axis=-1)
     bridge.reshape(-1)[ad.flat_index(z, n)] = (off + a_ts).reshape(-1)
-    x_at_z = ad.reshape(ad.gather_last(x_rows, z), z.shape + (1,))
-    den = a_t * x_at_z + (1.0 - a_t) * pi_z
-    if isinstance(den, np.ndarray) and (den <= 0).any():
-        bad = tuple(int(i) for i in np.argwhere(den <= 0)[0][:-1])
-        raise ValueError(f"latent {z[bad]} at position {bad} has "
-                         f"probability zero under the clean-token rows")
-    return bridge * (a_s * x_rows + (1.0 - a_s) * pi) / den
+    return bridge, a_s, a_t, pi_z
 
 
 def posterior(

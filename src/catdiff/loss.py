@@ -46,7 +46,7 @@ from . import autodiff as ad
 from . import model as model_mod
 from .core import Categorical, NoiseSchedule, check_token_range
 from .forward import (PriorSpec, corrupt, corrupt_from_uniforms,
-                      marginal_rows, posterior_matrix)
+                      marginal_rows, posterior_bridge, posterior_matrix)
 from .model import one_hot_batch
 
 _SUPPORT_EPS = 1e-300  # posterior entries below this count as off-support
@@ -225,10 +225,13 @@ def _kl_terms(xtheta, x, z, t, s, prior: PriorSpec, schedule: NoiseSchedule):
     the posterior of the one-hot x and p that of xtheta. The sum is the
     entropy minus the cross term; p is padded to 1 off q's support, so
     neither value nor gradient leaks from there, and a zero p where q has
-    mass gives inf."""
+    mass gives inf. q and p share the x-free bridge."""
+    z = np.asarray(z, dtype=np.int64)
+    bridge = posterior_bridge(z, t, s, prior, schedule)
     q = posterior_matrix(z, one_hot_batch(np.broadcast_to(x, z.shape),
-                                          prior.size), t, s, prior, schedule)
-    p = posterior_matrix(z, xtheta, t, s, prior, schedule)
+                                          prior.size), t, s, prior, schedule,
+                         bridge)
+    p = posterior_matrix(z, xtheta, t, s, prior, schedule, bridge)
     support = (q > _SUPPORT_EPS).astype(np.float64)
     q_masked = q * support
     entropy = np.sum(q_masked * np.log(np.where(support > 0, q, 1.0)),
@@ -392,7 +395,10 @@ def training_loss_node(
     spec: LossSpec, field_nodes: list, params, x: np.ndarray,
     cond_idx: np.ndarray, rng: np.random.Generator,
 ) -> ad.Node:
-    """One minibatch loss as a scalar Node; draws (t, z_t) internally."""
+    """One minibatch loss as a scalar Node; draws (t, z_t) internally.
+    An absorbing denoiser's rows come for its masked positions alone
+    (``model.masked_rows``); its other positions carry their latent
+    over, as one-hot rows."""
     schedule = params.schedule
     prior = params.prior
     batch = x.shape[0]
@@ -406,13 +412,35 @@ def training_loss_node(
     # looked up on the module, so a wrapper installed there sees it
     rows = model_mod.denoiser_logprob_rows(field_nodes, params, z, t,
                                            cond_idx)
+    live = model_mod.masked_rows(params, z)
+    if live is not None and spec.objective in ("nelbo_discrete",
+                                               "mdlm_continuous"):
+        # carry-over: the rows are the masked positions' alone, and the KL
+        # and the rate are 0 at an unmasked position. Each masked position
+        # is scored as a sequence of one; its term goes back to its place
+        one = (len(live), 1)
+        x_m = x.reshape(-1)[live].reshape(one)
+        z_m = z.reshape(-1)[live].reshape(one)
+        t_m = np.repeat(t, x.shape[1])[live]
+        rows = ad.reshape(rows, one + (prior.size,))
+        if spec.objective == "nelbo_discrete":
+            terms = ad.scatter(_kl_terms(
+                ad.exp(rows), x_m, z_m, t_m, np.repeat(s, x.shape[1])[live],
+                prior, schedule), live, x.shape)
+            return float(spec.T) * ad.nmean(ad.nsum(terms, axis=1))
+        rate = ad.scatter(_mdlm_rate(rows, x_m, z_m, t_m, schedule,
+                                     params.vocab.mask_index), live, x.shape)
+        return width * ad.nmean(ad.nsum(rate, axis=1))
     if spec.objective == "nelbo_discrete":
         return float(spec.T) * ad.nmean(_kl_terms(
             ad.exp(rows), x, z, t, s, prior, schedule))
     if spec.objective == "mdlm_continuous":
         rate = _mdlm_rate(rows, x, z, t, schedule, params.vocab.mask_index)
-    elif spec.objective == "udlm_continuous":
-        rate = _udlm_rate(ad.exp(rows), x, z, t, schedule)
-    else:
-        rate = _sedd_rate(ad.exp(rows), x, z, t, schedule)
-    return width * ad.nmean(ad.nsum(rate, axis=1))
+        return width * ad.nmean(ad.nsum(rate, axis=1))
+    probs = ad.exp(rows)
+    if live is not None:  # one-hot rows at the unmasked positions
+        carried = one_hot_batch(z, prior.size)
+        carried[z == params.vocab.mask_index] = 0.0
+        probs = ad.scatter(probs, live, carried.shape) + carried
+    kernel = _udlm_rate if spec.objective == "udlm_continuous" else _sedd_rate
+    return width * ad.nmean(ad.nsum(kernel(probs, x, z, t, schedule), axis=1))

@@ -11,7 +11,12 @@ The unconditional branch of a conditional denoiser is the extra
 condition-embedding row at index K (condition None, for the batch or for
 one example); condition dropout during training swaps real labels for
 that row. Absorbing denoisers pin the mask column of the logits to -inf
-so the predictor never emits mask.
+so the predictor never emits mask, and carry unmasked tokens over: the
+row at an unmasked position is one-hot at its latent, as the absorbing
+posterior there is, whatever the network says. Only the first layer and
+the mean-pool see those positions; the hidden layers, the head, the
+softmax and the absorbing losses run on the masked positions
+(``masked_rows``) alone.
 
 Time enters as the pair (alpha_t, 1 - alpha_t) through a learned 2 x d
 projection: the simplest injective encoding under a monotone schedule.
@@ -409,23 +414,47 @@ def _token_batch(params, z_batch) -> np.ndarray:
     return z
 
 
+def masked_rows(params, z: np.ndarray) -> np.ndarray | None:
+    """Carry-over: the flat indices, in (B, L) order, of the positions of
+    the (B, L) latents z that hold the mask token, for an absorbing
+    denoiser; None for a uniform denoiser and for the classifier. An
+    absorbing posterior at an unmasked latent is one-hot at that token,
+    whatever x_theta says there, so the denoiser's row at an unmasked
+    position is defined as one-hot at its latent (MDLM's carry-over,
+    Sahoo et al. 2024). The hidden layers, the head, the softmax and the
+    absorbing losses run on these rows alone."""
+    if not isinstance(params, DenoiserParams) or params.kind != "absorbing":
+        return None
+    return np.flatnonzero(z == params.vocab.mask_index)
+
+
 def _trunk_forward(params, fold: _Folded, z_batch, t,
                    cond_idx: np.ndarray | None = None, pool: bool = False,
-                   keep: list | None = None, scratch=None,
-                   out=None) -> np.ndarray:
+                   keep: list | None = None, scratch=None, out=None,
+                   rows: np.ndarray | None = None) -> np.ndarray:
     """Autodiff-free forward of the trunk both networks share, on the
     folded arrays ``fold``: (B, L) int64 tokens, which the caller has
     range-checked with ``_token_batch``, or a Node of (B, L, N) relaxed
     one-hot rows, to (B, L, out) head logits, or (B, out) with ``pool``,
     which mean-pools the positions before the head (the classifier
-    readout). ``t`` is one time for the batch or one per example. A
-    ``keep`` list receives what ``_trunk_backward`` reads: the input, the
-    time features, ``cond_idx``, the folded token table and then each
-    tanh output. A (2, rows, d) ``scratch`` buffer takes the hidden
-    activations in turn, and an ``out`` array of the (B, L, out) logits'
-    shape takes the head's product, in place of fresh arrays. The
-    activations and logits take the dtype of ``fold`` (and of the
-    buffers, which must match it); the time features stay float64.
+    readout). ``t`` is one time for the batch or one per example.
+
+    The first layer's pre-activation is built at every position, so the
+    mean-pool sees every token. ``rows``, flat indices into the (B, L)
+    positions (``masked_rows``), keeps only those rows after it: the tanh
+    layers and the head run on them alone, giving (len(rows), out)
+    logits. A lone row runs as two copies, off BLAS's one-row vector path,
+    so its bytes do not depend on how many rows its call keeps.
+
+    A ``keep`` list receives what ``_trunk_backward`` reads: the input,
+    the time features, ``cond_idx``, the folded token table, ``rows`` and
+    then each tanh output. A (2, positions, d) ``scratch`` buffer takes
+    the hidden activations in turn, and an ``out`` buffer of at least the
+    head's rows takes the head's product in its leading rows, in place of
+    fresh arrays. The activations and logits take the dtype of ``fold``
+    (and of the buffers, which must match it); the time features stay
+    float64. Without buffers the kept rows' products run as
+    ``_kept_product``.
 
     Inference passes the trunk's ``prepared`` snapshot, training a fold
     of its parameter Nodes' values made once per step.
@@ -449,24 +478,34 @@ def _trunk_forward(params, fold: _Folded, z_batch, t,
     h += fold.position
     if keep is not None:
         keep += [z_batch, _time_features(params.schedule, t), cond_idx,
-                 token_table]
-    for k, (w, b) in enumerate(fold.maps):
+                 token_table, rows]
+    count, slot = None, 0  # h's rows to return; the scratch slot h is in
+    if rows is not None:
+        count, slot = len(rows), 1
+        taken = rows if count != 1 else np.repeat(rows, 2)
+        flat = h.reshape(-1, h.shape[-1])
+        h = (flat[taken] if scratch is None else
+             np.take(flat, taken, axis=0, out=scratch[1, :len(taken)]))
+    for w, b in fold.maps:
         np.tanh(h, out=h)
         if keep is not None:
-            keep.append(h)
+            keep.append(h[:count])
         if pool and b is None:  # the classifier pools before its head
             h = _pool_sum(h) / length
         flat = h.reshape(-1, h.shape[-1])
         if b is None and out is not None:
-            flat = np.matmul(flat, w, out=out.reshape(len(flat), -1))
+            flat = np.matmul(flat, w, out=out[:len(flat)])
+        elif rows is not None and scratch is None:
+            flat = _kept_product(flat, w)
         elif scratch is None or b is None:
             flat = flat @ w
         else:
-            flat = np.matmul(flat, w, out=scratch[(k + 1) % 2, :len(flat)])
-        h = flat.reshape(h.shape[:-1] + (-1,))
+            slot = 1 - slot
+            flat = np.matmul(flat, w, out=scratch[slot, :len(flat)])
+        h = flat.reshape(h.shape[:-1] + flat.shape[-1:])
         if b is not None:
             h += b
-    return h
+    return h[:count]
 
 
 def _time_rows(fold: _Folded, schedule: NoiseSchedule, t) -> np.ndarray:
@@ -513,17 +552,25 @@ def _trunk_backward(params, arrays: list, keep: list, g: np.ndarray,
     label (condition), or plus its mean over positions and scattered by
     token (token). An unfolded table's gradient is its folded one times
     W0^T and W0's is the sum of table^T times folded one, so no
-    (B L, d) x (d, d) product runs."""
-    inp, time_in, cond_idx, token_table, *acts = keep
+    (B L, d) x (d, d) product runs. A forward on ``rows`` alone hands
+    ``g`` for those rows; their delta is scattered back into zeros at the
+    first layer's pre-activation, which every position reaches."""
+    inp, time_in, cond_idx, token_table, rows, *acts = keep
     lead, head = len(params.LEADING), len(arrays) - 1
     grads = [None] * len(needs)
     param_grads = any(needs[:len(arrays)])
-    batch, length = g.shape[0], params.length
+    batch, length = len(inp), params.length
+    pooled = rows is None and g.ndim == 2
+    if rows is not None:
+        # allocated before the kept rows' arrays, whose size changes each
+        # step: after them, the heap placed it in fresh pages (CHANGES.md)
+        full = np.zeros((batch, length, acts[0].shape[-1]))
     if param_grads:  # back through the head to the last tanh output
-        last = _pool_sum(acts[-1]) / length if g.ndim == 2 else acts[-1]
+        last = _pool_sum(acts[-1]) / length if pooled else acts[-1]
         grads[head] = _outer_sum(last, g)
-    delta = g @ arrays[head].T
-    if g.ndim == 2:  # the mean-pool hands each position an equal share
+    delta = (g @ arrays[head].T if rows is None
+             else _kept_product(g, arrays[head].T))
+    if pooled:  # the mean-pool hands each position an equal share
         delta = np.broadcast_to((delta / length)[:, None, :],
                                 (batch, length, delta.shape[1]))
     for i in range(len(acts) - 1, -1, -1):
@@ -531,8 +578,13 @@ def _trunk_backward(params, arrays: list, keep: list, g: np.ndarray,
         if i:  # every tanh layer but the first has a weight behind it
             if param_grads:
                 grads[lead + 2 * i] = _outer_sum(acts[i - 1], delta)
-                grads[lead + 2 * i + 1] = delta.sum(axis=(0, 1))
-            delta = delta @ arrays[lead + 2 * i].T
+                grads[lead + 2 * i + 1] = delta.sum(
+                    axis=tuple(range(delta.ndim - 1)))
+            delta = (delta @ arrays[lead + 2 * i].T if rows is None
+                     else _kept_product(delta, arrays[lead + 2 * i].T))
+    if rows is not None:
+        full.reshape(-1, full.shape[-1])[rows] = delta
+        delta = full
     per_seq = _pool_sum(delta)                                     # (B, d0)
     front = delta + (per_seq / length)[:, None, :]
     if any(needs[len(arrays):]):
@@ -551,21 +603,35 @@ def _trunk_backward(params, arrays: list, keep: list, g: np.ndarray,
     return grads
 
 
+def _kept_product(h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """h @ w for training's kept rows, written as (w^T h^T)^T. OpenBLAS
+    computes h @ w column-major, with the rows of h as its output's
+    columns, and its threads split those columns at buffer offsets that
+    scale with their number: a row count that changes each step faults in
+    fresh pages until every offset has been seen (about 100 pages per new
+    count at d 48). As w^T h^T the rows of h are the output's rows, and
+    the offsets stay put."""
+    return np.matmul(w.T, h.T).T
+
+
 def _trunk_node(field_nodes: list, params, z, t, cond_idx=None,
                 pool: bool = False) -> ad.Node:
     """``_trunk_forward`` as one autodiff Node of the parameter Nodes and,
     if it is a Node of relaxed one-hot rows, of ``z``; its backward is
     ``_trunk_backward`` for the parents that require a gradient. The
     arrays are the Nodes' values, folded here once per call; ``params``
-    gives shapes and schedule."""
+    gives shapes and schedule. An absorbing denoiser's Node holds the
+    logits of its ``masked_rows`` alone."""
     arrays = [n.value for n in field_nodes]
+    rows = None
     if not isinstance(z, ad.Node):
         z = _token_batch(params, z)
+        rows = None if pool else masked_rows(params, z)
     parents = list(field_nodes) + ([z] if isinstance(z, ad.Node) else [])
     needs = [p.requires_grad for p in parents]
     keep = []
     out = _trunk_forward(params, _Folded(params, arrays), z, t, cond_idx,
-                         pool, keep)
+                         pool, keep, rows=rows)
     return ad.Node(out, tuple(parents),
                    lambda g: _trunk_backward(params, arrays, keep, g, needs))
 
@@ -575,7 +641,9 @@ def denoiser_logprob_rows(
     z_batch: np.ndarray, t: np.ndarray, cond_idx: np.ndarray,
 ) -> ad.Node:
     """Batched forward pass on parameter Nodes: (B, L) latents to
-    (B, L, N) per-position log-probabilities over clean tokens."""
+    (B, L, N) per-position log-probabilities over clean tokens. An
+    absorbing denoiser gives (M, N), the rows of its M ``masked_rows``
+    in flat order; its other positions carry their latent over."""
     logits = _trunk_node(field_nodes, params, z_batch, t, cond_idx)
     if params.kind == "absorbing":
         suppress = np.zeros(params.vocab.size)
@@ -614,7 +682,11 @@ def denoise_batch(
     The network and the softmax's exponentials run in float32; the rows
     come back as float64, normalised there, so each sums to 1 to within
     float64 rounding and an absorbing denoiser's mask column is exactly 0.
+    An absorbing denoiser runs its hidden layers, head and softmax on its
+    ``masked_rows`` alone and writes a one-hot row at each unmasked
+    position, at its latent (carry-over).
     """
+    _keep_heap()
     z = _token_batch(params, z_batch)
     cond = _condition_indices(cond_idx, params.num_classes, asked := len(z))
     if z.size == 1:  # two copies, off BLAS's one-row vector path
@@ -638,13 +710,17 @@ def denoise_batch(
     workers = max(1, min(_free_cpus(), blocks // 2))
     bounds = [k * batch // blocks for k in range(blocks + 1)]
     todo = list(zip(bounds, bounds[1:]))
-    # each worker's hidden activations and head logits reuse buffers:
-    # arrays allocated per block fault in fresh pages whenever the
-    # allocator has returned the last block's to the system
-    most = -(-batch // blocks) * length
+    # each worker's hidden activations, head logits and masked rows'
+    # probabilities reuse buffers: arrays allocated per block fault in
+    # fresh pages whenever the allocator has returned the last block's to
+    # the system. A lone kept row runs as two.
+    most = max(2, -(-batch // blocks) * length)
     scratch = np.empty((workers, 2, most, params.d), dtype=np.float32)
     heads = np.empty((workers, most, fold.maps[-1][0].shape[1]),
                      dtype=np.float32)
+    carried = params.kind == "absorbing"
+    if carried:
+        soft = np.empty((workers, most, n))
 
     def share(worker: int) -> None:
         # each thread takes the next block until none is left, so a thread
@@ -655,19 +731,27 @@ def denoise_batch(
                 lo, hi = todo.pop(0)
             except IndexError:
                 return
+            live = masked_rows(params, z[lo:hi])
             logits = _trunk_forward(
                 params, fold, z[lo:hi],
                 np.asarray(t)[lo:hi] if per_example_t else t, cond[lo:hi],
-                scratch=scratch[worker],
-                out=heads[worker, :(hi - lo) * length])[..., :n]
-            if params.kind == "absorbing":
+                scratch=scratch[worker], out=heads[worker],
+                rows=live)[..., :n]
+            if carried:
                 logits[..., params.vocab.mask_index] = MASK_LOGIT
+                probs = soft[worker, :len(live)]
+            else:
+                probs = out[lo:hi]
             # column by column at any N: the order its rows' bytes follow
             np.subtract(logits, row_reduce(logits, np.maximum, n)[..., None],
                         out=logits)
-            probs = out[lo:hi]
             np.exp(logits, out=probs)  # float32 exp, stored as float64
             probs /= row_reduce(probs, np.add, n)[..., None]
+            if carried:
+                block = out[lo:hi].reshape(-1, n)
+                block.fill(0.0)
+                block.reshape(-1)[ad.flat_index(z[lo:hi], n)] = 1.0
+                block[live] = probs
 
     if workers == 1:
         share(0)

@@ -171,6 +171,23 @@ def test_gather_last_matches_take_along_axis():
         assert grad.tobytes() == want_grad.tobytes()
 
 
+def test_scatter_gradient():
+    # rows of a placed at flat leading positions of zeros, as the training
+    # losses put the masked positions' terms back in their (B, L) places
+    a = rand(3, 4, seed=18)
+    flat = np.array([5, 0, 2])
+    err = gradient_check(
+        lambda p: ad.nsum(tanh(ad.scatter(p[0], flat, (2, 3, 4)) + 0.5)),
+        [a])
+    assert err < TOL
+    out = ad.scatter(a, flat, (2, 3, 4))
+    want = np.zeros((6, 4))
+    want[flat] = a
+    assert np.array_equal(out, want.reshape(2, 3, 4))
+    vec = ad.scatter(rand(3, seed=19), flat, (2, 3))
+    assert vec.shape == (2, 3) and np.count_nonzero(vec) == 3
+
+
 def test_reshape_gradient():
     a = rand(2, 6, seed=17)
     err = gradient_check(
@@ -268,9 +285,9 @@ def test_ndarray_on_left_defers_to_node():
 
 
 def test_array_inputs_pass_through_as_arrays():
-    # log, exp, nsum, log_softmax, gather_last and reshape on a plain array
-    # give a plain array, bit for bit the value the same call gives on a
-    # constant Node
+    # log, exp, nsum, log_softmax, gather_last, scatter and reshape on a
+    # plain array give a plain array, bit for bit the value the same call
+    # gives on a constant Node
     a = np.abs(rand(2, 3, 4, seed=20)) + 0.1
     idx = np.random.default_rng(21).integers(0, 4, size=(2, 3))
     for f in (ad.log, ad.exp,
@@ -278,6 +295,7 @@ def test_array_inputs_pass_through_as_arrays():
               lambda v: ad.nsum(v, axis=-1),
               ad.log_softmax,
               lambda v: ad.gather_last(v, idx),
+              lambda v: ad.scatter(v, np.array([3, 0]), (2, 2, 3, 4)),
               lambda v: ad.reshape(v, (6, 4))):
         got = f(a)
         want = f(ad.constant(a)).value

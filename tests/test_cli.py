@@ -536,3 +536,20 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_import_leaves_verify_unloaded():
+    # only the verify command runs a check suite, so it imports
+    # catdiff.verify itself; a fresh import of the CLI leaves it out
+    src = os.path.dirname(os.path.dirname(os.path.abspath(catdiff.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, catdiff.cli; print('catdiff.verify' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+def test_verify_rejects_an_unknown_suite(capsys):
+    assert cli.main(["verify", "--suite", "bogus"]) == 1
+    err = capsys.readouterr().err
+    assert "unknown suite 'bogus'" in err and "posteriors" in err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from catdiff import autodiff as ad
 from catdiff import loss as L
 from catdiff import model as M
 from catdiff.core import NoiseSchedule, Vocabulary
@@ -716,6 +717,50 @@ def test_training_loss_node_gradients(objective):
                                     np.random.default_rng(7))
 
     assert gradient_check(build, arrays, h=1e-6) < 1e-4
+
+
+# An absorbing denoiser's training loss runs its hidden layers, head,
+# log-softmax and loss on the masked positions alone (carry-over). It is
+# pinned to graph_oracle.training_loss, which computes every position's
+# rows and terms and weights the unmasked ones 0: the gradients through
+# the graph oracle's trunk to 1e-12 relative, and the values through the
+# trunk's own folded arithmetic byte for byte. Batches of one short
+# sequence reach no masked position and exactly one.
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(L.OBJECTIVES),
+    st.sampled_from([1, 2]),
+    st.sampled_from([(1, 1), (1, 3), (2, 2), (7, 5)]),
+    st.integers(min_value=0, max_value=10 ** 6),
+)
+@example("mdlm_continuous", 2, (1, 1), 0)
+@example("nelbo_discrete", 1, (1, 1), 0)
+def test_absorbing_training_loss_matches_full_rows(objective, n_layers,
+                                                   shape, seed):
+    rng = np.random.default_rng(seed)
+    vocab = Vocabulary(4, mask_index=3)
+    params = M.init_denoiser(vocab, shape[1], 2, 6, kind="absorbing",
+                             n_layers=n_layers, seed=seed, scale=0.5)
+    spec = L.LossSpec(objective,
+                      T=5 if objective == "nelbo_discrete" else None)
+    x = rng.integers(0, 3, size=shape)
+    cond = rng.integers(0, 3, size=shape[0])
+    draws = int(rng.integers(10 ** 6))
+    values, grads = [], []
+    for build in (L.training_loss_node, graph_oracle.training_loss):
+        nodes = M.param_nodes(params)
+        node = build(spec, nodes, params, x, cond,
+                     np.random.default_rng(draws))
+        values.append(float(node.value))
+        grads.append(ad.backprop(node, nodes))
+    folded = graph_oracle.training_loss(
+        spec, M.constant_nodes(params), params, x, cond,
+        np.random.default_rng(draws), trunk=graph_oracle.folded_trunk)
+    assert values[0] == float(folded.value)
+    assert values[0] == pytest.approx(values[1], rel=1e-12, abs=1e-300)
+    for got, want in zip(*grads):
+        scale = max(np.max(np.abs(want)), 1e-300)
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
 # ------------------------------------------------- variational optimum

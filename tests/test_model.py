@@ -1,5 +1,7 @@
 import hashlib
+import os
 import platform
+import subprocess
 import sys
 import threading
 
@@ -362,6 +364,9 @@ def test_denoise_batch_blocks_match_one_block(monkeypatch, block_rows, sizes,
                 logits[..., vocab.mask_index] = M.MASK_LOGIT
             logits = np.exp(logits - logits.max(axis=-1, keepdims=True))
             logits /= logits.sum(axis=-1, keepdims=True)
+            if kind == "absorbing":  # carry-over at the unmasked positions
+                carried = z != vocab.mask_index
+                logits[carried] = np.eye(vocab.size)[z[carried]]
             monkeypatch.setattr(M, "BLOCK_ROWS", 10 ** 9)
             whole = M.denoise_batch(params, z, t, cond)
             assert np.max(np.abs(whole - logits)) <= FLOAT32_ROWS
@@ -451,6 +456,8 @@ def test_float32_rows_keep_their_invariants(monkeypatch, n, kind, workers):
     params = _randomized(M.init_denoiser(vocab, 5, 3, 8, kind=kind,
                                          n_layers=2), rng)
     half = rng.integers(0, n, size=(8, 5))
+    if kind == "absorbing":  # masked and carried-over rows in every block
+        half[:, ::2] = vocab.mask_index
     z = np.concatenate([half, half])
     labels = [int(c) for c in rng.integers(0, 3, size=8)] + [None] * 8
     monkeypatch.setattr(M, "_free_cpus", lambda: workers)
@@ -473,6 +480,11 @@ def test_float32_rows_keep_their_invariants(monkeypatch, n, kind, workers):
         assert got[8:].tobytes() == \
             M.denoise_batch(params, half, t_half, None).tobytes()
         assert not np.allclose(got[:8], got[8:])
+        if kind == "absorbing":  # the condition reaches masked rows alone
+            carried = half != vocab.mask_index
+            assert np.array_equal(got[:8][carried], got[8:][carried])
+            assert np.array_equal(got[:8][carried],
+                                  np.eye(n)[half[carried]])
 
 
 def test_denoise_batch_threads_take_each_block_once(monkeypatch):
@@ -962,16 +974,26 @@ def test_trunk_node_matches_graph_oracle(kind, n_layers, shared_t, condition,
     n_out = params.output_head.shape[1]
     readout = rng.standard_normal((batch, n_out) if pool
                                   else (batch, 5, n_out))
+    # an absorbing denoiser's trunk gives the masked rows' logits alone;
+    # the oracle's every row, read out by 0 where the latent is unmasked
+    kept = None if pool or relaxed else M.masked_rows(params, z)
+    readouts = (readout, readout)
+    if kept is not None:
+        weight = np.zeros(z.shape + (1,))
+        weight.reshape(-1)[kept] = 1.0
+        readouts = (readout.reshape(-1, n_out)[kept], readout * weight)
     results = []
-    for trunk in (M._trunk_node, graph_oracle.trunk):
+    for trunk, read in zip((M._trunk_node, graph_oracle.trunk), readouts):
         nodes = M.param_nodes(params)
         inputs = [ad.param(rows)] if relaxed else []
         out = trunk(nodes, params, inputs[0] if relaxed else z, t, cond, pool)
         results.append((out.value,
-                        ad.backprop(ad.nsum(out * readout), nodes + inputs)))
+                        ad.backprop(ad.nsum(out * read), nodes + inputs)))
     (got, got_grads), (want, want_grads) = results
-    assert got.shape == want.shape == readout.shape
-    assert np.max(np.abs(got - want)) <= 1e-12
+    if kept is not None:
+        want = want.reshape(-1, n_out)[kept]
+    assert got.shape == want.shape == readouts[0].shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
     assert len(got_grads) == len(want_grads)
     for g, w in zip(got_grads, want_grads):
         assert g.shape == w.shape
@@ -1018,6 +1040,36 @@ def test_inference_and_taylor_gradient_keep_their_bytes(n_layers):
     assert digest == INFERENCE_DIGESTS[n_layers]
 
 
+# sha256 of seeded absorbing samples (unguided 600x16 at T 16, 37x16 at
+# T 64, 1x16 at T 8, cfg 200x16 at T 16) from a two-layer d 48 denoiser,
+# recorded before the hidden layers, head and softmax ran on the masked
+# positions alone (NumPy 2.4.6 with its bundled OpenBLAS on x86-64). The
+# masked rows keep their bytes and an unmasked row's posterior is one-hot
+# whatever the row, so the draws held: in one block, in blocks of 10
+# sequences, and on two and three workers.
+ABSORBING_SAMPLES = (
+    "45d71f29b4167402519a8b4586b3363342c8864cf086bb91a74abbbd8bebf1c4")
+
+
+@pytest.mark.parametrize("block_rows,cpus",
+                         [(None, 1), (160, 1), (160, 2), (160, 3)])
+def test_absorbing_samples_keep_their_bytes(monkeypatch, block_rows, cpus):
+    params = M.init_denoiser(Vocabulary(7, mask_index=6), 16, 3, 48,
+                             kind="absorbing", n_layers=2, seed=4, scale=0.5)
+    if block_rows is not None:
+        monkeypatch.setattr(M, "BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(M, "_free_cpus", lambda: cpus)
+    cfg = GuidanceConfig("cfg", gamma=2.0, target_class=1)
+    parts = []
+    for num, steps, guidance in ((600, 16, GuidanceConfig()),
+                                 (37, 64, GuidanceConfig()),
+                                 (1, 8, GuidanceConfig()), (200, 16, cfg)):
+        drawn, _ = generate(SampleRequest(num, 16, steps, guidance,
+                                          seed=num + steps), params)
+        parts.append(drawn.tobytes())
+    assert hashlib.sha256(b"".join(parts)).hexdigest() == ABSORBING_SAMPLES
+
+
 # -------------------------------------------------------------- optimizers
 
 def test_adam_first_step_magnitude():
@@ -1058,6 +1110,38 @@ def test_training_steps_fault_in_no_fresh_pages():
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         step(seed)
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="glibc's heap thresholds")
+def test_sampling_faults_in_no_fresh_pages_without_training():
+    # denoise_batch fixes glibc's heap thresholds too, so a process that
+    # never trains (``catdiff sample``, say) keeps its freed arrays: under
+    # the dynamic defaults a second call at this shape faulted about
+    # 4,600 pages in again (uniform) and 7,900 (absorbing)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(M.__file__)))
+    probe = """
+import resource
+from catdiff import model
+from catdiff.core import Vocabulary
+from catdiff.guidance import GuidanceConfig
+from catdiff.sampler import SampleRequest, generate
+for kind, vocab in (("uniform", Vocabulary(6)),
+                    ("absorbing", Vocabulary(7, mask_index=6))):
+    params = model.init_denoiser(vocab, 16, 0, 48, kind=kind, n_layers=2,
+                                 seed=0, scale=0.5)
+    request = SampleRequest(3000, 16, 4, GuidanceConfig(), seed=1)
+    generate(request, params)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    generate(request, params)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True).stdout
+    faults = [int(line) for line in out.split()]
+    assert len(faults) == 2 and max(faults) < 50
 
 
 def test_dropout_rate_chi_square():
