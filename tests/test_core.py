@@ -106,6 +106,8 @@ def test_categorical_rejects_negative_and_nonfinite():
 
 # Validation runs two reductions on the common path and works out which
 # check failed only on the failure path; the messages are unchanged.
+# The sum messages once printed the NumPy repr (np.float64(1.1)); their
+# cases keep the ids they had then so the test names stay stable.
 @pytest.mark.parametrize("vec, message", [
     ([np.nan, 1.0], "probs contain NaN or inf"),
     ([np.inf, 0.0], "probs contain NaN or inf"),
@@ -113,8 +115,10 @@ def test_categorical_rejects_negative_and_nonfinite():
     ([np.nan, -1.0], "probs contain NaN or inf"),
     ([1.1, -0.1], "negative probability entry: min=-0.1"),
     ([-0.5, 0.5], "negative probability entry: min=-0.5"),
-    ([0.5, 0.6], "probabilities sum to 1.1, expected 1"),
-    ([], "probabilities sum to 0.0, expected 1"),
+    pytest.param([0.5, 0.6], "probabilities sum to 1.1, expected 1",
+                 id="vec6-probabilities sum to np.float64(1.1), expected 1"),
+    pytest.param([], "probabilities sum to 0.0, expected 1",
+                 id="vec7-probabilities sum to np.float64(0.0), expected 1"),
 ])
 def test_categorical_error_messages(vec, message):
     with pytest.raises(ValueError) as info, np.errstate(invalid="ignore"):
