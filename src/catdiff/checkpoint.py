@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import NoiseSchedule, Vocabulary
 from .model import (ClassifierParams, ConstantDenoiser, DenoiserParams,
-                    init_classifier, init_denoiser)
+                    init_classifier, init_denoiser, trunk_shapes)
 
 FORMAT_VERSION = 1
 
@@ -153,11 +153,11 @@ def _checked_arrays(doc: dict, expected: dict) -> dict:
 
 def load_checkpoint(path: str):
     """Read a checkpoint into the model it describes. Every field's JSON
-    type is checked first (ValueError). Every array's name and shape is
-    checked against that model, freshly initialized from the
-    document's hyper and vocab (ValueError), and every entry for
-    finiteness (FloatingPointError). A schedule block other than the fixed
-    one, or a trunk without a hidden layer, is a ValueError."""
+    type is checked first (ValueError). Then, before any array is built,
+    hyper's sizes (``trunk_shapes``; n_layers must count the stored hidden
+    layers) and every array's name and shape against them (ValueError),
+    and every entry for finiteness (FloatingPointError). A schedule block
+    other than the fixed one is a ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     _check_fields(doc)
@@ -187,11 +187,15 @@ def load_checkpoint(path: str):
             doc, {"rows_table": (hyper["length"], vocab.size)})
         return ConstantDenoiser(kind=kind, vocab=vocab,
                                 rows_table=named["rows_table"])
+    layers = sum(name.startswith("hidden_w") for name, _ in doc["params"])
+    if hyper["n_layers"] != layers:
+        raise ValueError(f"checkpoint hyper.n_layers is {hyper['n_layers']}, "
+                         f"but it stores {layers} hidden layer(s)")
     sizes = (vocab, hyper["length"], hyper["num_classes"], hyper["d"])
-    model = (init_classifier(*sizes, n_layers=hyper["n_layers"])
-             if family == "classifier"
-             else init_denoiser(*sizes, kind=kind, n_layers=hyper["n_layers"]))
-    expected = {name: arr.shape for name, arr in model.arrays()}
+    cls = ClassifierParams if family == "classifier" else DenoiserParams
+    expected = dict(trunk_shapes(cls, *sizes, n_layers=layers))
     named = _checked_arrays(doc, expected)
+    model = (init_classifier(*sizes, n_layers=layers) if cls is ClassifierParams
+             else init_denoiser(*sizes, kind=kind, n_layers=layers))
     model.set_arrays([(name, named[name]) for name in expected])
     return model

@@ -136,24 +136,32 @@ class _Trunk:
 
     def prepared(self, dtype=np.float64) -> "_Folded":
         """The folded trunk of the current arrays in ``dtype``: float64
-        for the classifier, float32 for ``denoise_batch``, whose head gains
-        zero columns up to a multiple of 16 (OpenBLAS's float32 product
-        with a narrow head gives bytes that depend on the row count).
-        Built once per version and reused while every array it was built
-        from is still in place; it reads nothing of the tokens."""
+        for the classifier, float32 for ``denoise_batch``. The head gains
+        zero columns up to a multiple of 16, whose logits the callers drop:
+        OpenBLAS's product with a narrow head gives bytes that depend on
+        the row count. Built once per version and reused while every array
+        it was built from is still in place; it reads nothing of the
+        tokens. FloatingPointError if a folded entry times 2 (max(L, d) +
+        5), the most a forward's sums and products can reach, exceeds the
+        dtype's range: a forward cannot overflow."""
         arrays = self.values()
         version, sources, fold = self._snapshots.get(dtype, (None, (), None))
         if version == self.version and all(map(operator.is_, sources,
                                                arrays)):
             return fold
         _freeze(arrays)  # an array assigned to a field directly, too
-        work = arrays
-        if dtype is not np.float64:
-            work = [a.astype(dtype) for a in arrays]
-            n = work[-1].shape[1]
-            work[-1] = np.zeros((self.d, -(-n // 16) * 16), dtype=dtype)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            work = [a.astype(dtype, copy=False) for a in arrays[:-1]]
+            n = arrays[-1].shape[1]
+            work.append(np.zeros((self.d, -(-n // 16) * 16), dtype=dtype))
             work[-1][:, :n] = arrays[-1]
-        fold = _Folded(self, work)
+            fold = _Folded(self, work)
+        largest = np.max([np.abs(a).max(initial=0.0) for a in (
+            fold.token, fold.position, fold.time, fold.condition,
+            *sum(fold.maps, ())) if a is not None])
+        bound = np.finfo(dtype).max / (2 * max(self.length, self.d) + 10)
+        if not largest <= bound:  # NaN too
+            raise FloatingPointError(f"parameters too large: {largest:.3g}")
         self._snapshots[dtype] = (self.version, tuple(arrays), fold)
         return fold
 
@@ -312,37 +320,48 @@ def init_denoiser(
     *, kind: str, n_layers: int = 1, seed: int = 0, scale: float = 0.1,
 ) -> DenoiserParams:
     _check_kind(kind, vocab)
-    return _init_trunk(DenoiserParams, vocab, length, d, vocab.size, n_layers,
-                       seed, scale, extra_rows=(num_classes + 1,),
-                       kind=kind, num_classes=num_classes)
+    return _init_trunk(DenoiserParams, vocab, length, num_classes, d,
+                       n_layers, seed, scale, kind=kind)
 
 
 def init_classifier(
     vocab: Vocabulary, length: int, num_classes: int, d: int,
     *, n_layers: int = 1, seed: int = 0, scale: float = 0.1,
 ) -> ClassifierParams:
-    return _init_trunk(ClassifierParams, vocab, length, d, num_classes,
-                       n_layers, seed, scale, num_classes=num_classes)
+    return _init_trunk(ClassifierParams, vocab, length, num_classes, d,
+                       n_layers, seed, scale)
 
 
-def _init_trunk(cls, vocab, length, d, n_out, n_layers, seed, scale,
-                extra_rows=(), **fields):
-    """Draw ``scale`` * standard normals in checkpoint order: the token,
-    position and time tables, one table per ``extra_rows`` entry, each
-    hidden weight (biases start at zero), then the (d, n_out) head."""
-    if n_layers < 1:
-        raise ValueError(f"a trunk needs at least one hidden layer, got "
-                         f"n_layers={n_layers}")
+def trunk_shapes(cls, vocab: Vocabulary, length: int, num_classes: int,
+                 d: int, n_layers: int) -> list:
+    """(name, shape) of each array of a ``cls`` trunk in checkpoint order,
+    building none; the head is over the tokens (denoiser) or the K
+    classes. ValueError on d, length or n_layers below 1 or num_classes
+    below 0."""
+    if min(n_layers, d, length) < 1 or num_classes < 0:
+        raise ValueError(f"a trunk needs at least one hidden layer, d and "
+                         f"length of at least 1 and num_classes of at least "
+                         f"0, got {n_layers}, {d}, {length}, {num_classes}")
+    rows = [vocab.size, length, 2, num_classes + 1]  # the last: denoiser's
+    shapes = [(name, (k, d)) for name, k in zip(cls.LEADING, rows)]
+    for i in range(n_layers):
+        shapes += [(f"hidden_w{i}", (d, d)), (f"hidden_b{i}", (d,))]
+    n_out = vocab.size if cls is DenoiserParams else num_classes
+    return shapes + [("output_head", (d, n_out))]
+
+
+def _init_trunk(cls, vocab, length, num_classes, d, n_layers, seed, scale,
+                **fields):
+    """Draw ``scale`` * standard normals in checkpoint order; the hidden
+    biases start at zero and draw nothing."""
     rng = np.random.default_rng(seed)
-
-    def mat(*shape):
-        return scale * rng.standard_normal(shape)
-
-    tables = [mat(vocab.size, d), mat(length, d), mat(2, d)]
-    tables += [mat(rows, d) for rows in extra_rows]
-    hidden = [(mat(d, d), np.zeros(d)) for _ in range(n_layers)]
-    return cls(vocab=vocab, length=length, d=d, hidden=hidden,
-               output_head=mat(d, n_out), **dict(zip(cls.LEADING, tables)),
+    arrays = [np.zeros(shape) if name.startswith("hidden_b")
+              else scale * rng.standard_normal(shape) for name, shape
+              in trunk_shapes(cls, vocab, length, num_classes, d, n_layers)]
+    lead = len(cls.LEADING)
+    return cls(vocab=vocab, length=length, num_classes=num_classes, d=d,
+               hidden=list(zip(arrays[lead:-1:2], arrays[lead + 1:-1:2])),
+               output_head=arrays[-1], **dict(zip(cls.LEADING, arrays)),
                **fields)
 
 
@@ -430,7 +449,7 @@ def masked_rows(params, z: np.ndarray) -> np.ndarray | None:
 
 def _trunk_forward(params, fold: _Folded, z_batch, t,
                    cond_idx: np.ndarray | None = None, pool: bool = False,
-                   keep: list | None = None, scratch=None, out=None,
+                   keep: list | None = None,
                    rows: np.ndarray | None = None) -> np.ndarray:
     """Autodiff-free forward of the trunk both networks share, on the
     folded arrays ``fold``: (B, L) int64 tokens, which the caller has
@@ -448,13 +467,10 @@ def _trunk_forward(params, fold: _Folded, z_batch, t,
 
     A ``keep`` list receives what ``_trunk_backward`` reads: the input,
     the time features, ``cond_idx``, the folded token table, ``rows`` and
-    then each tanh output. A (2, positions, d) ``scratch`` buffer takes
-    the hidden activations in turn, and an ``out`` buffer of at least the
-    head's rows takes the head's product in its leading rows, in place of
-    fresh arrays. The activations and logits take the dtype of ``fold``
-    (and of the buffers, which must match it); the time features stay
-    float64. Without buffers the kept rows' products run as
-    ``_kept_product``.
+    then each tanh output; with both ``keep`` and ``rows`` (training's
+    absorbing step) the kept rows' products run as ``_kept_product``. The
+    activations and logits take the dtype of ``fold``; the time features
+    stay float64.
 
     Inference passes the trunk's ``prepared`` snapshot, training a fold
     of its parameter Nodes' values made once per step.
@@ -464,11 +480,8 @@ def _trunk_forward(params, fold: _Folded, z_batch, t,
     if isinstance(z_batch, ad.Node):  # relaxed one-hot rows
         z_batch = z_batch.value
         h = z_batch @ token_table
-    elif scratch is None:
+    else:
         h = token_table[z_batch]                                   # (B, L, d0)
-    else:  # the callers range-check the tokens: "clip" copies unbuffered
-        h = scratch[0, :z_batch.size].reshape(z_batch.shape + (-1,))
-        np.take(token_table, z_batch, axis=0, mode="clip", out=h)
     per_seq = _pool_sum(h)[:, None, :]                             # (B, 1, d0)
     per_seq /= length
     per_seq += _time_rows(fold, params.schedule, t)[..., None, :]
@@ -479,13 +492,11 @@ def _trunk_forward(params, fold: _Folded, z_batch, t,
     if keep is not None:
         keep += [z_batch, _time_features(params.schedule, t), cond_idx,
                  token_table, rows]
-    count, slot = None, 0  # h's rows to return; the scratch slot h is in
+    count = None  # h's rows to return
     if rows is not None:
-        count, slot = len(rows), 1
+        count = len(rows)
         taken = rows if count != 1 else np.repeat(rows, 2)
-        flat = h.reshape(-1, h.shape[-1])
-        h = (flat[taken] if scratch is None else
-             np.take(flat, taken, axis=0, out=scratch[1, :len(taken)]))
+        h = h.reshape(-1, h.shape[-1])[taken]
     for w, b in fold.maps:
         np.tanh(h, out=h)
         if keep is not None:
@@ -493,15 +504,10 @@ def _trunk_forward(params, fold: _Folded, z_batch, t,
         if pool and b is None:  # the classifier pools before its head
             h = _pool_sum(h) / length
         flat = h.reshape(-1, h.shape[-1])
-        if b is None and out is not None:
-            flat = np.matmul(flat, w, out=out[:len(flat)])
-        elif rows is not None and scratch is None:
+        if rows is not None and keep is not None:
             flat = _kept_product(flat, w)
-        elif scratch is None or b is None:
-            flat = flat @ w
         else:
-            slot = 1 - slot
-            flat = np.matmul(flat, w, out=scratch[slot, :len(flat)])
+            flat = flat @ w
         h = flat.reshape(h.shape[:-1] + flat.shape[-1:])
         if b is not None:
             h += b
@@ -710,19 +716,8 @@ def denoise_batch(
     workers = max(1, min(_free_cpus(), blocks // 2))
     bounds = [k * batch // blocks for k in range(blocks + 1)]
     todo = list(zip(bounds, bounds[1:]))
-    # each worker's hidden activations, head logits and masked rows'
-    # probabilities reuse buffers: arrays allocated per block fault in
-    # fresh pages whenever the allocator has returned the last block's to
-    # the system. A lone kept row runs as two.
-    most = max(2, -(-batch // blocks) * length)
-    scratch = np.empty((workers, 2, most, params.d), dtype=np.float32)
-    heads = np.empty((workers, most, fold.maps[-1][0].shape[1]),
-                     dtype=np.float32)
-    carried = params.kind == "absorbing"
-    if carried:
-        soft = np.empty((workers, most, n))
 
-    def share(worker: int) -> None:
+    def share() -> None:
         # each thread takes the next block until none is left, so a thread
         # whose CPU is busy elsewhere holds up no other thread's blocks;
         # list.pop is atomic
@@ -735,11 +730,10 @@ def denoise_batch(
             logits = _trunk_forward(
                 params, fold, z[lo:hi],
                 np.asarray(t)[lo:hi] if per_example_t else t, cond[lo:hi],
-                scratch=scratch[worker], out=heads[worker],
                 rows=live)[..., :n]
-            if carried:
+            if live is not None:
                 logits[..., params.vocab.mask_index] = MASK_LOGIT
-                probs = soft[worker, :len(live)]
+                probs = np.empty(logits.shape)
             else:
                 probs = out[lo:hi]
             # column by column at any N: the order its rows' bytes follow
@@ -747,14 +741,14 @@ def denoise_batch(
                         out=logits)
             np.exp(logits, out=probs)  # float32 exp, stored as float64
             probs /= row_reduce(probs, np.add, n)[..., None]
-            if carried:
+            if live is not None:
                 block = out[lo:hi].reshape(-1, n)
                 block.fill(0.0)
                 block.reshape(-1)[ad.flat_index(z[lo:hi], n)] = 1.0
                 block[live] = probs
 
     if workers == 1:
-        share(0)
+        share()
         return out[:asked]
     # imported here: a process that never runs two workers, such as the
     # CLI under OpenBLAS's default thread count, skips its 7 ms import
@@ -764,8 +758,8 @@ def denoise_batch(
     # Leaving the with block joins every thread: an error raised here wins,
     # else the first worker's is raised
     with ThreadPoolExecutor(workers - 1) as pool:
-        futures = [pool.submit(share, worker) for worker in range(1, workers)]
-        share(0)
+        futures = [pool.submit(share) for _ in range(workers - 1)]
+        share()
     for future in futures:
         future.result()
     return out[:asked]
@@ -840,11 +834,12 @@ def _classify_forward(params: ClassifierParams, z: np.ndarray, t,
     (B, L) tokens ``_token_batch`` has checked: (B, K) log-probabilities.
     A batch of one runs as two copies, off BLAS's one-row vector path for
     the pooled head product, so a lone sequence's rows have the bytes they
-    have in a batch of two or three; the caller keeps the first row."""
+    have in any batch; the caller keeps the first row."""
     if len(z) == 1:
         z = np.repeat(z, 2, axis=0)
-    return ad.log_softmax(_trunk_forward(params, params.prepared(), z, t,
-                                         pool=True, keep=keep))
+    logits = _trunk_forward(params, params.prepared(), z, t, pool=True,
+                            keep=keep)
+    return ad.log_softmax(logits[:, :params.num_classes])
 
 
 def classify(params: ClassifierParams, z_seq, t) -> np.ndarray:

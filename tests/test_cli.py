@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import catdiff
 import catdiff.cli as cli
@@ -264,13 +265,23 @@ def _set_in(doc, block, key, value):
     lambda doc: _set_in(doc, "shapes", "output_head", ["8", "3"]),
     lambda doc: dict(doc, params=[[name, [str(v) for v in flat]]
                                   for name, flat in doc["params"]]),
+    lambda doc: _set_in(doc, "hyper", "d", 10 ** 12),
+    lambda doc: _set_in(doc, "hyper", "length", 10 ** 12),
+    lambda doc: _set_in(doc, "hyper", "d", -3),
+    lambda doc: _set_in(doc, "hyper", "length", -1),
+    lambda doc: _set_in(doc, "hyper", "num_classes", -1),
+    lambda doc: _set_in(doc, "hyper", "n_layers", 2),
+    lambda doc: _set_in(doc, "hyper", "n_layers", 10 ** 9),
 ], ids=["d_text", "d_fraction", "num_classes_text", "vocab_size_text",
         "symbols_number", "params_number", "model_kind_list", "document_list",
-        "n_layers_bool", "mask_index_bool", "shape_text", "params_text"])
+        "n_layers_bool", "mask_index_bool", "shape_text", "params_text",
+        "d_huge", "length_huge", "d_negative", "length_negative",
+        "num_classes_negative", "n_layers_more", "n_layers_huge"])
 def test_checkpoint_of_the_wrong_json_types_is_usage_error(
         workdir, tmp_path, capsys, edit):
-    # refused by type before any array is built: ValueError from the
-    # reader, exit 1 with no traceback from the CLI
+    # refused by type, or by a size in hyper that is out of range or not
+    # that of the stored arrays, before any array is built: ValueError from
+    # the reader, exit 1 with no traceback from the CLI
     doc = edit(json.loads((workdir / "ckpt.json").read_text()))
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(doc))
@@ -283,6 +294,62 @@ def test_checkpoint_of_the_wrong_json_types_is_usage_error(
     assert code == 1
     assert "error:" in err and "Traceback" not in err
     assert not (tmp_path / "s.txt").exists()
+
+
+def _paths(node, path=()):
+    """Every path into a JSON document, its root included."""
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+# any JSON value json.dumps writes, NaN and Infinity included
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 12, 10 ** 12)
+    | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_checkpoints_never_reach_a_traceback(workdir, tmp_path, capsys,
+                                                     data):
+    # one field of a saved denoiser replaced by another JSON value, or
+    # deleted: sampling from it exits 0, 1 or 3 and, unless it exits 0,
+    # writes no samples; an uncaught exception would escape cli.main
+    doc = json.loads((workdir / "ckpt.json").read_text())
+    paths = list(_paths(doc))[1:]
+    entries = [p for p in paths if p[0] == "params" and len(p) == 4]
+    fields = [p for p in paths if p not in entries]
+    # a field, or one parameter entry, each half the time
+    *parent, key = path = data.draw(st.sampled_from(fields)
+                                    | st.sampled_from(entries))
+    holder = doc
+    for step in parent:
+        holder = holder[step]
+    if data.draw(st.booleans()):
+        if isinstance(holder, list):
+            holder.pop(key)
+        else:
+            del holder[key]
+    else:
+        holder[key] = data.draw(JSON_VALUES, label=f"value at {path}")
+    ckpt, out = tmp_path / "mutated.json", tmp_path / "s.txt"
+    outputs = (out, tmp_path / "s.txt.meta.json")
+    ckpt.write_text(json.dumps(doc))
+    for written in outputs:
+        written.unlink(missing_ok=True)
+    code = cli.main(["sample", "--checkpoint", str(ckpt), "--out", str(out),
+                     "--num", "2", "--steps", "4"])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 3)
+    assert "Traceback" not in err
+    assert code == 0 or not any(written.exists() for written in outputs)
 
 
 @pytest.mark.parametrize("lr", ["nan", "inf", "0", "-0.1"])

@@ -357,9 +357,11 @@ def test_denoise_batch_blocks_match_one_block(monkeypatch, block_rows, sizes,
     monkeypatch.setattr(M, "_free_cpus", lambda: 1)
     for t in (0.37, rng.uniform(0.01, 0.99, batch)):
         for cond in (None, 1, rng.integers(0, 3, size=batch)):
-            # the float64 softmax over the whole batch's float64 logits
+            # the float64 softmax over the whole batch's float64 logits,
+            # without the padded head's zero columns
             logits = trunk(params, params.prepared(), z, t,
                            M._condition_indices(cond, 3, batch))
+            logits = logits[..., :vocab.size]
             if kind == "absorbing":
                 logits[..., vocab.mask_index] = M.MASK_LOGIT
             logits = np.exp(logits - logits.max(axis=-1, keepdims=True))
@@ -854,8 +856,7 @@ def test_one_sequence_classifier_rows_match_a_small_batch(d, k, n_layers,
                                                          batch, seed):
     # a lone sequence runs as two copies: its pooled (1, d) x (d, K) head
     # product took BLAS's vector path, and most rows differed from the
-    # batch's. A batch of up to three rows stays inside one of OpenBLAS's
-    # four-row tiles (a row in a full tile may still differ; see README)
+    # batch's
     params = M.init_classifier(VOCAB3, 5, k, d, n_layers=n_layers,
                                seed=seed, scale=0.5)
     rng = np.random.default_rng(seed)
@@ -870,6 +871,23 @@ def test_one_sequence_classifier_rows_match_a_small_batch(d, k, n_layers,
         one_logp, one_grad = M.classify_grad_wrt_onehot(params, z[i], t, y)
         assert one_logp == logp0[i] == logp[i, y]
         assert one_grad.tobytes() == grad[i].tobytes()
+
+
+@pytest.mark.parametrize("d", [16, 48, 64])
+@pytest.mark.parametrize("k", [3, 6])
+def test_one_sequence_classifier_rows_match_a_batch_of_twelve(d, k):
+    # the prepared head is padded to 16 columns: OpenBLAS ran a (12, d) x
+    # (d, 3) head product in row tiles whose bytes followed the row count,
+    # and 74-84 of these 120 rows differed from the same sequence alone
+    for seed in range(10):
+        params = M.init_classifier(Vocabulary(6), 8, k, d, n_layers=2,
+                                   seed=seed, scale=0.5)
+        rng = np.random.default_rng(seed)
+        z = rng.integers(0, 6, size=(12, 8))
+        t = float(rng.uniform(0.01, 0.99))
+        logp = M.classify(params, z, t)
+        for i in range(12):
+            assert M.classify(params, z[i], t).tobytes() == logp[i].tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -1119,7 +1137,9 @@ def test_sampling_faults_in_no_fresh_pages_without_training():
     # denoise_batch fixes glibc's heap thresholds too, so a process that
     # never trains (``catdiff sample``, say) keeps its freed arrays: under
     # the dynamic defaults a second call at this shape faulted about
-    # 4,600 pages in again (uniform) and 7,900 (absorbing)
+    # 4,600 pages in again (uniform) and 7,900 (absorbing). With BLAS
+    # pinned to one thread the calls run their blocks on two workers where
+    # two CPUs are free, each block in arrays of its own
     src = os.path.dirname(os.path.dirname(os.path.abspath(M.__file__)))
     probe = """
 import resource
@@ -1137,11 +1157,12 @@ for kind, vocab in (("uniform", Vocabulary(6)),
     generate(request, params)
     print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
-    out = subprocess.run([sys.executable, "-c", probe], check=True,
-                         env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True).stdout
-    faults = [int(line) for line in out.split()]
-    assert len(faults) == 2 and max(faults) < 50
+    for blas in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             env=dict(os.environ, PYTHONPATH=src, **blas),
+                             capture_output=True, text=True).stdout
+        faults = [int(line) for line in out.split()]
+        assert len(faults) == 2 and max(faults) < 50
 
 
 def test_dropout_rate_chi_square():
