@@ -143,8 +143,6 @@ def resolve_train_config(config: dict, overrides: dict) -> dict:
     if not 0.0 < merged["lr"] < float("inf"):  # refuses NaN too
         raise UsageError(f"lr must be positive and finite, got "
                          f"{merged['lr']}")
-    if not 0.0 <= merged["condition_dropout"] <= 1.0:
-        raise UsageError("condition_dropout must lie in [0, 1]")
     if merged["num_classes"] > 0 and merged["labels"] is None:
         raise UsageError("num_classes > 0 needs a labels file")
     if merged["labels"] is not None and merged["num_classes"] < 1:
@@ -266,6 +264,14 @@ def cmd_sample(args) -> int:
         if not isinstance(classifier, ClassifierParams):
             raise UsageError(f"{args.classifier} is not a classifier "
                              f"checkpoint")
+        # the classifier reads the denoiser's token ids at its positions
+        if classifier.vocab != model.vocab:
+            raise UsageError(f"{args.classifier} reads {classifier.vocab}, "
+                             f"the denoiser {model.vocab}")
+        if classifier.length != model.length:
+            raise UsageError(f"{args.classifier} reads length "
+                             f"{classifier.length}, the denoiser "
+                             f"{model.length}")
     guidance = GuidanceConfig(mode=mode, gamma=gamma,
                               target_class=args.label)
     request = sampler_mod.SampleRequest(

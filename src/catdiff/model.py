@@ -36,14 +36,10 @@ forward and the softmax's exponentials in float32, on the float32
 snapshot, whose head is padded with zero columns to a multiple of 16,
 and returns float64 rows normalised in float64.
 
-denoise_batch runs on cache-sized blocks of whole sequences; a sequence's
-rows do not depend on its block or batch (one position runs as two
-copies, off BLAS's vector path). A call of four blocks or more (over
-3 * BLOCK_ROWS positions) runs them on the calling thread and pool
-threads started for the call, one worker per two blocks up to the CPUs
-in the process's affinity mask (``taskset`` narrows it) over the threads
-BLAS runs, with the same bytes at any thread count. Only
-``_trunk_forward`` and the softmax run off the calling thread.
+denoise_batch runs on cache-sized blocks of whole sequences, one after
+another on the calling thread; a sequence's rows do not depend on its
+block or batch (one position runs as two copies, off BLAS's vector
+path).
 
 ``_trunk_backward`` is written by hand and keeps the first layer
 folded. Training wraps the pair as one autodiff Node
@@ -59,7 +55,6 @@ import ctypes
 import functools
 import itertools
 import operator
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,10 +66,7 @@ from .forward import PriorSpec, corrupt
 
 MASK_LOGIT = -1e30
 # positions per block of the inference denoiser forward: a block's
-# (rows, d) activations stay in cache (sweep in CHANGES.md). A call of
-# four blocks or more, over 3 * BLOCK_ROWS = 24,576 positions (a cfg
-# call counts both halves), runs them on one worker per two blocks, up
-# to ``_free_cpus``.
+# (rows, d) activations stay in cache (sweep in CHANGES.md)
 BLOCK_ROWS = 8192
 
 
@@ -707,96 +699,31 @@ def denoise_batch(
         return out
     rows = batch * length
     # blocks of whole sequences whose sizes differ by at most one; a
-    # sequence's rows do not depend on the rest of its block. A call of
-    # four blocks or more runs on one worker per two blocks, so the thread
-    # count grows with the call, not the host; with fewer blocks a worker
-    # whose CPU the host gives to another process holds up the whole call
-    # (measured in CHANGES.md)
+    # sequence's rows do not depend on the rest of its block
     blocks = max(1, min(-(-rows // BLOCK_ROWS), batch))
-    workers = max(1, min(_free_cpus(), blocks // 2))
     bounds = [k * batch // blocks for k in range(blocks + 1)]
-    todo = list(zip(bounds, bounds[1:]))
-
-    def share() -> None:
-        # each thread takes the next block until none is left, so a thread
-        # whose CPU is busy elsewhere holds up no other thread's blocks;
-        # list.pop is atomic
-        while True:
-            try:
-                lo, hi = todo.pop(0)
-            except IndexError:
-                return
-            live = masked_rows(params, z[lo:hi])
-            logits = _trunk_forward(
-                params, fold, z[lo:hi],
-                np.asarray(t)[lo:hi] if per_example_t else t, cond[lo:hi],
-                rows=live)[..., :n]
-            if live is not None:
-                logits[..., params.vocab.mask_index] = MASK_LOGIT
-                probs = np.empty(logits.shape)
-            else:
-                probs = out[lo:hi]
-            # column by column at any N: the order its rows' bytes follow
-            np.subtract(logits, row_reduce(logits, np.maximum, n)[..., None],
-                        out=logits)
-            np.exp(logits, out=probs)  # float32 exp, stored as float64
-            probs /= row_reduce(probs, np.add, n)[..., None]
-            if live is not None:
-                block = out[lo:hi].reshape(-1, n)
-                block.fill(0.0)
-                block.reshape(-1)[ad.flat_index(z[lo:hi], n)] = 1.0
-                block[live] = probs
-
-    if workers == 1:
-        share()
-        return out[:asked]
-    # imported here: a process that never runs two workers, such as the
-    # CLI under OpenBLAS's default thread count, skips its 7 ms import
-    from concurrent.futures import ThreadPoolExecutor
-    # NumPy releases the interpreter lock in the gathers, ufuncs and matrix
-    # products a share spends its time in, so the shares run in parallel.
-    # Leaving the with block joins every thread: an error raised here wins,
-    # else the first worker's is raised
-    with ThreadPoolExecutor(workers - 1) as pool:
-        futures = [pool.submit(share) for _ in range(workers - 1)]
-        share()
-    for future in futures:
-        future.result()
+    for lo, hi in zip(bounds, bounds[1:]):
+        live = masked_rows(params, z[lo:hi])
+        logits = _trunk_forward(
+            params, fold, z[lo:hi],
+            np.asarray(t)[lo:hi] if per_example_t else t, cond[lo:hi],
+            rows=live)[..., :n]
+        if live is not None:
+            logits[..., params.vocab.mask_index] = MASK_LOGIT
+            probs = np.empty(logits.shape)
+        else:
+            probs = out[lo:hi]
+        # column by column at any N: the order its rows' bytes follow
+        np.subtract(logits, row_reduce(logits, np.maximum, n)[..., None],
+                    out=logits)
+        np.exp(logits, out=probs)  # float32 exp, stored as float64
+        probs /= row_reduce(probs, np.add, n)[..., None]
+        if live is not None:
+            block = out[lo:hi].reshape(-1, n)
+            block.fill(0.0)
+            block.reshape(-1)[ad.flat_index(z[lo:hi], n)] = 1.0
+            block[live] = probs
     return out[:asked]
-
-
-def _free_cpus() -> int:
-    """CPUs a denoise_batch call may run workers on: those in the
-    process's affinity mask (``taskset`` narrows it) over the threads BLAS
-    runs. OpenBLAS runs one thread per CPU unless OPENBLAS_NUM_THREADS
-    says otherwise, and its threads spin after each matrix product,
-    competing with ours; a BLAS whose thread count cannot be read counts
-    as using every CPU, and so does a platform with no affinity mask."""
-    blas_threads = _blas_threads_getter()
-    if blas_threads is None or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return max(1, len(os.sched_getaffinity(0)) // max(1, blas_threads()))
-
-
-@functools.cache
-def _blas_threads_getter():
-    """OpenBLAS's get_num_threads as loaded into this process, or None."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split()[-1] for line in fh
-                            if "openblas" in line.lower() and ".so" in line})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in ("scipy_openblas_get_num_threads64_",
-                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            if hasattr(lib, name):
-                return getattr(lib, name)
-    return None
 
 
 # glibc's mallopt parameters (malloc.h)
@@ -985,10 +912,13 @@ def train(
     One seeded generator drives shuffling, condition dropout, t draws and
     latent corruption in a fixed order, so a fixed seed reproduces the
     final parameters bitwise. Labels must be integers in [0, K); a model
-    without classes takes none (ValueError).
+    without classes takes none, and condition_dropout lies in [0, 1]
+    (ValueError).
     """
     from . import loss as loss_mod
 
+    if not 0.0 <= condition_dropout <= 1.0:  # refuses NaN too
+        raise ValueError("condition_dropout must lie in [0, 1]")
     x_all, y_all = _as_xy(dataset)
     if params is None:
         params = init_denoiser(vocab, x_all.shape[1], num_classes, d,

@@ -36,7 +36,8 @@ num_classes = 3
 
 @pytest.fixture(scope="session")
 def workdir(tmp_path_factory):
-    """Corpus files plus one trained checkpoint shared across tests."""
+    """Corpus files, one trained denoiser checkpoint and one classifier
+    checkpoint over its vocabulary and length, shared across tests."""
     root = tmp_path_factory.mktemp("cli")
     ds = gen_labeled_corpus(3, 4, 240, "majority_token", seed=5)
     vocab = Vocabulary(3)
@@ -47,6 +48,8 @@ def workdir(tmp_path_factory):
     code = cli.main(["train", "--config", str(root / "cfg.txt"),
                      "--out", str(root / "ckpt.json")])
     assert code == 0
+    save_checkpoint(init_classifier(vocab, 4, 3, 8, seed=2),
+                    root / "clf.json")
     return root
 
 
@@ -314,15 +317,18 @@ JSON_VALUES = st.recursive(
     max_leaves=5)
 
 
-@settings(max_examples=300, deadline=None,
+@settings(max_examples=450, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_mutated_checkpoints_never_reach_a_traceback(workdir, tmp_path, capsys,
                                                      data):
-    # one field of a saved denoiser replaced by another JSON value, or
+    # one field of a saved denoiser, or of a saved classifier that cbg or
+    # cbg-taylor sampling reads, replaced by another JSON value, or
     # deleted: sampling from it exits 0, 1 or 3 and, unless it exits 0,
     # writes no samples; an uncaught exception would escape cli.main
-    doc = json.loads((workdir / "ckpt.json").read_text())
+    guidance = data.draw(st.sampled_from([None, None, "cbg", "cbg-taylor"]))
+    doc = json.loads((workdir / ("ckpt.json" if guidance is None
+                                 else "clf.json")).read_text())
     paths = list(_paths(doc))[1:]
     entries = [p for p in paths if p[0] == "params" and len(p) == 4]
     fields = [p for p in paths if p not in entries]
@@ -344,8 +350,13 @@ def test_mutated_checkpoints_never_reach_a_traceback(workdir, tmp_path, capsys,
     ckpt.write_text(json.dumps(doc))
     for written in outputs:
         written.unlink(missing_ok=True)
-    code = cli.main(["sample", "--checkpoint", str(ckpt), "--out", str(out),
-                     "--num", "2", "--steps", "4"])
+    argv = ["sample", "--checkpoint", str(ckpt), "--out", str(out),
+            "--num", "2", "--steps", "4"]
+    if guidance is not None:
+        argv[2] = str(workdir / "ckpt.json")
+        argv += ["--guidance", guidance, "--label", "1",
+                 "--classifier", str(ckpt)]
+    code = cli.main(argv)
     err = capsys.readouterr().err
     assert code in (0, 1, 3)
     assert "Traceback" not in err
@@ -359,6 +370,18 @@ def test_train_refuses_a_nonfinite_or_nonpositive_lr(workdir, tmp_path,
                      "--out", str(tmp_path / "o.json"), "--lr", lr])
     assert code == 1
     assert "error: lr must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("rate", ["2.0", "-0.1", "nan"])
+def test_train_refuses_a_condition_dropout_outside_0_1(workdir, tmp_path,
+                                                       capsys, rate):
+    code = cli.main(["train", "--config", str(workdir / "cfg.txt"),
+                     "--out", str(tmp_path / "o.json"),
+                     "--condition-dropout", rate])
+    assert code == 1
+    assert "error: condition_dropout must lie in [0, 1]" in \
+        capsys.readouterr().err
     assert not (tmp_path / "o.json").exists()
 
 
@@ -534,6 +557,34 @@ def test_cbg_label_is_checked_against_the_classifier(tmp_path, capsys):
                 "--classifier", str(tmp_path / "clf.json")]
         assert cli.main(argv) == code
     assert "target_class -1 out of range [0, 2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["cbg", "cbg-taylor"])
+@pytest.mark.parametrize("den_vocab,clf_vocab,clf_length", [
+    (Vocabulary(3), Vocabulary(4), 4),
+    (Vocabulary(3), Vocabulary(3), 5),
+    (Vocabulary(4, mask_index=3), Vocabulary(4, mask_index=0), 4),
+], ids=["vocab", "length", "mask_index"])
+def test_cbg_refuses_a_classifier_of_another_vocabulary_or_length(
+        tmp_path, capsys, flag, den_vocab, clf_vocab, clf_length):
+    # the classifier reads the denoiser's token ids: over another
+    # vocabulary, cbg guided by the wrong tokens and cbg-taylor failed in
+    # its gradient's shape; at another length classify failed
+    kind = "absorbing" if den_vocab.is_absorbing else "uniform"
+    save_checkpoint(init_denoiser(den_vocab, 4, 0, 8, kind=kind, seed=1),
+                    tmp_path / "den.json")
+    save_checkpoint(init_classifier(clf_vocab, clf_length, 2, 8, seed=2),
+                    tmp_path / "clf.json")
+    out = tmp_path / "s.txt"
+    code = cli.main(["sample", "--checkpoint", str(tmp_path / "den.json"),
+                     "--out", str(out), "--num", "2", "--steps", "4",
+                     "--guidance", flag, "--label", "1",
+                     "--classifier", str(tmp_path / "clf.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error:" in err and "the denoiser" in err
+    assert "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "s.txt.meta.json").exists()
 
 
 def test_absorbing_train_and_sample(tmp_path, capsys):

@@ -1,9 +1,10 @@
 import hashlib
+import itertools
 import os
 import platform
 import subprocess
 import sys
-import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -352,9 +353,6 @@ def test_denoise_batch_blocks_match_one_block(monkeypatch, block_rows, sizes,
         return trunk(params, arrays, z_block, *args, **kwargs)
 
     monkeypatch.setattr(M, "_trunk_forward", counted)
-    # one worker: the threads of more would append to ``seen`` out of
-    # order
-    monkeypatch.setattr(M, "_free_cpus", lambda: 1)
     for t in (0.37, rng.uniform(0.01, 0.99, batch)):
         for cond in (None, 1, rng.integers(0, 3, size=batch)):
             # the float64 softmax over the whole batch's float64 logits,
@@ -379,80 +377,65 @@ def test_denoise_batch_blocks_match_one_block(monkeypatch, block_rows, sizes,
             assert np.array_equal(got, whole)
 
 
-class _CountedThread(threading.Thread):
-    started = 0
-
-    def start(self):
-        type(self).started += 1
-        super().start()
-
-
-def _count_threads(monkeypatch):
-    """Count the threads ``denoise_batch`` starts in ``_CountedThread``;
-    returns the function that zeroes the count before a call. A pool
-    starts a thread per submitted share unless an earlier thread has gone
-    idle, so each holds its first block until the calling thread, which
-    submits every share before it takes a block, has taken one."""
-    monkeypatch.setattr(threading, "Thread", _CountedThread)
-    caller_started = threading.Event()
-    trunk = M._trunk_forward
-
-    def gated(*args, **kwargs):
-        if threading.current_thread() is threading.main_thread():
-            caller_started.set()
-        else:
-            assert caller_started.wait(timeout=10)
-        return trunk(*args, **kwargs)
-
-    def start_count():
-        _CountedThread.started = 0
-        caller_started.clear()
-
-    monkeypatch.setattr(M, "_trunk_forward", gated)
-    return start_count
-
-
 # 7 sequences of 20 positions are 140 rows: (BLOCK_ROWS, the blocks
-# ceil(140 / BLOCK_ROWS), at most one per sequence, they make). Four or
-# more run on min(workers, blocks // 2) workers, one of them the calling
-# thread; three or fewer on the calling thread alone.
+# ceil(140 / BLOCK_ROWS), at most one per sequence, they make), asked for
+# by one to three caller threads that share one model, as a library
+# caller may: the float32 snapshot and its last time row are shared. Ten
+# rounds at a short switch interval give a race a chance to show.
 SPLIT_CASES = [(5, 7), (13, 7), (40, 4), (50, 3)]
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("callers", [1, 2, 3])
 @pytest.mark.parametrize("block_rows,blocks", SPLIT_CASES)
 @pytest.mark.parametrize("kind", ["uniform", "absorbing"])
-def test_denoise_batch_threads_match_one_block(monkeypatch, workers,
+def test_denoise_batch_threads_match_one_block(monkeypatch, callers,
                                                block_rows, blocks, kind):
     batch = 7
-    rng = np.random.default_rng(workers * 1000 + block_rows)
+    rng = np.random.default_rng(callers * 1000 + block_rows)
     vocab = VOCAB4M if kind == "absorbing" else VOCAB3
     params = _randomized(M.init_denoiser(vocab, 20, 3, 8, kind=kind,
                                          n_layers=2), rng)
     z = rng.integers(0, vocab.size, size=(batch, 20))
-    start_count = _count_threads(monkeypatch)
-    monkeypatch.setattr(M, "_free_cpus", lambda: workers)
-    threads = max(1, min(workers, blocks // 2)) - 1
-    for t in (0.37, rng.uniform(0.01, 0.99, batch)):
-        for cond in (None, 1, rng.integers(0, 3, size=batch)):
-            monkeypatch.setattr(M, "BLOCK_ROWS", 10 ** 9)
-            whole = M.denoise_batch(params, z, t, cond)
-            monkeypatch.setattr(M, "BLOCK_ROWS", block_rows)
-            start_count()
-            got = M.denoise_batch(params, z, t, cond)
-            assert _CountedThread.started == threads
-            assert got.tobytes() == whole.tobytes()
+    asks = [(t, cond) for t in (0.37, 0.62, rng.uniform(0.01, 0.99, batch))
+            for cond in (None, 1, rng.integers(0, 3, size=batch))]
+    monkeypatch.setattr(M, "BLOCK_ROWS", 10 ** 9)
+    wholes = [M.denoise_batch(params, z, t, cond) for t, cond in asks]
+    trunk = M._trunk_forward
+    sizes = []
+
+    def counted(params, arrays, z_block, *args, **kwargs):
+        sizes.append(len(z_block))  # list.append is atomic
+        return trunk(params, arrays, z_block, *args, **kwargs)
+
+    def ask_all(shift):  # each caller starts at another ask
+        order = list(range(shift, len(asks))) + list(range(shift))
+        return [(i, M.denoise_batch(params, z, *asks[i])) for i in order]
+
+    monkeypatch.setattr(M, "_trunk_forward", counted)
+    monkeypatch.setattr(M, "BLOCK_ROWS", block_rows)
+    shifts = list(range(0, 3 * callers, 3)) * 10
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(callers) as pool:
+            results = list(pool.map(ask_all, shifts))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(sizes) == blocks * len(asks) * len(shifts)
+    assert max(sizes) - min(sizes) <= 1
+    for i, got in itertools.chain.from_iterable(results):
+        assert got.tobytes() == wholes[i].tobytes()
 
 
 # The float32 forward at a head of one 16-column block (N 2 and 3) and of
 # two (N 20), on a classifier-free guidance batch: the sequences stacked
-# on themselves, labelled and then None. 16 sequences of 5 positions at
-# 10 rows a block run as 8 blocks of 2 on up to 4 workers.
-@pytest.mark.parametrize("workers", [1, 2, 4])
+# on themselves, labelled and then None. 16 sequences of 5 positions run
+# as 16, 8 or 4 blocks of ``per_block`` sequences.
+@pytest.mark.parametrize("per_block", [1, 2, 4])
 @pytest.mark.parametrize("n,kind", [(2, "uniform"), (3, "absorbing"),
                                     (20, "uniform"), (20, "absorbing")])
-def test_float32_rows_keep_their_invariants(monkeypatch, n, kind, workers):
-    rng = np.random.default_rng(n * 10 + workers)
+def test_float32_rows_keep_their_invariants(monkeypatch, n, kind, per_block):
+    rng = np.random.default_rng(n * 10 + per_block)
     vocab = (Vocabulary(n, mask_index=n - 1) if kind == "absorbing"
              else Vocabulary(n))
     params = _randomized(M.init_denoiser(vocab, 5, 3, 8, kind=kind,
@@ -462,12 +445,11 @@ def test_float32_rows_keep_their_invariants(monkeypatch, n, kind, workers):
         half[:, ::2] = vocab.mask_index
     z = np.concatenate([half, half])
     labels = [int(c) for c in rng.integers(0, 3, size=8)] + [None] * 8
-    monkeypatch.setattr(M, "_free_cpus", lambda: workers)
     for t_half in (0.37, rng.uniform(0.01, 0.99, 8)):
         t = t_half if np.ndim(t_half) == 0 else np.tile(t_half, 2)
         monkeypatch.setattr(M, "BLOCK_ROWS", 10 ** 9)
         whole = M.denoise_batch(params, z, t, labels)
-        monkeypatch.setattr(M, "BLOCK_ROWS", 10)
+        monkeypatch.setattr(M, "BLOCK_ROWS", 5 * per_block)
         got = M.denoise_batch(params, z, t, labels)
         assert got.tobytes() == whole.tobytes()
         assert got.dtype == np.float64 and got.shape == (16, 5, n)
@@ -489,41 +471,10 @@ def test_float32_rows_keep_their_invariants(monkeypatch, n, kind, workers):
                                   np.eye(n)[half[carried]])
 
 
-def test_denoise_batch_threads_take_each_block_once(monkeypatch):
-    # more workers than cores and a short switch interval: a block lost
-    # or taken twice from the shared list changes the count or the bytes
-    params = tiny_denoiser(seed=8)
-    z = np.random.default_rng(8).integers(0, 3, size=(64, 4))
-    whole = M.denoise_batch(params, z, 0.5, None)
-    trunk = M._trunk_forward
-    sizes = []
-
-    def counted(params, arrays, z_block, *args, **kwargs):
-        sizes.append(len(z_block))
-        return trunk(params, arrays, z_block, *args, **kwargs)
-
-    monkeypatch.setattr(M, "_trunk_forward", counted)
-    monkeypatch.setattr(M, "_free_cpus", lambda: 8)
-    monkeypatch.setattr(M, "BLOCK_ROWS", 8)  # 32 blocks of 2 sequences
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(20):
-            sizes.clear()
-            got = M.denoise_batch(params, z, 0.5, None)
-            assert sorted(sizes) == [2] * 32
-            assert got.tobytes() == whole.tobytes()
-    finally:
-        sys.setswitchinterval(interval)
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 64])
-def test_denoise_batch_threads_grow_with_the_call(monkeypatch, cpus):
-    # a call starts threads from four blocks, one worker per two blocks
-    # up to the free CPUs, whatever the host's CPU count
+def test_denoise_batch_blocks_grow_with_the_call(monkeypatch):
+    # the block count follows the call's positions, whatever the host
     params = tiny_denoiser(seed=3)
     z = np.random.default_rng(3).integers(0, 3, size=(64, 4))
-    start_count = _count_threads(monkeypatch)
     trunk = M._trunk_forward
     sizes = []
 
@@ -532,60 +483,13 @@ def test_denoise_batch_threads_grow_with_the_call(monkeypatch, cpus):
         return trunk(params, arrays, z_block, *args, **kwargs)
 
     monkeypatch.setattr(M, "_trunk_forward", counted)
-    monkeypatch.setattr(M, "_free_cpus", lambda: cpus)
     monkeypatch.setattr(M, "BLOCK_ROWS", 16)
-    # (sequences of 4 positions, threads started, block sizes in sequences)
-    for num, threads, want in [
-            (12, 0, [4, 4, 4]), (13, min(cpus, 2) - 1, [3, 3, 3, 4]),
-            (40, min(cpus, 5) - 1, [4] * 10),
-            (64, min(cpus, 8) - 1, [4] * 16)]:
-        start_count()
+    # (sequences of 4 positions, block sizes in sequences, in call order)
+    for num, want in [(12, [4, 4, 4]), (13, [3, 3, 3, 4]), (40, [4] * 10),
+                      (64, [4] * 16)]:
         sizes.clear()
         M.denoise_batch(params, z[:num], 0.5, None)
-        assert _CountedThread.started == threads
-        assert sorted(sizes) == want
-
-
-def test_free_cpus_leaves_the_cpus_blas_runs_on(monkeypatch):
-    getter = M._blas_threads_getter()
-    assert getter is None or getter() >= 1
-    monkeypatch.setattr(M.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
-                        raising=False)
-    for blas, free in [(1, 4), (2, 2), (3, 1), (4, 1), (8, 1)]:
-        monkeypatch.setattr(M, "_blas_threads_getter",
-                            lambda blas=blas: lambda: blas)
-        assert M._free_cpus() == free
-    # a BLAS whose thread count cannot be read gets no workers beside it
-    monkeypatch.setattr(M, "_blas_threads_getter", lambda: None)
-    assert M._free_cpus() == 1
-
-
-def test_denoise_batch_raises_a_worker_error(monkeypatch):
-    params = tiny_denoiser(seed=6)
-    z = np.random.default_rng(6).integers(0, 3, size=(8, 4))
-    trunk = M._trunk_forward
-    calls = []
-    worker_called = threading.Event()
-
-    def failing_off_main(*args, **kwargs):
-        calls.append(threading.current_thread())
-        if threading.current_thread() is not threading.main_thread():
-            worker_called.set()
-            raise MemoryError("block failed in a worker")
-        # the caller holds its first block until the worker has taken one
-        assert worker_called.wait(timeout=10)
-        return trunk(*args, **kwargs)
-
-    monkeypatch.setattr(M, "_trunk_forward", failing_off_main)
-    monkeypatch.setattr(M, "_free_cpus", lambda: 2)
-    monkeypatch.setattr(M, "BLOCK_ROWS", 8)  # 4 blocks on 2 workers
-    with pytest.raises(MemoryError, match="in a worker"):
-        M.denoise_batch(params, z, 0.5, None)
-    # the worker stopped at its first block, and it had been joined when
-    # the error reached the caller, which ran every other block
-    workers = [t for t in calls if t is not threading.main_thread()]
-    assert len(workers) == 1 and len(calls) == 4
-    assert not workers[0].is_alive()
+        assert sizes == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -1063,20 +967,18 @@ def test_inference_and_taylor_gradient_keep_their_bytes(n_layers):
 # recorded before the hidden layers, head and softmax ran on the masked
 # positions alone (NumPy 2.4.6 with its bundled OpenBLAS on x86-64). The
 # masked rows keep their bytes and an unmasked row's posterior is one-hot
-# whatever the row, so the draws held: in one block, in blocks of 10
-# sequences, and on two and three workers.
+# whatever the row, so the draws held: in one block and in blocks of 10
+# sequences.
 ABSORBING_SAMPLES = (
     "45d71f29b4167402519a8b4586b3363342c8864cf086bb91a74abbbd8bebf1c4")
 
 
-@pytest.mark.parametrize("block_rows,cpus",
-                         [(None, 1), (160, 1), (160, 2), (160, 3)])
-def test_absorbing_samples_keep_their_bytes(monkeypatch, block_rows, cpus):
+@pytest.mark.parametrize("block_rows", [None, 160])
+def test_absorbing_samples_keep_their_bytes(monkeypatch, block_rows):
     params = M.init_denoiser(Vocabulary(7, mask_index=6), 16, 3, 48,
                              kind="absorbing", n_layers=2, seed=4, scale=0.5)
     if block_rows is not None:
         monkeypatch.setattr(M, "BLOCK_ROWS", block_rows)
-    monkeypatch.setattr(M, "_free_cpus", lambda: cpus)
     cfg = GuidanceConfig("cfg", gamma=2.0, target_class=1)
     parts = []
     for num, steps, guidance in ((600, 16, GuidanceConfig()),
@@ -1137,9 +1039,9 @@ def test_sampling_faults_in_no_fresh_pages_without_training():
     # denoise_batch fixes glibc's heap thresholds too, so a process that
     # never trains (``catdiff sample``, say) keeps its freed arrays: under
     # the dynamic defaults a second call at this shape faulted about
-    # 4,600 pages in again (uniform) and 7,900 (absorbing). With BLAS
-    # pinned to one thread the calls run their blocks on two workers where
-    # two CPUs are free, each block in arrays of its own
+    # 4,600 pages in again (uniform) and 7,900 (absorbing). Each block
+    # allocates arrays of its own, at OpenBLAS's default thread count and
+    # with BLAS pinned to one thread
     src = os.path.dirname(os.path.dirname(os.path.abspath(M.__file__)))
     probe = """
 import resource
@@ -1190,6 +1092,17 @@ def test_full_dropout_freezes_class_rows():
                           fresh.condition_embedding[:2])
     assert not np.array_equal(params.condition_embedding[2],
                               fresh.condition_embedding[2])
+
+
+@pytest.mark.parametrize("rate", [2.0, -0.1, float("nan")])
+def test_train_refuses_a_condition_dropout_outside_0_1(rate):
+    # 2.0 would drop every label and NaN none, without complaint
+    x = np.zeros((4, 4), dtype=np.int64)
+    with pytest.raises(ValueError, match=r"condition_dropout must lie in "
+                                         r"\[0, 1\]"):
+        M.train((x, np.zeros(4, dtype=np.int64)), LossSpec("udlm_continuous"),
+                kind="uniform", vocab=VOCAB3, num_classes=2, d=8, epochs=1,
+                condition_dropout=rate)
 
 
 def test_training_loss_reaches_the_model_module_graph(monkeypatch):

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import json
-import threading
 
 import numpy as np
 import pytest
@@ -233,8 +232,7 @@ def test_generate_rejects_classifier_it_never_reads(mode):
 @pytest.mark.parametrize("kind", ["uniform", "absorbing"])
 def test_generate_blocked_forward_matches_one_block(monkeypatch, mode, kind):
     # 30 sequences of 4 positions are 120 rows: at 24 rows a block, five
-    # blocks of 6, on two threads when two CPUs are free; cfg's stacked
-    # calls run ten blocks of 6
+    # blocks of 6; cfg's stacked calls run ten blocks of 6
     vocab = Vocabulary(4, mask_index=3) if kind == "absorbing" else Vocabulary(3)
     model = M.init_denoiser(vocab, length=4, num_classes=2, d=8, kind=kind,
                             n_layers=2, seed=24, scale=0.8)
@@ -244,11 +242,9 @@ def test_generate_blocked_forward_matches_one_block(monkeypatch, mode, kind):
     monkeypatch.setattr(M, "BLOCK_ROWS", 10 ** 9)
     whole, whole_diag = S.generate(req, model)
     monkeypatch.setattr(M, "BLOCK_ROWS", 24)
-    for cpus in (1, 2):
-        monkeypatch.setattr(M, "_free_cpus", lambda: cpus)
-        blocked, blocked_diag = S.generate(req, model)
-        assert blocked.tobytes() == whole.tobytes()
-        assert blocked_diag == whole_diag
+    blocked, blocked_diag = S.generate(req, model)
+    assert blocked.tobytes() == whole.tobytes()
+    assert blocked_diag == whole_diag
 
 
 def _conditional_model(kind):
@@ -258,27 +254,16 @@ def _conditional_model(kind):
                            n_layers=2, seed=30, scale=0.8)
 
 
-class _CountedThread(threading.Thread):
-    started = 0
-
-    def start(self):
-        type(self).started += 1
-        super().start()
-
-
 @pytest.mark.parametrize("batch", [1, 2, 3, 384, 385, 700])
 @pytest.mark.parametrize("kind", ["uniform", "absorbing"])
 def test_generate_cfg_matches_two_call_oracle(monkeypatch, kind, batch):
     # at L = 16 and 4,096 rows a block, the stacked call of 385 sequences
-    # or more passes 3 * 4,096 = 12,288 positions and runs on two threads;
-    # the oracle's calls of 700 or fewer never do
+    # or more passes 3 * 4,096 = 12,288 positions and runs in four blocks
+    # or more; the oracle's calls of 700 or fewer run in three or fewer
     model = _conditional_model(kind)
-    monkeypatch.setattr(M, "_free_cpus", lambda: 2)
     monkeypatch.setattr(M, "BLOCK_ROWS", 4096)
-    monkeypatch.setattr(threading, "Thread", _CountedThread)
     for gamma in (0.0, 0.5, 1.0, 2.0, 3.0):
         for decode in S.DECODES:
-            _CountedThread.started = 0
             req = S.SampleRequest(batch, 16, 3, GuidanceConfig(
                 "cfg", gamma=gamma, target_class=1), seed=batch,
                 final_decode=decode)
@@ -288,8 +273,6 @@ def test_generate_cfg_matches_two_call_oracle(monkeypatch, kind, batch):
                 want, want_diag = S.generate(req, model)
             assert got.tobytes() == want.tobytes(), (gamma, decode)
             assert got_diag == want_diag
-            threaded = gamma != 1.0 and batch >= 385
-            assert (_CountedThread.started > 0) == threaded
 
 
 @pytest.mark.parametrize("config, stacked", [
