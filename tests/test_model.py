@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -471,25 +472,35 @@ def test_float32_rows_keep_their_invariants(monkeypatch, n, kind, per_block):
                                   np.eye(n)[half[carried]])
 
 
-def test_denoise_batch_blocks_grow_with_the_call(monkeypatch):
-    # the block count follows the call's positions, whatever the host
+@pytest.mark.parametrize("cpus", [1, 2, 64])
+def test_denoise_batch_threads_grow_with_the_call(monkeypatch, cpus):
+    # the block count follows the call's positions, whatever the host's
+    # CPU count, and every block runs on the calling thread
     params = tiny_denoiser(seed=3)
     z = np.random.default_rng(3).integers(0, 3, size=(64, 4))
     trunk = M._trunk_forward
-    sizes = []
+    sizes, threads = [], set()
 
     def counted(params, arrays, z_block, *args, **kwargs):
         sizes.append(len(z_block))
+        threads.add(threading.get_ident())
         return trunk(params, arrays, z_block, *args, **kwargs)
 
     monkeypatch.setattr(M, "_trunk_forward", counted)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(M, "BLOCK_ROWS", 16)
     # (sequences of 4 positions, block sizes in sequences, in call order)
     for num, want in [(12, [4, 4, 4]), (13, [3, 3, 3, 4]), (40, [4] * 10),
                       (64, [4] * 16)]:
         sizes.clear()
+        threads.clear()
+        alive = threading.active_count()
         M.denoise_batch(params, z[:num], 0.5, None)
         assert sizes == want
+        assert threads == {threading.get_ident()}
+        assert threading.active_count() == alive
 
 
 @settings(max_examples=40, deadline=None)
