@@ -268,10 +268,6 @@ def cmd_sample(args) -> int:
         if classifier.vocab != model.vocab:
             raise UsageError(f"{args.classifier} reads {classifier.vocab}, "
                              f"the denoiser {model.vocab}")
-        if classifier.length != model.length:
-            raise UsageError(f"{args.classifier} reads length "
-                             f"{classifier.length}, the denoiser "
-                             f"{model.length}")
     guidance = GuidanceConfig(mode=mode, gamma=gamma,
                               target_class=args.label)
     request = sampler_mod.SampleRequest(

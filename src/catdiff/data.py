@@ -84,22 +84,17 @@ def load_text_dataset(
         raise ValueError(f"{path}: empty dataset")
     labels = None
     if labels_path is not None:
-        raw = []
+        bound = 2 ** 63 if num_classes is None else num_classes
+        labels = []
         with open(labels_path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 try:
-                    raw.append(int(line.strip()))
+                    labels.append(int(line.strip()))
                 except ValueError:
                     raise ValueError(f"{labels_path}:{lineno}: not an integer")
-        if len(raw) != len(rows):
-            raise ValueError(f"{len(raw)} labels for {len(rows)} sequences")
-        labels = np.asarray(raw, dtype=np.int64)
-        if np.any(labels < 0):
-            raise ValueError("negative label")
-        if num_classes is not None and np.any(labels >= num_classes):
-            bad = int(np.argmax(labels >= num_classes)) + 1
-            raise ValueError(f"{labels_path}:{bad}: label out of range "
-                             f"[0, {num_classes})")
+                if not 0 <= labels[-1] < bound:
+                    raise ValueError(f"{labels_path}:{lineno}: label out of "
+                                     f"range [0, {bound})")
     return Dataset(np.stack(rows), labels)
 
 

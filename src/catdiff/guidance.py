@@ -18,10 +18,11 @@ Three mechanisms, all operating on per-position categorical rows:
   gradient call for the whole batch.
 
 Both classifier-based transforms take one latent (L,) with its (L, N)
-rows, or a batch (B, L) with (B, L, N) rows, through the same code.
-The classifier protocol accepts either shape: ``log_probs(z, t)`` gives
-(K,) or (B, K) and ``grad_log_prob(z, t, y)`` gives (log p, gradient)
-per sequence.
+rows, or a batch (B, L) with (B, L, N) rows, through the same code. The
+classifier protocol takes either shape, ``log_probs(z, t)`` giving (K,)
+or (B, K) and ``grad_log_prob(z, t, y)`` (log p, gradient) per sequence;
+``sampler.generate`` also reads its ``num_classes``, ``vocab`` (of the
+denoiser's size) and ``length`` (the request's).
 """
 
 from __future__ import annotations

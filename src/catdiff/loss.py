@@ -2,18 +2,19 @@
 
 Each objective is one kernel batched over (B, L): ``_kl_terms`` (the
 discrete-time KL), ``_udlm_rate`` (the paper's uniform-noise bound),
-``_sedd_rate`` (its score-entropy form) and ``_mdlm_rate`` (absorbing). A
-kernel takes the predicted rows as arrays or as autodiff Nodes, so
-training (``training_loss_node``), evaluation (``nelbo_discrete``,
-``udlm_loss``, ``mdlm_loss``, the one-position ``udlm_integrand`` and
-``sedd_form_nelbo``) and the oracles in ``verify`` all run the same code.
-The denoiser is read only through ``rows_batch(z, t, condition)``, and
-the continuous-time losses take N from its ``prior``. ``nelbo_discrete``
+``_sedd_rate`` (its score-entropy form) and ``_mdlm_rate`` (absorbing).
+``BOUNDS`` records the prior kinds each objective bounds; training and
+``udlm_loss`` refuse any other. A kernel takes the predicted rows as
+arrays or as autodiff Nodes, so training (``training_loss_node``),
+evaluation (``nelbo_discrete``, ``udlm_loss``, ``mdlm_loss``, the
+one-position ``udlm_integrand`` and ``sedd_form_nelbo``) and the oracles
+in ``verify`` all run the same code. The denoiser is read only through
+``rows_batch(z, t, condition)`` and its ``prior``. ``nelbo_discrete``
 scores one sequence or a batch: mc mode evaluates every sampled latent in
 one denoiser call, exact mode one call per grid time over the enumerated
 latents the batch's sequences reach (one per sequence under per-sequence
-conditions). ``diffusion_kl`` is the independent
-one-position reference for ``_kl_terms``.
+conditions). ``diffusion_kl`` is the independent one-position reference
+for ``_kl_terms``.
 
 The forward process is not re-derived here: z_t comes from
 ``forward.corrupt``, marginals from ``forward.marginal_rows``, and every
@@ -56,7 +57,13 @@ _SUPPORT_EPS = 1e-300  # posterior entries below this count as off-support
 # at once, so this is also the memory bound.
 EXACT_LATENT_BUDGET = 10 ** 5
 
-OBJECTIVES = ("nelbo_discrete", "udlm_continuous", "mdlm_continuous", "sedd_form")
+# The prior kinds each objective bounds: the discrete-time KL holds for
+# any forward process, the UDLM rate and its score-entropy form are
+# derived for uniform noise and the MDLM rate for absorbing noise.
+BOUNDS = {"nelbo_discrete": ("uniform", "absorbing"),
+          "udlm_continuous": ("uniform",), "mdlm_continuous": ("absorbing",),
+          "sedd_form": ("uniform",)}
+OBJECTIVES = tuple(BOUNDS)
 
 
 @dataclass(frozen=True)
@@ -73,6 +80,13 @@ class LossSpec:
                 raise ValueError("objective nelbo_discrete needs T >= 1")
         elif self.T is not None:
             raise ValueError(f"objective {self.objective!r} does not take T")
+
+
+def _check_bounds(objective: str, kind: str) -> None:
+    """Raise ValueError unless ``objective`` bounds a ``kind`` prior."""
+    if kind not in BOUNDS[objective]:
+        raise ValueError(f"objective {objective!r} bounds a "
+                         f"{' or '.join(BOUNDS[objective])} prior, not {kind}")
 
 
 # ------------------------------------------------------------ KL building
@@ -339,7 +353,8 @@ def udlm_loss(
     """Monte Carlo estimate of the sequence-level continuous-time loss,
     t ~ Uniform(t_min, t_max), z_t ~ forward marginal."""
     x = np.asarray(x_seq, dtype=np.int64)[None]
-    prior = PriorSpec.uniform(denoiser.prior.size)
+    prior = denoiser.prior
+    _check_bounds("udlm_continuous", prior.kind)
     width = schedule.t_max - schedule.t_min
     acc = 0.0
     for _ in range(mc_samples):
@@ -396,51 +411,39 @@ def training_loss_node(
     cond_idx: np.ndarray, rng: np.random.Generator,
 ) -> ad.Node:
     """One minibatch loss as a scalar Node; draws (t, z_t) internally.
-    An absorbing denoiser's rows come for its masked positions alone
-    (``model.masked_rows``); its other positions carry their latent
-    over, as one-hot rows."""
-    schedule = params.schedule
-    prior = params.prior
-    batch = x.shape[0]
-    width = schedule.t_max - schedule.t_min
+    An objective that does not bound the denoiser's prior kind is refused
+    (ValueError) before any draw. An absorbing denoiser's rows come for
+    its masked positions alone (``model.masked_rows``): each is scored as
+    a sequence of one and its term goes back to its place; the KL and the
+    MDLM rate are 0 at a carried-over unmasked position."""
+    _check_bounds(spec.objective, params.kind)
+    schedule, prior, shape = params.schedule, params.prior, x.shape
     if spec.objective == "nelbo_discrete":
-        i = rng.integers(1, spec.T + 1, size=batch)
-        t, s = i / spec.T, (i - 1) / spec.T
+        i = rng.integers(1, spec.T + 1, size=shape[0])
+        t, s, scale = i / spec.T, (i - 1) / spec.T, float(spec.T)
     else:
-        t = schedule.draw_t(rng, size=batch)
+        t, s = schedule.draw_t(rng, size=shape[0]), None
+        scale = schedule.t_max - schedule.t_min
     z = corrupt(x, t, prior, schedule, rng)
     # looked up on the module, so a wrapper installed there sees it
     rows = model_mod.denoiser_logprob_rows(field_nodes, params, z, t,
                                            cond_idx)
     live = model_mod.masked_rows(params, z)
-    if live is not None and spec.objective in ("nelbo_discrete",
-                                               "mdlm_continuous"):
-        # carry-over: the rows are the masked positions' alone, and the KL
-        # and the rate are 0 at an unmasked position. Each masked position
-        # is scored as a sequence of one; its term goes back to its place
+    if live is not None:
         one = (len(live), 1)
-        x_m = x.reshape(-1)[live].reshape(one)
-        z_m = z.reshape(-1)[live].reshape(one)
-        t_m = np.repeat(t, x.shape[1])[live]
+        x, z = (a.reshape(-1)[live].reshape(one) for a in (x, z))
+        t, s = (None if a is None else np.repeat(a, shape[1])[live]
+                for a in (t, s))
         rows = ad.reshape(rows, one + (prior.size,))
-        if spec.objective == "nelbo_discrete":
-            terms = ad.scatter(_kl_terms(
-                ad.exp(rows), x_m, z_m, t_m, np.repeat(s, x.shape[1])[live],
-                prior, schedule), live, x.shape)
-            return float(spec.T) * ad.nmean(ad.nsum(terms, axis=1))
-        rate = ad.scatter(_mdlm_rate(rows, x_m, z_m, t_m, schedule,
-                                     params.vocab.mask_index), live, x.shape)
-        return width * ad.nmean(ad.nsum(rate, axis=1))
     if spec.objective == "nelbo_discrete":
-        return float(spec.T) * ad.nmean(_kl_terms(
-            ad.exp(rows), x, z, t, s, prior, schedule))
-    if spec.objective == "mdlm_continuous":
-        rate = _mdlm_rate(rows, x, z, t, schedule, params.vocab.mask_index)
-        return width * ad.nmean(ad.nsum(rate, axis=1))
-    probs = ad.exp(rows)
-    if live is not None:  # one-hot rows at the unmasked positions
-        carried = one_hot_batch(z, prior.size)
-        carried[z == params.vocab.mask_index] = 0.0
-        probs = ad.scatter(probs, live, carried.shape) + carried
-    kernel = _udlm_rate if spec.objective == "udlm_continuous" else _sedd_rate
-    return width * ad.nmean(ad.nsum(kernel(probs, x, z, t, schedule), axis=1))
+        terms = _kl_terms(ad.exp(rows), x, z, t, s, prior, schedule)
+    elif spec.objective == "mdlm_continuous":
+        terms = _mdlm_rate(rows, x, z, t, schedule, params.vocab.mask_index)
+    else:
+        kernel = (_udlm_rate if spec.objective == "udlm_continuous"
+                  else _sedd_rate)
+        terms = kernel(ad.exp(rows), x, z, t, schedule)
+    if live is not None:
+        terms = ad.scatter(terms, live, shape)
+    return scale * ad.nmean(ad.nsum(ad.reshape(terms, (shape[0], -1)),
+                                    axis=1))

@@ -15,7 +15,7 @@ so the predictor never emits mask, and carry unmasked tokens over: the
 row at an unmasked position is one-hot at its latent, as the absorbing
 posterior there is, whatever the network says. Only the first layer and
 the mean-pool see those positions; the hidden layers, the head, the
-softmax and the absorbing losses run on the masked positions
+softmax and the training loss run on the masked positions
 (``masked_rows``) alone.
 
 Time enters as the pair (alpha_t, 1 - alpha_t) through a learned 2 x d
@@ -433,7 +433,7 @@ def masked_rows(params, z: np.ndarray) -> np.ndarray | None:
     whatever x_theta says there, so the denoiser's row at an unmasked
     position is defined as one-hot at its latent (MDLM's carry-over,
     Sahoo et al. 2024). The hidden layers, the head, the softmax and the
-    absorbing losses run on these rows alone."""
+    training loss run on these rows alone."""
     if not isinstance(params, DenoiserParams) or params.kind != "absorbing":
         return None
     return np.flatnonzero(z == params.vocab.mask_index)
@@ -912,8 +912,9 @@ def train(
     One seeded generator drives shuffling, condition dropout, t draws and
     latent corruption in a fixed order, so a fixed seed reproduces the
     final parameters bitwise. Labels must be integers in [0, K); a model
-    without classes takes none, and condition_dropout lies in [0, 1]
-    (ValueError).
+    without classes takes none, condition_dropout lies in [0, 1], and
+    the objective must bound the kind's prior (``loss.BOUNDS``); each is
+    refused with ValueError before the first step.
     """
     from . import loss as loss_mod
 

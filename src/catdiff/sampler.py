@@ -106,15 +106,19 @@ def generate(request: SampleRequest, model, classifier=None):
     """Sample request.num_sequences sequences; returns (tokens array of
     shape (num, L), per-sequence diagnostics). Deterministic per seed."""
     config = request.guidance
-    if config.needs_classifier and classifier is None:
-        raise ValueError(f"guidance mode {config.mode!r} needs a classifier")
-    if classifier is not None and not config.needs_classifier:
-        raise ValueError(f"guidance mode {config.mode!r} reads no classifier; "
-                         f"only cbg_exact and cbg_taylor take one")
-    if classifier is not None \
-            and not 0 <= config.target_class < classifier.num_classes:
-        raise ValueError(f"target_class {config.target_class} out of range "
-                         f"[0, {classifier.num_classes})")
+    if (classifier is not None) != config.needs_classifier:
+        raise ValueError(f"guidance mode {config.mode!r} "
+                         f"{'needs a' if classifier is None else 'reads no'} "
+                         f"classifier; only cbg_exact and cbg_taylor take one")
+    if classifier is not None:
+        if not 0 <= config.target_class < classifier.num_classes:
+            raise ValueError(f"target_class {config.target_class} out of "
+                             f"range [0, {classifier.num_classes})")
+        got = (classifier.vocab.size, classifier.length)
+        want = (model.prior.size, request.length)
+        if got != want:
+            raise ValueError(f"the classifier reads (N, L) = {got}, the "
+                             f"denoiser {want}")
     prior = model.prior
     schedule = model.schedule
     rng = np.random.default_rng(request.seed)

@@ -854,12 +854,14 @@ def _checks_ctmc(seed: int) -> list:
 
 
 def _checks_gradients(seed: int) -> list:
+    from .loss import BOUNDS
+
     def objective_check(objective: str):
         def run():
             from . import model as model_mod
             from .loss import LossSpec, training_loss_node
 
-            kind = "absorbing" if objective == "mdlm_continuous" else "uniform"
+            kind = BOUNDS[objective][0]  # a prior kind the objective bounds
             vocab = (Vocabulary(4, mask_index=3) if kind == "absorbing"
                      else Vocabulary(3))
             params = model_mod.init_denoiser(vocab, 2, 2, 4, kind=kind,
@@ -900,9 +902,7 @@ def _checks_gradients(seed: int) -> list:
         denom = np.maximum(np.maximum(np.abs(grad), np.abs(numeric)), 1e-3)
         return float(np.max(np.abs(grad - numeric) / denom)), 1e-4
 
-    checks = [(f"{obj}_grads", objective_check(obj))
-              for obj in ("nelbo_discrete", "udlm_continuous",
-                          "mdlm_continuous", "sedd_form")]
+    checks = [(f"{obj}_grads", objective_check(obj)) for obj in BOUNDS]
     checks.append(("classifier_grad_vs_fd", classifier_grad))
     return checks
 

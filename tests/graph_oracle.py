@@ -127,8 +127,8 @@ def training_loss(spec, field_nodes: list, params, x, cond_idx, rng,
     """``catdiff.loss.training_loss_node`` on every row: the same draws,
     each position's rows from ``denoiser_logprob_rows``, and each
     objective's term at every position, summed over positions and
-    averaged over the batch. The absorbing objectives give an absorbing
-    denoiser's unmasked positions weight 0."""
+    averaged over the batch. An absorbing denoiser's unmasked positions
+    get weight 0."""
     schedule, prior = params.schedule, params.prior
     batch, length = x.shape
     if spec.objective == "nelbo_discrete":
@@ -139,8 +139,7 @@ def training_loss(spec, field_nodes: list, params, x, cond_idx, rng,
     z = corrupt(x, t, prior, schedule, rng)
     rows = denoiser_logprob_rows(field_nodes, params, z, t, cond_idx, trunk)
     weight = np.ones(z.shape)
-    if params.kind == "absorbing" and spec.objective in ("nelbo_discrete",
-                                                        "mdlm_continuous"):
+    if params.kind == "absorbing":
         weight = (z == params.vocab.mask_index) * 1.0
     if spec.objective == "nelbo_discrete":
         # each position as a sequence of one, so a position's term can be

@@ -363,6 +363,82 @@ def test_mutated_checkpoints_never_reach_a_traceback(workdir, tmp_path, capsys,
     assert code == 0 or not any(written.exists() for written in outputs)
 
 
+# a replacement line: the corpus's symbols, the mask symbol, digits and
+# signs (wrong lengths, unknown symbols, non-integer labels), a signed
+# integer of exactly 1 to 40 digits (int64 holds 19), or any text
+DIGITS = st.integers(1, 40).flatmap(
+    lambda k: st.integers(10 ** (k - 1), 10 ** k - 1))
+LINES = (st.text(alphabet="abc#d -+0123456789", max_size=6)
+         | st.builds("{}{}".format, st.sampled_from(["", "-", "+"]), DIGITS)
+         | st.text(max_size=4))
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_eval_inputs_never_reach_a_traceback(workdir, tmp_path,
+                                                     capsys, data):
+    # one line of the corpus or of its labels replaced, deleted or
+    # repeated, or one byte replaced (0x80 and above leave UTF-8): eval
+    # exits 0, 1 or 3; an uncaught exception would escape cli.main
+    files = {name: (workdir / f"{name}.txt").read_bytes().splitlines(
+        keepends=True)[:24] for name in ("train", "labels")}
+    name = data.draw(st.sampled_from(sorted(files)))
+    lines = files[name]
+    at = data.draw(st.integers(0, len(lines) - 1))
+    how = data.draw(st.sampled_from(["line", "delete", "repeat", "byte"]))
+    if how == "line":
+        lines[at] = data.draw(LINES).encode("utf-8") + b"\n"
+    elif how == "delete":
+        del lines[at]
+    elif how == "repeat":
+        lines.insert(at, lines[at])
+    else:
+        line = bytearray(lines[at])
+        line[data.draw(st.integers(0, len(line) - 1))] = data.draw(
+            st.integers(0, 255))
+        lines[at] = bytes(line)
+    for key, body in files.items():
+        (tmp_path / f"{key}.txt").write_bytes(b"".join(body))
+    code = cli.main(["eval", "--checkpoint", str(workdir / "ckpt.json"),
+                     "--data", str(tmp_path / "train.txt"),
+                     "--labels", str(tmp_path / "labels.txt"),
+                     "--T", "4", "--mode", "mc", "--mc-samples", "1"])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 3)
+    assert "Traceback" not in err
+
+
+def test_eval_refuses_a_label_outside_int64(workdir, tmp_path, capsys):
+    # a 30-digit label escaped as an OverflowError traceback
+    labels = (workdir / "labels.txt").read_text().splitlines()
+    labels[4] = "9" * 30
+    (tmp_path / "labels.txt").write_text("\n".join(labels) + "\n")
+    code = cli.main(["eval", "--checkpoint", str(workdir / "ckpt.json"),
+                     "--data", str(workdir / "train.txt"),
+                     "--labels", str(tmp_path / "labels.txt"),
+                     "--T", "4", "--mode", "mc", "--mc-samples", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"error: {tmp_path / 'labels.txt'}:5: label out of range" in err
+
+
+@pytest.mark.parametrize("kind, n, objective", [
+    ("uniform", "3", "mdlm_continuous"), ("absorbing", "4", "udlm_continuous"),
+    ("absorbing", "4", "sedd_form")])
+def test_train_refuses_an_objective_that_does_not_bound_the_prior(
+        workdir, tmp_path, capsys, kind, n, objective):
+    # uniform x mdlm_continuous trained nothing (its loss read 0) and
+    # wrote that checkpoint; the uniform rates scored absorbing noise
+    code = cli.main(["train", "--config", str(workdir / "cfg.txt"),
+                     "--out", str(tmp_path / "o.json"), "--kind", kind,
+                     "--n", n, "--objective", objective])
+    assert code == 1
+    assert (f"error: objective '{objective}' bounds a" in
+            capsys.readouterr().err)
+    assert not (tmp_path / "o.json").exists()
+
+
 @pytest.mark.parametrize("lr", ["nan", "inf", "0", "-0.1"])
 def test_train_refuses_a_nonfinite_or_nonpositive_lr(workdir, tmp_path,
                                                       capsys, lr):

@@ -76,6 +76,21 @@ def test_load_labels_alignment(tmp_path):
                             num_classes=2)
 
 
+@pytest.mark.parametrize("label", ["9" * 30, "-" + "9" * 30, str(2 ** 63),
+                                   "-1"])
+def test_load_labels_refuses_a_label_outside_int64(tmp_path, label):
+    # a 30-digit label escaped as an OverflowError from the int64 array
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("abca\nbbbb\n")
+    labels = tmp_path / "l.txt"
+    labels.write_text(f"1\n{label}\n")
+    with pytest.raises(ValueError, match=r"l\.txt:2: label out of range"):
+        D.load_text_dataset(corpus, VOCAB, 4, labels_path=labels)
+    labels.write_text(f"{2 ** 63 - 1}\n0\n")  # the largest int64 loads
+    ds = D.load_text_dataset(corpus, VOCAB, 4, labels_path=labels)
+    assert ds.labels.tolist() == [2 ** 63 - 1, 0]
+
+
 def test_save_load_round_trip(tmp_path):
     ds = D.gen_labeled_corpus(4, 6, 20, "majority_token", seed=1)
     cpath, lpath = tmp_path / "c.txt", tmp_path / "l.txt"

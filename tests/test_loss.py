@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -619,7 +620,7 @@ def _setup_batch(objective, kind="uniform", seed=0):
 
 @pytest.mark.parametrize("objective", L.OBJECTIVES)
 def test_training_loss_node_matches_scalar_path(objective):
-    kind = "absorbing" if objective == "mdlm_continuous" else "uniform"
+    kind = L.BOUNDS[objective][0]
     M, params, spec, x, cond = _setup_batch(objective, kind)
     node = L.training_loss_node(
         spec, M.constant_nodes(params), params, x, cond,
@@ -705,7 +706,7 @@ def test_one_discrete_kl_kernel_serves_eval_and_training(monkeypatch):
 def test_training_loss_node_gradients(objective):
     from catdiff.verify import gradient_check
 
-    kind = "absorbing" if objective == "mdlm_continuous" else "uniform"
+    kind = L.BOUNDS[objective][0]
     M, params, spec, x, cond = _setup_batch(objective, kind, seed=1)
     arrays = [a for _, a in params.arrays()]
 
@@ -719,16 +720,98 @@ def test_training_loss_node_gradients(objective):
     assert gradient_check(build, arrays, h=1e-6) < 1e-4
 
 
+# sha256 of the parameters and per-epoch loss trace model.train leaves
+# under each objective and each prior kind it bounds (NumPy 2.4.6 with its
+# bundled OpenBLAS on x86-64), recorded before training_loss_node chose
+# its kernel in one place: the carry-over gather and scatter around it and
+# the (B, L) layout of uniform rows keep every byte.
+TRAINED_DIGESTS = {
+    ("absorbing", "mdlm_continuous"):
+        "78a3da1c63a2a7fd93409f6e2d10d52e67f549cac8315aeb05f96d8b221eafbc",
+    ("absorbing", "nelbo_discrete"):
+        "204f9d9d1fcf7191dbb9c7e26f61bb654a28cb2bb1e5a6b39101e782d268752a",
+    ("uniform", "nelbo_discrete"):
+        "288cf3cd996dd9867de1015bb8dbd09171fbfa0a5f6caeb160c9135cddcc4234",
+    ("uniform", "sedd_form"):
+        "70f45593e88460452c8b199420eb1911dcde6cb44c6b61478c7698ddbd14295e",
+    ("uniform", "udlm_continuous"):
+        "27beb715f1dae44f7c122b8fe95a26092d58f751a67b94e27afd2c0ac1334211",
+}
+
+
+def _train_pair(kind, objective, params=None):
+    """Six Adam steps (two epochs of 40 sequences at batch 16, the last
+    batch ragged) of a two-layer conditional denoiser."""
+    vocab = Vocabulary(5, mask_index=4) if kind == "absorbing" \
+        else Vocabulary(4)
+    rng = np.random.default_rng(25)
+    x = rng.integers(0, 4, size=(40, 6))
+    y = rng.integers(0, 3, size=40)
+    spec = L.LossSpec(objective,
+                      T=8 if objective == "nelbo_discrete" else None)
+    return M.train((x, y), spec, kind=kind, vocab=vocab, num_classes=3, d=8,
+                   n_layers=2, epochs=2, batch_size=16, lr=0.05, seed=3,
+                   params=params)
+
+
+@pytest.mark.parametrize("kind, objective", [
+    (kind, objective) for objective, kinds in L.BOUNDS.items()
+    for kind in kinds])
+def test_trained_parameters_and_trace_keep_their_bytes(kind, objective):
+    params, trace = _train_pair(kind, objective)
+    got = b"".join([a.tobytes() for _, a in params.arrays()]
+                   + [np.array(trace).tobytes()])
+    assert hashlib.sha256(got).hexdigest() == TRAINED_DIGESTS[kind, objective]
+
+
+# the continuous-time UDLM rate and its score-entropy form are derived for
+# uniform noise and the MDLM rate for absorbing noise; under the other
+# kind the MDLM rate read 0 on every uniform step (training left the
+# parameters as they were) and the uniform rates scored an absorbing
+# process under a prior it does not have
+UNBOUND = [("uniform", "mdlm_continuous"), ("absorbing", "udlm_continuous"),
+           ("absorbing", "sedd_form")]
+
+
+@pytest.mark.parametrize("kind, objective", UNBOUND)
+def test_training_refuses_an_objective_that_does_not_bound_the_prior(
+        kind, objective):
+    vocab = Vocabulary(5, mask_index=4) if kind == "absorbing" \
+        else Vocabulary(4)
+    params = M.init_denoiser(vocab, 6, 3, 8, kind=kind, seed=3)
+    before = [a.copy() for _, a in params.arrays()]
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    match = f"objective '{objective}' bounds a .* prior, not {kind}"
+    with pytest.raises(ValueError, match=match):
+        L.training_loss_node(L.LossSpec(objective), M.param_nodes(params),
+                             params, np.zeros((2, 6), dtype=np.int64),
+                             np.zeros(2, dtype=np.int64), rng)
+    assert rng.bit_generator.state == state  # refused before any draw
+    with pytest.raises(ValueError, match=match):
+        _train_pair(kind, objective, params=params)
+    assert params.version == 0
+    for (_, got), want in zip(params.arrays(), before):
+        assert np.array_equal(got, want)
+
+
+def test_udlm_loss_refuses_an_absorbing_denoiser():
+    den = TabularDenoiser(4, seed=8, kind="absorbing", mask_index=3)
+    with pytest.raises(ValueError, match="not absorbing"):
+        L.udlm_loss(np.array([0, 2]), den, np.random.default_rng(0), 1, SCHED)
+
+
 # An absorbing denoiser's training loss runs its hidden layers, head,
-# log-softmax and loss on the masked positions alone (carry-over). It is
-# pinned to graph_oracle.training_loss, which computes every position's
-# rows and terms and weights the unmasked ones 0: the gradients through
-# the graph oracle's trunk to 1e-12 relative, and the values through the
-# trunk's own folded arithmetic byte for byte. Batches of one short
-# sequence reach no masked position and exactly one.
+# log-softmax and loss on the masked positions alone (carry-over), under
+# each objective that bounds an absorbing prior. It is pinned to
+# graph_oracle.training_loss, which computes every position's rows and
+# terms and weights the unmasked ones 0: the gradients through the graph
+# oracle's trunk to 1e-12 relative, and the values through the trunk's
+# own folded arithmetic byte for byte. Batches of one short sequence
+# reach no masked position and exactly one.
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from(L.OBJECTIVES),
+    st.sampled_from([o for o in L.OBJECTIVES if "absorbing" in L.BOUNDS[o]]),
     st.sampled_from([1, 2]),
     st.sampled_from([(1, 1), (1, 3), (2, 2), (7, 5)]),
     st.integers(min_value=0, max_value=10 ** 6),

@@ -363,6 +363,36 @@ def test_generate_rejects_target_outside_classifier_classes(mode, target):
         S.generate(req, model, classifier=clf)
 
 
+class StepGuard:
+    """A uniform N = 3 denoiser protocol whose first step fails the test."""
+    prior = U3
+    schedule = SCHED
+
+    def rows_batch(self, z, t, condition=None):
+        raise AssertionError("a reverse step ran")
+
+
+@pytest.mark.parametrize("clf_vocab, clf_length", [
+    (Vocabulary(4), 4), (Vocabulary(2), 4), (Vocabulary(3), 5),
+    (Vocabulary(3), 3)], ids=["4-tokens", "2-tokens", "length-5", "length-3"])
+@pytest.mark.parametrize("mode", ["cbg_exact", "cbg_taylor"])
+def test_generate_refuses_a_classifier_of_another_vocabulary_or_length(
+        mode, clf_vocab, clf_length):
+    # the classifier reads the denoiser's token ids at its positions: a
+    # 4-token classifier guided a 3-token denoiser by the wrong ids under
+    # cbg_exact, and cbg_taylor failed in its gradient's shape
+    clf = M.init_classifier(clf_vocab, clf_length, 2, 8, seed=18)
+    req = S.SampleRequest(3, 4, 4, GuidanceConfig(mode, gamma=2.0,
+                                                  target_class=1))
+    with pytest.raises(ValueError,
+                       match=r"\(N, L\) = .*, the denoiser \(3, 4\)"):
+        S.generate(req, StepGuard(), clf)
+    # a classifier over the denoiser's tokens and length reaches the step
+    with pytest.raises(AssertionError, match="a reverse step ran"):
+        S.generate(req, StepGuard(),
+                   M.init_classifier(Vocabulary(3), 4, 2, 8, seed=18))
+
+
 def test_argmax_decode_deterministic_and_distinct_from_sampling():
     den = TabularDenoiser(3, seed=22)
     req_a = S.SampleRequest(num_sequences=200, length=4, T=2, seed=23,
