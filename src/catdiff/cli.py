@@ -4,7 +4,14 @@ Training reads a flat key=value config file; command-line flags override
 config keys, unknown or duplicate keys are errors, and every command
 echoes its resolved configuration before doing any work, so the printed
 block plus the binary version is enough to rerun it. Exit codes: 0
-success, 1 usage error, 2 verification failure, 3 numeric failure.
+success, 1 usage error (ValueError, OSError), 2 verification failure, 3
+numeric failure (TrainingError, FloatingPointError).
+
+Only flag and config-file rules live here: required, unknown and
+duplicate keys, lr > 0 (lr 0 trains nothing), labels paired with
+num_classes, train_classifier's needs, and which sample and eval flags
+go together. The library refuses the inputs it reads: kind, vocabulary,
+sizes, epochs, objective, the mask token in training data, and labels.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from . import model as model_mod
 from . import sampler as sampler_mod
 from .checkpoint import load_checkpoint, save_checkpoint
 from .core import Vocabulary
-from .data import load_text_dataset, load_vocabulary, rule_label
+from .data import load_labels, load_text_dataset, load_vocabulary, rule_label
 from .model import ClassifierParams, TrainingError
 
 EXIT_OK = 0
@@ -37,11 +44,7 @@ GUIDANCE_FLAGS = {
 }
 
 
-class UsageError(Exception):
-    pass
-
-
-class NumericError(RuntimeError):
+class UsageError(ValueError):
     pass
 
 
@@ -130,16 +133,6 @@ def resolve_train_config(config: dict, overrides: dict) -> dict:
     for key in ("T", "labels", "vocab", "classifier_out"):
         if merged[key] == "":
             merged[key] = None
-    if merged["kind"] not in ("uniform", "absorbing"):
-        raise UsageError(f"kind must be uniform or absorbing, "
-                         f"got {merged['kind']!r}")
-    try:
-        loss_mod.LossSpec(merged["objective"], T=merged["T"])
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    for key in ("n", "length", "d_hidden", "n_layers", "epochs", "batch"):
-        if merged[key] < 1:
-            raise UsageError(f"{key} must be >= 1, got {merged[key]}")
     if not 0.0 < merged["lr"] < float("inf"):  # refuses NaN too
         raise UsageError(f"lr must be positive and finite, got "
                          f"{merged['lr']}")
@@ -155,18 +148,12 @@ def resolve_train_config(config: dict, overrides: dict) -> dict:
 
 
 def _resolve_vocab(cfg: dict) -> Vocabulary:
-    if cfg["vocab"] is not None:
-        vocab = load_vocabulary(cfg["vocab"])
-        if vocab.size != cfg["n"]:
-            raise UsageError(f"vocabulary size {vocab.size} != n {cfg['n']}")
-    elif cfg["kind"] == "absorbing":
-        vocab = Vocabulary(cfg["n"], mask_index=cfg["n"] - 1)
-    else:
-        vocab = Vocabulary(cfg["n"])
-    if vocab.is_absorbing != (cfg["kind"] == "absorbing"):
-        need = "with" if cfg["kind"] == "absorbing" else "without"
-        raise UsageError(f"{cfg['kind']} training needs a vocabulary {need} "
-                         f"a mask token")
+    if cfg["vocab"] is None:
+        mask = cfg["n"] - 1 if cfg["kind"] == "absorbing" else None
+        return Vocabulary(cfg["n"], mask_index=mask)
+    vocab = load_vocabulary(cfg["vocab"])
+    if vocab.size != cfg["n"]:
+        raise UsageError(f"vocabulary size {vocab.size} != n {cfg['n']}")
     return vocab
 
 
@@ -189,25 +176,27 @@ def echo_config(command: str, mapping: dict) -> None:
         print(f"  {key} = {_fmt(mapping[key])}")
 
 
+def echo_flags(args, **resolved) -> None:
+    """Echo the parsed flags, ``resolved`` filling in those left unset."""
+    flags = {key: value for key, value in vars(args).items()
+             if key not in ("subcommand", "func")}
+    echo_config(args.subcommand, {**flags, **resolved})
+
+
 # --------------------------------------------------------------- commands
 
 def cmd_train(args) -> int:
     overrides = {key: getattr(args, key) for key in TRAIN_SCHEMA}
     cfg = resolve_train_config(parse_config(args.config), overrides)
     vocab = _resolve_vocab(cfg)
+    spec = loss_mod.LossSpec(cfg["objective"], T=cfg["T"])
     echo_config("train", {**cfg, "out": args.out})
 
     dataset = load_text_dataset(cfg["data"], vocab, cfg["length"],
                                 labels_path=cfg["labels"],
                                 num_classes=cfg["num_classes"])
-    if vocab.mask_index is not None \
-            and np.any(dataset.sequences == vocab.mask_index):
-        raise UsageError("training data contains the mask token")
-    spec = loss_mod.LossSpec(cfg["objective"], T=cfg["T"])
-    data_arg = (dataset.sequences, dataset.labels) \
-        if dataset.labels is not None else dataset.sequences
     params, trace = model_mod.train(
-        data_arg, spec, kind=cfg["kind"], vocab=vocab,
+        dataset, spec, kind=cfg["kind"], vocab=vocab,
         num_classes=cfg["num_classes"], d=cfg["d_hidden"],
         n_layers=cfg["n_layers"], epochs=cfg["epochs"],
         batch_size=cfg["batch"], lr=cfg["lr"],
@@ -218,7 +207,7 @@ def cmd_train(args) -> int:
     print(f"wrote checkpoint {args.out}")
     if cfg["train_classifier"]:
         clf, clf_trace = model_mod.train_classifier(
-            (dataset.sequences, dataset.labels), vocab=vocab,
+            dataset, vocab=vocab,
             num_classes=cfg["num_classes"], d=cfg["d_hidden"],
             n_layers=cfg["n_layers"], epochs=cfg["epochs"],
             batch_size=cfg["batch"], lr=cfg["lr"], seed=cfg["seed"],
@@ -274,12 +263,7 @@ def cmd_sample(args) -> int:
         num_sequences=args.num, length=model.length, T=args.steps,
         guidance=guidance, seed=args.seed, final_decode=args.decode,
     )
-    echo_config("sample", {
-        "checkpoint": args.checkpoint, "classifier": args.classifier,
-        "num": args.num, "steps": args.steps, "guidance": args.guidance,
-        "gamma": gamma, "label": args.label, "seed": args.seed,
-        "decode": args.decode, "out": args.out,
-    })
+    echo_flags(args, gamma=gamma)
     samples, diagnostics = sampler_mod.generate(request, model, classifier)
     sampler_mod.write_samples(args.out, samples, model.vocab, request)
     mean_edits = float(np.mean([d["edits"] for d in diagnostics]))
@@ -305,11 +289,7 @@ def cmd_eval(args) -> int:
     dataset = load_text_dataset(args.data, vocab, model.length,
                                 labels_path=args.labels,
                                 num_classes=model.num_classes)
-    echo_config("eval", {
-        "checkpoint": args.checkpoint, "data": args.data,
-        "labels": args.labels, "T": args.T, "mode": args.mode,
-        "mc_samples": mc_samples, "seed": args.seed,
-    })
+    echo_flags(args, mc_samples=mc_samples)
     per_seq = loss_mod.nelbo_discrete(
         dataset.sequences, model, args.T, model.prior, model.schedule,
         mode=args.mode, rng=np.random.default_rng(args.seed),
@@ -318,7 +298,7 @@ def cmd_eval(args) -> int:
     # summed left to right, as when sequences were scored one at a time
     mean_nelbo = sum(per_seq.tolist()) / dataset.count
     if not np.isfinite(mean_nelbo):
-        raise NumericError(f"non-finite NELBO {mean_nelbo!r}")
+        raise FloatingPointError(f"non-finite NELBO {mean_nelbo!r}")
     print(f"sequences = {dataset.count}")
     print(f"nelbo_nats_per_seq = {mean_nelbo:.12g}")
     print(f"bpc = {loss_mod.bpc(mean_nelbo, dataset.length):.12g}")
@@ -342,12 +322,7 @@ def cmd_metrics(args) -> int:
     if args.labels is not None and (args.rule is None
                                     or args.num_classes is None):
         raise UsageError("--labels needs --rule and --num-classes")
-    echo_config("metrics", {
-        "samples": args.samples, "reference": args.reference, "k": args.k,
-        "vocab": args.vocab, "n": args.n, "labels": args.labels,
-        "rule": args.rule, "num_classes": args.num_classes,
-        "out": args.out,
-    })
+    echo_flags(args)
     samples = load_text_dataset(args.samples, vocab,
                                 _line_length(args.samples))
     reference = load_text_dataset(args.reference, vocab,
@@ -355,7 +330,7 @@ def cmd_metrics(args) -> int:
     lines = [f"kmer_js_k{args.k} = "
              f"{metrics_mod.kmer_js(samples, reference, args.k):.12g}"]
     if args.labels is not None:
-        requested = np.loadtxt(args.labels, dtype=np.int64, ndmin=1)
+        requested = load_labels(args.labels, args.num_classes)
         report = metrics_mod.control_accuracy(
             samples, requested,
             lambda row: rule_label(row, args.rule, vocab.size,
@@ -382,9 +357,7 @@ def cmd_verify(args) -> int:
     # suite name with ValueError, a usage error.
     from .verify import run_suite
 
-    echo_config("verify", {
-        "suite": args.suite, "seed": args.seed, "json": args.json,
-    })
+    echo_flags(args)
     report = run_suite(args.suite, seed=args.seed)
     print(report.human())
     if args.json is not None:
@@ -475,12 +448,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (TrainingError, NumericError, FloatingPointError) as exc:
+    except (TrainingError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -92,6 +92,22 @@ def check_token_range(tokens: np.ndarray, n: int) -> None:
                          f"[{tokens.min()}, {tokens.max()}]")
 
 
+def flat_index(idx, n: int) -> np.ndarray:
+    """Flat positions of idx[...] along the last axis of (..., n) rows;
+    ValueError (``check_token_range``) for an entry outside [0, n), which
+    would read another row."""
+    idx = np.asarray(idx, dtype=np.int64).reshape(-1)
+    check_token_range(idx, n)
+    return np.arange(0, idx.size * n, n) + idx
+
+
+def one_hot_batch(tokens, n: int) -> np.ndarray:
+    """Integer tokens of any shape to (..., n) one-hot rows."""
+    out = np.zeros(np.shape(tokens) + (n,))
+    out.reshape(-1)[flat_index(tokens, n)] = 1.0
+    return out
+
+
 class Categorical:
     """A probability vector over N tokens.
 
@@ -135,9 +151,7 @@ class Categorical:
 
     @classmethod
     def one_hot(cls, index: int, size: int) -> "Categorical":
-        vec = np.zeros(size)
-        vec[index] = 1.0
-        return cls(vec)
+        return cls(one_hot_batch(index, size))
 
     @classmethod
     def uniform(cls, size: int) -> "Categorical":

@@ -71,7 +71,8 @@ def load_text_dataset(
     path, vocab: Vocabulary, length: int, labels_path=None,
     num_classes: int | None = None,
 ) -> Dataset:
-    """One sequence per line, strict length; labels one integer per line."""
+    """One sequence per line, strict length; labels as ``load_labels``
+    reads them."""
     rows = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -82,20 +83,26 @@ def load_text_dataset(
             rows.append(tokenize(line, vocab))
     if not rows:
         raise ValueError(f"{path}: empty dataset")
-    labels = None
-    if labels_path is not None:
-        bound = 2 ** 63 if num_classes is None else num_classes
-        labels = []
-        with open(labels_path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                try:
-                    labels.append(int(line.strip()))
-                except ValueError:
-                    raise ValueError(f"{labels_path}:{lineno}: not an integer")
-                if not 0 <= labels[-1] < bound:
-                    raise ValueError(f"{labels_path}:{lineno}: label out of "
-                                     f"range [0, {bound})")
-    return Dataset(np.stack(rows), labels)
+    return Dataset(np.stack(rows), None if labels_path is None
+                   else load_labels(labels_path, num_classes))
+
+
+def load_labels(path, num_classes: int | None = None) -> np.ndarray:
+    """One integer label per line as an int64 array; ValueError naming
+    the file and line for a label that is not an integer or lies outside
+    [0, num_classes), or [0, 2**63) without num_classes."""
+    bound = 2 ** 63 if num_classes is None else num_classes
+    labels = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                labels.append(int(line.strip()))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: not an integer")
+            if not 0 <= labels[-1] < bound:
+                raise ValueError(f"{path}:{lineno}: label out of range "
+                                 f"[0, {bound})")
+    return np.array(labels, dtype=np.int64)
 
 
 def save_text_dataset(path, dataset: Dataset, vocab: Vocabulary,

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .core import Categorical, NoiseSchedule, Vocabulary
+from .core import (Categorical, NoiseSchedule, Vocabulary, flat_index,
+                   one_hot_batch)
 
 
 @dataclass(frozen=True)
@@ -44,9 +45,8 @@ class PriorSpec:
         if self.kind == "absorbing":
             if self.mask_index is None:
                 raise ValueError("absorbing prior requires a mask_index")
-            expected = np.zeros(self.pi.size)
-            expected[self.mask_index] = 1.0
-            if not np.array_equal(self.pi.probs, expected):
+            if not np.array_equal(self.pi.probs, one_hot_batch(
+                    self.mask_index, self.pi.size)):
                 raise ValueError("absorbing prior must be one-hot at mask_index")
 
     @classmethod
@@ -94,7 +94,7 @@ def marginal_rows(
     x of any shape: (..., N) rows."""
     a_t = schedule.alpha(t)
     rows = np.tile((1.0 - a_t) * prior.pi.probs, np.shape(x) + (1,))
-    rows.reshape(-1)[ad.flat_index(x, prior.size)] += a_t
+    rows.reshape(-1)[flat_index(x, prior.size)] += a_t
     return rows
 
 
@@ -185,7 +185,7 @@ def posterior_bridge(z, t, s, prior: PriorSpec,
     pi_z = pi[z][..., None]
     off = (1.0 - a_ts) * pi_z
     bridge = np.repeat(off, n, axis=-1)
-    bridge.reshape(-1)[ad.flat_index(z, n)] = (off + a_ts).reshape(-1)
+    bridge.reshape(-1)[flat_index(z, n)] = (off + a_ts).reshape(-1)
     return bridge, a_s, a_t, pi_z
 
 
@@ -194,9 +194,8 @@ def posterior(
     schedule: NoiseSchedule,
 ) -> Categorical:
     """Exact posterior q(z_s | z_t, x) for any prior, s <= t."""
-    x_row = np.zeros(prior.size)
-    x_row[x] = 1.0
-    return Categorical(posterior_matrix(z_t, x_row, t, s, prior, schedule))
+    return Categorical(posterior_matrix(z_t, one_hot_batch(x, prior.size), t,
+                                        s, prior, schedule))
 
 
 def posterior_uniform(

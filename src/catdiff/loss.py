@@ -3,12 +3,12 @@
 Each objective is one kernel batched over (B, L): ``_kl_terms`` (the
 discrete-time KL), ``_udlm_rate`` (the paper's uniform-noise bound),
 ``_sedd_rate`` (its score-entropy form) and ``_mdlm_rate`` (absorbing).
-``BOUNDS`` records the prior kinds each objective bounds; training and
-``udlm_loss`` refuse any other. A kernel takes the predicted rows as
-arrays or as autodiff Nodes, so training (``training_loss_node``),
-evaluation (``nelbo_discrete``, ``udlm_loss``, ``mdlm_loss``, the
-one-position ``udlm_integrand`` and ``sedd_form_nelbo``) and the oracles
-in ``verify`` all run the same code. The denoiser is read only through
+``BOUNDS`` records the prior kinds each objective bounds; training,
+``udlm_loss`` and ``mdlm_loss`` refuse any other. A kernel takes the
+predicted rows as arrays or as autodiff Nodes, so training
+(``training_loss_node``), evaluation (``nelbo_discrete``, ``udlm_loss``,
+``mdlm_loss``, the one-position ``udlm_integrand`` and
+``sedd_form_nelbo``) and the oracles in ``verify`` all run the same code. The denoiser is read only through
 ``rows_batch(z, t, condition)`` and its ``prior``. ``nelbo_discrete``
 scores one sequence or a batch: mc mode evaluates every sampled latent in
 one denoiser call, exact mode one call per grid time over the enumerated
@@ -45,10 +45,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as model_mod
-from .core import Categorical, NoiseSchedule, check_token_range
+from .core import Categorical, NoiseSchedule, check_token_range, one_hot_batch
 from .forward import (PriorSpec, corrupt, corrupt_from_uniforms,
                       marginal_rows, posterior_bridge, posterior_matrix)
-from .model import one_hot_batch
 
 _SUPPORT_EPS = 1e-300  # posterior entries below this count as off-support
 
@@ -374,8 +373,14 @@ def mdlm_loss(
 ) -> float:
     """Continuous-time absorbing-state loss (adopted, and validated against
     nelbo_discrete at large T): only masked positions contribute
-    -alpha'/(1 - alpha) * -log<x, x_theta>."""
+    -alpha'/(1 - alpha) * -log<x, x_theta>. The denoiser's prior must be
+    absorbing, at ``mask_index``; ValueError before any draw otherwise."""
     x = np.asarray(x_seq, dtype=np.int64)[None]
+    prior = denoiser.prior
+    _check_bounds("mdlm_continuous", prior.kind)
+    if mask_index != prior.mask_index:
+        raise ValueError(f"mask_index {mask_index} is not the denoiser's "
+                         f"mask token {prior.mask_index}")
     width = schedule.t_max - schedule.t_min
     acc = 0.0
     for _ in range(mc_samples):

@@ -61,7 +61,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .core import (NoiseSchedule, Vocabulary, check_sequence,
-                   check_token_range, row_reduce)
+                   check_token_range, flat_index, one_hot_batch, row_reduce)
 from .forward import PriorSpec, corrupt
 
 MASK_LOGIT = -1e30
@@ -301,7 +301,7 @@ def _check_kind(kind: str, vocab: Vocabulary) -> None:
     """The kind must name the prior ``PriorSpec.for_vocab`` picks:
     absorbing with a mask token, uniform without one."""
     if kind not in ("uniform", "absorbing"):
-        raise ValueError(f"unknown model kind {kind!r}")
+        raise ValueError(f"kind must be uniform or absorbing, got {kind!r}")
     if vocab.is_absorbing != (kind == "absorbing"):
         need = "with" if kind == "absorbing" else "without"
         raise ValueError(f"{kind} denoiser needs a vocabulary {need} a mask token")
@@ -721,7 +721,7 @@ def denoise_batch(
         if live is not None:
             block = out[lo:hi].reshape(-1, n)
             block.fill(0.0)
-            block.reshape(-1)[ad.flat_index(z[lo:hi], n)] = 1.0
+            block.reshape(-1)[flat_index(z[lo:hi], n)] = 1.0
             block[live] = probs
     return out[:asked]
 
@@ -746,13 +746,6 @@ def _keep_heap() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(M_MMAP_THRESHOLD, 32 << 20)
     mallopt(M_TRIM_THRESHOLD, 64 << 20)
-
-
-def one_hot_batch(z_batch: np.ndarray, n: int) -> np.ndarray:
-    """Integer tokens of any shape to (..., n) one-hot rows."""
-    out = np.zeros(np.shape(z_batch) + (n,))
-    out.reshape(-1)[ad.flat_index(z_batch, n)] = 1.0
-    return out
 
 
 def _classify_forward(params: ClassifierParams, z: np.ndarray, t,
@@ -879,7 +872,14 @@ def _fit(params, count: int, batch_loss, *, epochs: int, batch_size: int,
     returns (params, per-epoch mean loss trace). ``batch_loss(nodes, idx)``
     makes the batch's own draws from ``rng`` and returns its mean loss as a
     scalar Node of the parameter Nodes. Adam updates the parameter arrays
-    in place, and each step bumps the trunk's version."""
+    in place, and each step bumps the trunk's version. ValueError before
+    any draw on epochs or batch_size below 1 or a negative or non-finite
+    lr; lr = 0 leaves the arrays as they are."""
+    if epochs < 1 or batch_size < 1:
+        raise ValueError(f"epochs and batch_size must be >= 1, got "
+                         f"{epochs} and {batch_size}")
+    if not 0.0 <= lr < float("inf"):  # refuses NaN too
+        raise ValueError(f"lr must be non-negative and finite, got {lr}")
     _keep_heap()
     opt = AdamState(params.values())
     trace = []
@@ -912,9 +912,10 @@ def train(
     One seeded generator drives shuffling, condition dropout, t draws and
     latent corruption in a fixed order, so a fixed seed reproduces the
     final parameters bitwise. Labels must be integers in [0, K); a model
-    without classes takes none, condition_dropout lies in [0, 1], and
-    the objective must bound the kind's prior (``loss.BOUNDS``); each is
-    refused with ValueError before the first step.
+    without classes takes none, condition_dropout lies in [0, 1], the
+    objective bounds the kind's prior (``loss.BOUNDS``), absorbing data
+    holds no mask token, and epochs, batch_size and lr follow ``_fit``;
+    each is refused with ValueError before the first step.
     """
     from . import loss as loss_mod
 
@@ -924,6 +925,9 @@ def train(
     if params is None:
         params = init_denoiser(vocab, x_all.shape[1], num_classes, d,
                                kind=kind, n_layers=n_layers, seed=seed)
+    mask = params.vocab.mask_index
+    if mask is not None and np.any(x_all == mask):
+        raise ValueError("absorbing training data holds the mask token")
     if y_all is not None:  # a model without classes takes no labels
         y_all = _condition_indices(y_all, params.num_classes, len(x_all))
     rng = np.random.default_rng(seed)
@@ -949,7 +953,9 @@ def train_classifier(
 ) -> tuple:
     """Train the classifier on noised latents: draw t uniform over the
     clamped range, corrupt x to z_t, minimize -log p_phi(y | z_t, t).
-    Labels must be integers in [0, K) (ValueError)."""
+    Labels must be integers in [0, K), and epochs, batch_size and lr
+    follow ``_fit``; each is refused with ValueError before the first
+    step."""
     x_all, y_all = _as_xy(dataset)
     if y_all is None:
         raise TrainingError("classifier training needs labels")

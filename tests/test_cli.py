@@ -134,6 +134,51 @@ def test_missing_required_config_key(tmp_path, capsys):
     assert "missing required config key" in capsys.readouterr().err
 
 
+# values a config line may be set to: empty, zero, negative, not a
+# number, overflowing to inf, text, a boolean, an unknown kind or objective
+CONFIG_VALUES = ["", "0", "-1", "nan", "1e999", "x", "true", "gaussian",
+                 "elbo"]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_train_configs_never_reach_a_traceback(workdir, tmp_path,
+                                                       capsys, monkeypatch,
+                                                       data):
+    # one line of the train config deleted or repeated, its key renamed
+    # to another schema key or an unknown one, or its value replaced from
+    # CONFIG_VALUES or by a byte that is not UTF-8: train exits 0, 1 or 3
+    # and, unless it exits 0, writes no checkpoint; an uncaught exception
+    # would escape cli.main. Run from tmp_path, so a value read as a path
+    # names no file.
+    monkeypatch.chdir(tmp_path)
+    lines = (workdir / "cfg.txt").read_bytes().splitlines(keepends=True)
+    at = data.draw(st.integers(1, len(lines) - 1))  # past the comment
+    key, _, value = lines[at].decode("utf-8").partition(" = ")
+    how = data.draw(st.sampled_from(["delete", "repeat", "key", "value"]))
+    if how == "delete":
+        del lines[at]
+    elif how == "repeat":
+        lines.insert(at, lines[at])
+    elif how == "key":
+        new = data.draw(st.sampled_from(sorted(cli.TRAIN_SCHEMA) + ["rate"]))
+        lines[at] = f"{new} = {value}".encode("utf-8")
+    else:
+        new = data.draw(st.sampled_from(CONFIG_VALUES + [None]))
+        lines[at] = (f"{key} = {new}\n".encode("utf-8") if new is not None
+                     else f"{key} = ".encode("utf-8") + b"\xff\n")
+    (tmp_path / "cfg.txt").write_bytes(b"".join(lines))
+    out = tmp_path / "o.json"
+    out.unlink(missing_ok=True)
+    code = cli.main(["train", "--config", str(tmp_path / "cfg.txt"),
+                     "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 3)
+    assert "Traceback" not in err
+    assert code == 0 or not out.exists()
+
+
 def test_continuous_objective_rejects_T(workdir, tmp_path, capsys):
     code = cli.main(["train", "--config", str(workdir / "cfg.txt"),
                      "--out", str(tmp_path / "o.json"), "--T", "8"])
@@ -567,6 +612,28 @@ def test_metrics_reports_and_writes_file(workdir, tmp_path, capsys):
         assert line in out
 
 
+@pytest.mark.parametrize("bad", ["-1", "3", "1.5", "9" * 30],
+                         ids=["negative", "K", "fraction", "30_digits"])
+def test_metrics_refuses_a_label_outside_its_classes(workdir, tmp_path, capsys,
+                                                     bad):
+    # -1 read as the last class and reported control_accuracy = 1; K ended
+    # in an IndexError traceback
+    labels = (workdir / "labels.txt").read_text().splitlines()
+    labels[4] = bad
+    (tmp_path / "labels.txt").write_text("\n".join(labels) + "\n")
+    out_path = tmp_path / "m.txt"
+    code = cli.main(["metrics", "--samples", str(workdir / "train.txt"),
+                     "--reference", str(workdir / "train.txt"), "--n", "3",
+                     "--labels", str(tmp_path / "labels.txt"),
+                     "--rule", "majority_token", "--num-classes", "3",
+                     "--out", str(out_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"error: {tmp_path / 'labels.txt'}:5: " in err
+    assert "Traceback" not in err
+    assert not out_path.exists()
+
+
 def test_metrics_needs_exactly_one_vocab_source(workdir, capsys):
     base = ["metrics", "--samples", str(workdir / "train.txt"),
             "--reference", str(workdir / "train.txt")]
@@ -689,7 +756,8 @@ def test_uniform_train_rejects_a_mask_vocabulary(workdir, tmp_path, capsys):
                      "--out", str(tmp_path / "o.json"), "--n", "4",
                      "--vocab", str(tmp_path / "vocab.json")])
     assert code == 1
-    assert "uniform training needs a vocabulary without a mask token" in \
+    # the library's rule, raised by model.train before the first step
+    assert "uniform denoiser needs a vocabulary without a mask token" in \
         capsys.readouterr().err
     assert not (tmp_path / "o.json").exists()
 

@@ -156,6 +156,24 @@ def test_one_hot_and_uniform():
     assert np.array_equal(Categorical.uniform(4).probs, [0.25] * 4)
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_one_hot_refuses_an_index_outside_the_vector(bad):
+    # Categorical.one_hot(-1, 3) gave [0, 0, 1]: one rule, in
+    # core.flat_index, for every one-hot the package builds
+    with pytest.raises(ValueError, match=r"\[0, 3\)"):
+        Categorical.one_hot(bad, 3)
+    with pytest.raises(ValueError, match=r"\[0, 3\)"):
+        core.one_hot_batch(np.array([[0, bad]]), 3)
+    assert np.array_equal(core.one_hot_batch(np.array([[2, 0]]), 3),
+                          [[[0, 0, 1], [1, 0, 0]]])
+
+
+def test_one_hot_and_flat_index_are_written_once():
+    from catdiff import autodiff, model
+    assert model.one_hot_batch is core.one_hot_batch
+    assert autodiff.flat_index is core.flat_index
+
+
 def test_categorical_probs_read_only():
     c = Categorical.uniform(3)
     with pytest.raises(ValueError):

@@ -143,6 +143,13 @@ def test_posterior_unreachable_latent_raises():
         posterior(1, 0, 0.6, 0.2, pr, SCHED)  # unmasked z_t != x
 
 
+def test_posterior_refuses_a_clean_token_outside_the_vocabulary():
+    # x = -1 built its one-hot at the last token, the mask
+    pr = PriorSpec.absorbing(Vocabulary(3, mask_index=2))
+    with pytest.raises(ValueError, match=r"\[0, 3\)"):
+        posterior(2, -1, 0.6, 0.2, pr, SCHED)
+
+
 def test_posterior_uniform_worked_example():
     got = posterior_uniform(0, 0, 0.6, 0.2, 2, SCHED).probs
     assert np.allclose(got, [27 / 28, 1 / 28], atol=1e-15)

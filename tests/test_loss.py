@@ -555,7 +555,11 @@ def test_mdlm_unmasked_positions_contribute_nothing():
     # a denoiser that is perfect only where tokens survive: if unmasked
     # positions leaked into the sum, this would not stay at the
     # masked-only value
+    masked = PriorSpec.absorbing(Vocabulary(4, mask_index=3))
+
     class HalfDenoiser:
+        prior = masked
+
         def rows_batch(self, z_batch, t, condition=None):
             z = np.asarray(z_batch)
             out = np.full(z.shape + (4,), 1e-9)
@@ -571,6 +575,8 @@ def test_mdlm_unmasked_positions_contribute_nothing():
     # exactly zero mass on x where it survives: weight 0 must not meet
     # log 0 as 0 * inf = nan, and the value must be the masked-only sum
     class ZeroOffMaskDenoiser:
+        prior = masked
+
         def rows_batch(self, z_batch, t, condition=None):
             z = np.asarray(z_batch)
             out = np.zeros(z.shape + (4,))
@@ -799,6 +805,21 @@ def test_udlm_loss_refuses_an_absorbing_denoiser():
     den = TabularDenoiser(4, seed=8, kind="absorbing", mask_index=3)
     with pytest.raises(ValueError, match="not absorbing"):
         L.udlm_loss(np.array([0, 2]), den, np.random.default_rng(0), 1, SCHED)
+
+
+@pytest.mark.parametrize("den, mask_index, match", [
+    (TabularDenoiser(3, seed=8), 2, "not uniform"),
+    (TabularDenoiser(4, seed=8, kind="absorbing", mask_index=3), 0,
+     "mask_index 0 is not the denoiser's mask token 3"),
+], ids=["uniform", "another_mask"])
+def test_mdlm_loss_refuses_a_prior_it_does_not_bound(den, mask_index, match):
+    # a uniform N = 3 denoiser scored 2.5596 through the absorbing rate
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=match):
+        L.mdlm_loss(np.array([0, 1]), den, rng, 1, SCHED,
+                    mask_index=mask_index)
+    assert rng.bit_generator.state == state  # refused before any draw
 
 
 # An absorbing denoiser's training loss runs its hidden layers, head,

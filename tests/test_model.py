@@ -1116,6 +1116,82 @@ def test_train_refuses_a_condition_dropout_outside_0_1(rate):
                 condition_dropout=rate)
 
 
+def _fresh_trunk(trainer):
+    return (M.init_denoiser(VOCAB3, 4, 2, 8, kind="uniform", seed=3)
+            if trainer == "train" else M.init_classifier(VOCAB3, 4, 2, 8,
+                                                         seed=3))
+
+
+def _train_small(trainer, params, **kwargs):
+    """One ``trainer`` call on eight labelled sequences over VOCAB3."""
+    x = np.random.default_rng(0).integers(0, 3, size=(8, 4))
+    data = (x, np.arange(8) % 2)
+    if trainer == "train":
+        return M.train(data, LossSpec("udlm_continuous"), kind="uniform",
+                       vocab=VOCAB3, num_classes=2, params=params, seed=1,
+                       **kwargs)
+    return M.train_classifier(data, vocab=VOCAB3, num_classes=2,
+                              params=params, seed=1, **kwargs)
+
+
+@pytest.mark.parametrize("trainer", ["train", "train_classifier"])
+@pytest.mark.parametrize("bad, match", [
+    (dict(epochs=0), "epochs and batch_size must be >= 1"),
+    (dict(batch_size=0), "epochs and batch_size must be >= 1"),
+    (dict(lr=-0.1), "lr must be non-negative and finite"),
+    (dict(lr=float("nan")), "lr must be non-negative and finite"),
+    (dict(lr=float("inf")), "lr must be non-negative and finite"),
+], ids=["epochs_0", "batch_size_0", "lr_negative", "lr_nan", "lr_inf"])
+def test_training_refuses_epochs_batch_size_or_lr(trainer, bad, match,
+                                                  monkeypatch):
+    # epochs 0 returned the trace [] and a negative lr ran gradient ascent;
+    # each is refused before the training generator makes a draw
+    made = []
+    real = np.random.default_rng
+
+    def recording(seed=None):
+        made.append((seed, real(seed)))
+        return made[-1][1]
+
+    params = _fresh_trunk(trainer)
+    before = [a.copy() for a in params.values()]
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    kwargs = dict(epochs=1, batch_size=4, lr=0.01) | bad
+    with pytest.raises(ValueError, match=match):
+        _train_small(trainer, params, **kwargs)
+    made = made[1:]  # the data's generator, drawn from by the test
+    assert made and all(gen.bit_generator.state == real(seed).bit_generator
+                        .state for seed, gen in made)
+    assert params.version == 0
+    assert all(np.array_equal(a, b) for a, b in zip(params.values(), before))
+
+
+@pytest.mark.parametrize("trainer", ["train", "train_classifier"])
+def test_training_at_lr_0_keeps_every_parameter_byte(trainer):
+    # perfbench scores parameters by a training step at lr = 0
+    params = _fresh_trunk(trainer)
+    before = [a.tobytes() for a in params.values()]
+    _, trace = _train_small(trainer, params, epochs=1, batch_size=4, lr=0.0)
+    assert len(trace) == 1 and np.isfinite(trace[0])
+    assert [a.tobytes() for a in params.values()] == before
+
+
+@pytest.mark.parametrize("given", [False, True])
+def test_absorbing_training_refuses_data_holding_the_mask(given):
+    # mdlm_continuous trained on such data to a loss of 3.4e30
+    x = np.array([[0, 1, 3, 2]] + [[0, 1, 2, 2]] * 3)
+    params = (M.init_denoiser(VOCAB4M, 4, 0, 8, kind="absorbing", seed=0)
+              if given else None)
+    before = [] if params is None else [a.copy() for a in params.values()]
+    with pytest.raises(ValueError, match="holds the mask token"):
+        M.train(x, LossSpec("mdlm_continuous"), kind="absorbing",
+                vocab=VOCAB4M, d=8, epochs=1, params=params)
+    if given:
+        assert params.version == 0
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(params.values(), before))
+
+
 def test_training_loss_reaches_the_model_module_graph(monkeypatch):
     # the training graph is looked up on the model module at each call, so
     # a wrapper installed there (a trace span, say) sees every forward
