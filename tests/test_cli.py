@@ -176,6 +176,7 @@ def test_mutated_train_configs_never_reach_a_traceback(workdir, tmp_path,
     err = capsys.readouterr().err
     assert code in (0, 1, 3)
     assert "Traceback" not in err
+    assert code != 1 or "error:" in err
     assert code == 0 or not out.exists()
 
 
@@ -491,6 +492,31 @@ def test_train_refuses_a_nonfinite_or_nonpositive_lr(workdir, tmp_path,
                      "--out", str(tmp_path / "o.json"), "--lr", lr])
     assert code == 1
     assert "error: lr must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--epochs", "0"], "epochs and batch_size must be >= 1"),
+    (["--batch", "0"], "epochs and batch_size must be >= 1"),
+    (["--d-hidden", "0"], "a trunk needs at least one hidden layer"),
+    (["--n-layers", "0"], "a trunk needs at least one hidden layer"),
+    (["--n", "1"], "vocabulary needs at least 2 tokens"),
+    (["--length", "0"], "train.txt:1: length 4, expected 0"),
+    (["--kind", "absorbing", "--objective", "mdlm_continuous", "--vocab",
+      "mask_c.json"], "absorbing training data holds the mask token"),
+], ids=["epochs", "batch", "d_hidden", "n_layers", "n", "length", "mask"])
+def test_train_refusals_come_from_the_library(workdir, tmp_path, capsys,
+                                              monkeypatch, flags, message):
+    # each rule is the library's, written once where the input is read
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mask_c.json").write_text(
+        json.dumps({"symbols": ["a", "b", "c"], "mask_index": 2}))
+    code = cli.main(["train", "--config", str(workdir / "cfg.txt"),
+                     "--out", str(tmp_path / "o.json")] + flags)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
     assert not (tmp_path / "o.json").exists()
 
 
