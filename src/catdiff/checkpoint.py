@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import NoiseSchedule, Vocabulary
 from .model import (ClassifierParams, ConstantDenoiser, DenoiserParams,
-                    init_classifier, init_denoiser, trunk_shapes)
+                    trunk_shapes)
 
 FORMAT_VERSION = 1
 
@@ -191,11 +191,11 @@ def load_checkpoint(path: str):
     if hyper["n_layers"] != layers:
         raise ValueError(f"checkpoint hyper.n_layers is {hyper['n_layers']}, "
                          f"but it stores {layers} hidden layer(s)")
-    sizes = (vocab, hyper["length"], hyper["num_classes"], hyper["d"])
+    sizes = {"vocab": vocab, "length": hyper["length"],
+             "num_classes": hyper["num_classes"], "d": hyper["d"]}
     cls = ClassifierParams if family == "classifier" else DenoiserParams
-    expected = dict(trunk_shapes(cls, *sizes, n_layers=layers))
+    expected = dict(trunk_shapes(cls, **sizes, n_layers=layers))
     named = _checked_arrays(doc, expected)
-    model = (init_classifier(*sizes, n_layers=layers) if cls is ClassifierParams
-             else init_denoiser(*sizes, kind=kind, n_layers=layers))
-    model.set_arrays([(name, named[name]) for name in expected])
-    return model
+    if cls is DenoiserParams:
+        sizes["kind"] = kind
+    return cls(**sizes, **cls.array_fields([named[name] for name in expected]))

@@ -11,13 +11,15 @@ Only flag and config-file rules live here: required, unknown and
 duplicate keys, lr > 0 (lr 0 trains nothing), labels paired with
 num_classes, train_classifier's needs, and which sample and eval flags
 go together. The library refuses the inputs it reads: kind, vocabulary,
-sizes, epochs, objective, the mask token in training data, and labels.
+sizes, epochs, seed, objective, the mask token in training data, and
+labels. A ``train`` run that fails writes no checkpoint.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -95,9 +97,12 @@ def parse_config(path: str) -> dict:
     """Flat key=value lines; blank lines and #-comments ignored; unknown
     and duplicate keys rejected."""
     out: dict = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise UsageError(f"{path}:{lineno}: not UTF-8 text")
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
@@ -195,26 +200,28 @@ def cmd_train(args) -> int:
     dataset = load_text_dataset(cfg["data"], vocab, cfg["length"],
                                 labels_path=cfg["labels"],
                                 num_classes=cfg["num_classes"])
+    # every requested model is trained before any checkpoint is written
+    shared = dict(vocab=vocab, num_classes=cfg["num_classes"],
+                  d=cfg["d_hidden"], n_layers=cfg["n_layers"],
+                  epochs=cfg["epochs"], batch_size=cfg["batch"],
+                  lr=cfg["lr"], seed=cfg["seed"])
     params, trace = model_mod.train(
-        dataset, spec, kind=cfg["kind"], vocab=vocab,
-        num_classes=cfg["num_classes"], d=cfg["d_hidden"],
-        n_layers=cfg["n_layers"], epochs=cfg["epochs"],
-        batch_size=cfg["batch"], lr=cfg["lr"],
-        condition_dropout=cfg["condition_dropout"], seed=cfg["seed"],
-    )
-    save_checkpoint(params, args.out)
+        dataset, spec, kind=cfg["kind"],
+        condition_dropout=cfg["condition_dropout"], **shared)
     print(f"final training loss = {trace[-1]:.12g}")
-    print(f"wrote checkpoint {args.out}")
+    outputs = [(params, args.out)]
     if cfg["train_classifier"]:
-        clf, clf_trace = model_mod.train_classifier(
-            dataset, vocab=vocab,
-            num_classes=cfg["num_classes"], d=cfg["d_hidden"],
-            n_layers=cfg["n_layers"], epochs=cfg["epochs"],
-            batch_size=cfg["batch"], lr=cfg["lr"], seed=cfg["seed"],
-        )
-        save_checkpoint(clf, cfg["classifier_out"])
+        clf, clf_trace = model_mod.train_classifier(dataset, **shared)
         print(f"final classifier loss = {clf_trace[-1]:.12g}")
-        print(f"wrote checkpoint {cfg['classifier_out']}")
+        outputs.append((clf, cfg["classifier_out"]))
+    for done, (model, path) in enumerate(outputs):
+        try:
+            save_checkpoint(model, path)
+        except OSError:  # take the checkpoints already written with it
+            for _, written in outputs[:done]:
+                os.remove(written)
+            raise
+        print(f"wrote checkpoint {path}")
     return EXIT_OK
 
 

@@ -7,6 +7,7 @@ one the paper's models run under), so ``NoiseSchedule`` has no settings.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +100,15 @@ def flat_index(idx, n: int) -> np.ndarray:
     idx = np.asarray(idx, dtype=np.int64).reshape(-1)
     check_token_range(idx, n)
     return np.arange(0, idx.size * n, n) + idx
+
+
+def enumerate_sequences(n: int, length: int) -> np.ndarray:
+    """All n^length token sequences in lexicographic order, as an
+    (n^length, length) array."""
+    if n ** length > 10 ** 6:
+        raise ValueError(f"refusing to enumerate {n}^{length} sequences")
+    combos = itertools.product(range(n), repeat=length)
+    return np.array(list(combos), dtype=np.int64).reshape(n ** length, length)
 
 
 def one_hot_batch(tokens, n: int) -> np.ndarray:

@@ -38,14 +38,14 @@ Conventions, resolved once here:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import model as model_mod
-from .core import Categorical, NoiseSchedule, check_token_range, one_hot_batch
+from .core import (Categorical, NoiseSchedule, check_token_range,
+                   enumerate_sequences, one_hot_batch)
 from .forward import (PriorSpec, corrupt, corrupt_from_uniforms,
                       marginal_rows, posterior_bridge, posterior_matrix)
 
@@ -148,9 +148,7 @@ def nelbo_discrete(
     per_row = np.ndim(condition) == 1
     total = np.zeros(x.shape[0])
     if mode == "exact":
-        latents = np.array(
-            list(itertools.product(range(prior.size), repeat=x.shape[1])),
-            dtype=np.int64).reshape(-1, x.shape[1])
+        latents = enumerate_sequences(prior.size, x.shape[1])
         # a shared condition gives every sequence the same rows at a
         # latent, so the batch shares one call per grid time
         groups = (np.arange(x.shape[0])[:, None] if per_row
@@ -385,7 +383,7 @@ def mdlm_loss(
     acc = 0.0
     for _ in range(mc_samples):
         t = float(schedule.draw_t(rng))
-        z = np.where(rng.random(x.shape) < schedule.alpha(t), x, mask_index)
+        z = corrupt(x, t, prior, schedule, rng)
         rows = denoiser.rows_batch(z, t, condition)
         # log 1 = 0 at unmasked positions, which the rate weights by 0; the
         # zero mask column of absorbing rows gives a -inf that is not read

@@ -22,7 +22,8 @@ Time enters as the pair (alpha_t, 1 - alpha_t) through a learned 2 x d
 projection: the simplest injective encoding under a monotone schedule.
 
 Each trunk concept is written once for both networks: ``_init_trunk``
-draws the parameters, ``_fit`` is the one Adam training loop (``train``
+draws the parameters, ``_Trunk.array_fields`` is every constructor's map
+from arrays to fields, ``_fit`` is the one Adam training loop (``train``
 and ``train_classifier`` pass it their own batch loss), and the trunk
 has one forward and one backward. ``_trunk_forward`` is plain NumPy on
 a ``_Folded`` trunk: the arrays with the first linear map folded into
@@ -37,9 +38,8 @@ snapshot, whose head is padded with zero columns to a multiple of 16,
 and returns float64 rows normalised in float64.
 
 denoise_batch runs on cache-sized blocks of whole sequences, one after
-another on the calling thread; a sequence's rows do not depend on its
-block or batch (one position runs as two copies, off BLAS's vector
-path).
+another on the calling thread; a sequence's rows, class scores and
+Taylor gradient do not depend on its block or batch (``_product``).
 
 ``_trunk_backward`` is written by hand and keeps the first layer
 folded. Training wraps the pair as one autodiff Node
@@ -55,7 +55,7 @@ import ctypes
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,22 +109,29 @@ class _Trunk:
         return [getattr(self, name) for name in self.LEADING] + [
             a for layer in self.hidden for a in layer] + [self.output_head]
 
+    @classmethod
+    def array_fields(cls, arrays: list) -> dict:
+        """The fields of a trunk holding ``arrays``, in checkpoint order."""
+        lead = len(cls.LEADING)
+        return {**dict(zip(cls.LEADING, arrays)),
+                "hidden": list(zip(arrays[lead:-1:2], arrays[lead + 1:-1:2])),
+                "output_head": arrays[-1]}
+
     def set_arrays(self, pairs: list) -> None:
         """Store the (name, array) pairs arrays() returns, in its order,
         as they are, made read-only."""
         names = [name for name, _ in self.arrays()]
         if [p[0] if isinstance(p, tuple) else None for p in pairs] != names:
             raise ValueError(f"expected (name, array) pairs named {names}")
-        named = dict(pairs)
-        _freeze(named.values())
-        for name in self.LEADING:
-            setattr(self, name, named[name])
-        self.hidden = [
-            (named[f"hidden_w{i}"], named[f"hidden_b{i}"])
-            for i in range(len(self.hidden))
-        ]
-        self.output_head = named["output_head"]
+        arrays = [a for _, a in pairs]
+        _freeze(arrays)
+        vars(self).update(self.array_fields(arrays))
         self.version += 1
+
+    def copy(self) -> "_Trunk":
+        """The model on copies of its arrays, with snapshots of its own."""
+        return replace(self, **self.array_fields([a.copy()
+                                                  for a in self.values()]))
 
     def prepared(self, dtype=np.float64) -> "_Folded":
         """The folded trunk of the current arrays in ``dtype``: float64
@@ -204,15 +211,9 @@ class DenoiserParams(_Trunk):
     LEADING = ("token_embedding", "position_encoding", "time_projection",
                "condition_embedding")
 
-    def copy(self) -> "DenoiserParams":
-        return DenoiserParams(
-            self.kind, self.vocab, self.length, self.num_classes, self.d,
-            self.token_embedding.copy(),
-            self.position_encoding.copy(), self.time_projection.copy(),
-            self.condition_embedding.copy(),
-            [(w.copy(), b.copy()) for w, b in self.hidden],
-            self.output_head.copy(),
-        )
+    def __post_init__(self) -> None:
+        _check_kind(self.kind, self.vocab)
+        super().__post_init__()
 
     # Denoiser protocol: ``rows_batch``, ``prior`` and ``schedule``.
     @property
@@ -311,7 +312,6 @@ def init_denoiser(
     vocab: Vocabulary, length: int, num_classes: int, d: int,
     *, kind: str, n_layers: int = 1, seed: int = 0, scale: float = 0.1,
 ) -> DenoiserParams:
-    _check_kind(kind, vocab)
     return _init_trunk(DenoiserParams, vocab, length, num_classes, d,
                        n_layers, seed, scale, kind=kind)
 
@@ -346,15 +346,20 @@ def _init_trunk(cls, vocab, length, num_classes, d, n_layers, seed, scale,
                 **fields):
     """Draw ``scale`` * standard normals in checkpoint order; the hidden
     biases start at zero and draw nothing."""
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     arrays = [np.zeros(shape) if name.startswith("hidden_b")
               else scale * rng.standard_normal(shape) for name, shape
               in trunk_shapes(cls, vocab, length, num_classes, d, n_layers)]
-    lead = len(cls.LEADING)
     return cls(vocab=vocab, length=length, num_classes=num_classes, d=d,
-               hidden=list(zip(arrays[lead:-1:2], arrays[lead + 1:-1:2])),
-               output_head=arrays[-1], **dict(zip(cls.LEADING, arrays)),
-               **fields)
+               **cls.array_fields(arrays), **fields)
+
+
+def _generator(seed: int) -> np.random.Generator:
+    """``np.random.default_rng(seed)``; ValueError unless the seed is a
+    non-negative integer."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed)
 
 
 # --------------------------------------------------------------- forward
@@ -454,13 +459,12 @@ def _trunk_forward(params, fold: _Folded, z_batch, t,
     mean-pool sees every token. ``rows``, flat indices into the (B, L)
     positions (``masked_rows``), keeps only those rows after it: the tanh
     layers and the head run on them alone, giving (len(rows), out)
-    logits. A lone row runs as two copies, off BLAS's one-row vector path,
-    so its bytes do not depend on how many rows its call keeps.
+    logits. Each product is a ``_product``.
 
     A ``keep`` list receives what ``_trunk_backward`` reads: the input,
     the time features, ``cond_idx``, the folded token table, ``rows`` and
     then each tanh output; with both ``keep`` and ``rows`` (training's
-    absorbing step) the kept rows' products run as ``_kept_product``. The
+    absorbing step) the products take ``_product``'s kept form. The
     activations and logits take the dtype of ``fold``; the time features
     stay float64.
 
@@ -484,26 +488,20 @@ def _trunk_forward(params, fold: _Folded, z_batch, t,
     if keep is not None:
         keep += [z_batch, _time_features(params.schedule, t), cond_idx,
                  token_table, rows]
-    count = None  # h's rows to return
     if rows is not None:
-        count = len(rows)
-        taken = rows if count != 1 else np.repeat(rows, 2)
-        h = h.reshape(-1, h.shape[-1])[taken]
+        h = h.reshape(-1, h.shape[-1])[rows]
+    kept = rows is not None and keep is not None
     for w, b in fold.maps:
         np.tanh(h, out=h)
         if keep is not None:
-            keep.append(h[:count])
+            keep.append(h)
         if pool and b is None:  # the classifier pools before its head
             h = _pool_sum(h) / length
-        flat = h.reshape(-1, h.shape[-1])
-        if rows is not None and keep is not None:
-            flat = _kept_product(flat, w)
-        else:
-            flat = flat @ w
+        flat = _product(h.reshape(-1, h.shape[-1]), w, kept)
         h = flat.reshape(h.shape[:-1] + flat.shape[-1:])
         if b is not None:
             h += b
-    return h[:count]
+    return h
 
 
 def _time_rows(fold: _Folded, schedule: NoiseSchedule, t) -> np.ndarray:
@@ -566,8 +564,8 @@ def _trunk_backward(params, arrays: list, keep: list, g: np.ndarray,
     if param_grads:  # back through the head to the last tanh output
         last = _pool_sum(acts[-1]) / length if pooled else acts[-1]
         grads[head] = _outer_sum(last, g)
-    delta = (g @ arrays[head].T if rows is None
-             else _kept_product(g, arrays[head].T))
+    kept = rows is not None  # the forward's kept form
+    delta = _product(g, arrays[head].T, kept)
     if pooled:  # the mean-pool hands each position an equal share
         delta = np.broadcast_to((delta / length)[:, None, :],
                                 (batch, length, delta.shape[1]))
@@ -578,8 +576,7 @@ def _trunk_backward(params, arrays: list, keep: list, g: np.ndarray,
                 grads[lead + 2 * i] = _outer_sum(acts[i - 1], delta)
                 grads[lead + 2 * i + 1] = delta.sum(
                     axis=tuple(range(delta.ndim - 1)))
-            delta = (delta @ arrays[lead + 2 * i].T if rows is None
-                     else _kept_product(delta, arrays[lead + 2 * i].T))
+            delta = _product(delta, arrays[lead + 2 * i].T, kept)
     if rows is not None:
         full.reshape(-1, full.shape[-1])[rows] = delta
         delta = full
@@ -601,15 +598,20 @@ def _trunk_backward(params, arrays: list, keep: list, g: np.ndarray,
     return grads
 
 
-def _kept_product(h: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """h @ w for training's kept rows, written as (w^T h^T)^T. OpenBLAS
-    computes h @ w column-major, with the rows of h as its output's
-    columns, and its threads split those columns at buffer offsets that
-    scale with their number: a row count that changes each step faults in
-    fresh pages until every offset has been seen (about 100 pages per new
-    count at d 48). As w^T h^T the rows of h are the output's rows, and
-    the offsets stay put."""
-    return np.matmul(w.T, h.T).T
+def _product(h: np.ndarray, w: np.ndarray, kept: bool = False) -> np.ndarray:
+    """h @ w for every product of the trunk, so a row's bytes do not
+    depend on the other rows of its call: a one-row product (h's last
+    matrix has one row) would take BLAS's vector path, so it runs as two
+    copies and keeps the first. ``kept`` (training's kept rows, 2-D h)
+    writes it as (w^T h^T)^T. OpenBLAS computes h @ w column-major, with
+    the rows of h as its output's columns, and its threads split those
+    columns at buffer offsets that scale with their number: a row count
+    that changes each step faults in fresh pages until every offset has
+    been seen (about 100 pages per new count at d 48). As w^T h^T the rows
+    of h are the output's rows, and the offsets stay put."""
+    if h.shape[-2] == 1:
+        return _product(np.repeat(h, 2, axis=-2), w, kept)[..., :1, :]
+    return np.matmul(w.T, h.T).T if kept else h @ w
 
 
 def _trunk_node(field_nodes: list, params, z, t, cond_idx=None,
@@ -686,9 +688,7 @@ def denoise_batch(
     """
     _keep_heap()
     z = _token_batch(params, z_batch)
-    cond = _condition_indices(cond_idx, params.num_classes, asked := len(z))
-    if z.size == 1:  # two copies, off BLAS's one-row vector path
-        z, cond = np.repeat(z, 2, axis=0), np.repeat(cond, 2)
+    cond = _condition_indices(cond_idx, params.num_classes, len(z))
     batch, length = z.shape
     n = params.vocab.size
     # the float32 arrays, padded head and folded tables of this version
@@ -723,7 +723,7 @@ def denoise_batch(
             block.fill(0.0)
             block.reshape(-1)[flat_index(z[lo:hi], n)] = 1.0
             block[live] = probs
-    return out[:asked]
+    return out
 
 
 # glibc's mallopt parameters (malloc.h)
@@ -748,28 +748,24 @@ def _keep_heap() -> None:
     mallopt(M_TRIM_THRESHOLD, 64 << 20)
 
 
-def _classify_forward(params: ClassifierParams, z: np.ndarray, t,
-                      keep: list | None = None) -> np.ndarray:
-    """The forward ``classify`` and ``classify_grad_wrt_onehot`` share, on
-    (B, L) tokens ``_token_batch`` has checked: (B, K) log-probabilities.
-    A batch of one runs as two copies, off BLAS's one-row vector path for
-    the pooled head product, so a lone sequence's rows have the bytes they
-    have in any batch; the caller keeps the first row."""
-    if len(z) == 1:
-        z = np.repeat(z, 2, axis=0)
+def _classify_forward(params: ClassifierParams, z_seq, t,
+                      keep: list | None = None) -> tuple:
+    """The forward ``classify`` and ``classify_grad_wrt_onehot`` share:
+    (B, K) log-probabilities of (B, L) tokens, or of one (L,) sequence as
+    a batch of one, and whether ``z_seq`` was one sequence."""
+    z = np.asarray(z_seq)
+    single = z.ndim == 1
+    z = _token_batch(params, z[None] if single else z)
     logits = _trunk_forward(params, params.prepared(), z, t, pool=True,
                             keep=keep)
-    return ad.log_softmax(logits[:, :params.num_classes])
+    return ad.log_softmax(logits[:, :params.num_classes]), single
 
 
 def classify(params: ClassifierParams, z_seq, t) -> np.ndarray:
     """Log p_phi(y | z, t) over the K classes: (K,) for one (L,) sequence,
     (B, K) for a (B, L) batch, with t shared or one per sequence."""
-    z = np.asarray(z_seq)
-    single = z.ndim == 1
-    z = _token_batch(params, z[None] if single else z)
-    logp = _classify_forward(params, z, t)
-    return logp[0] if single else logp[:len(z)]
+    logp, single = _classify_forward(params, z_seq, t)
+    return logp[0] if single else logp
 
 
 def classify_grad_wrt_onehot(
@@ -783,11 +779,8 @@ def classify_grad_wrt_onehot(
     backward is ``_trunk_backward`` from e_y - softmax, asked for the input
     gradient only: it builds no autodiff graph and computes no parameter
     gradient. The examples do not interact, so each gets its own."""
-    z = np.asarray(z_seq)
-    single = z.ndim == 1
-    z = _token_batch(params, z[None] if single else z)
     keep = []
-    logp = _classify_forward(params, z, t, keep)
+    logp, single = _classify_forward(params, z_seq, t, keep)
     delta = -np.exp(logp)                                          # (B, K)
     delta[:, y] += 1.0
     arrays = params.values()
@@ -795,7 +788,7 @@ def classify_grad_wrt_onehot(
                            [False] * len(arrays) + [True])[-1]
     if single:
         return float(logp[0, y]), grad[0]
-    return logp[:len(z), y].copy(), grad[:len(z)]
+    return logp[:, y].copy(), grad
 
 
 # ------------------------------------------------------------ optimizers
@@ -930,7 +923,7 @@ def train(
         raise ValueError("absorbing training data holds the mask token")
     if y_all is not None:  # a model without classes takes no labels
         y_all = _condition_indices(y_all, params.num_classes, len(x_all))
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
 
     def batch_loss(nodes, idx):
         if y_all is not None:
@@ -965,7 +958,7 @@ def train_classifier(
     y_all = _condition_indices(y_all, params.num_classes, len(x_all))
     schedule = params.schedule
     prior = PriorSpec.for_vocab(vocab)
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
 
     def batch_loss(nodes, idx):
         t = schedule.draw_t(rng, size=idx.shape[0])

@@ -9,13 +9,13 @@ boring on purpose.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Categorical, NoiseSchedule, Vocabulary
+from .core import (Categorical, NoiseSchedule, Vocabulary,
+                   enumerate_sequences)
 from .forward import PriorSpec
 from .model import ConstantDenoiser
 
@@ -65,15 +65,6 @@ def gradient_check(build_loss, arrays: list, h: float = 1e-6) -> float:
         denom = np.maximum(np.maximum(np.abs(a_g), np.abs(n_g)), 1e-3)
         worst = max(worst, float(np.max(np.abs(a_g - n_g) / denom)))
     return worst
-
-
-def enumerate_sequences(n: int, length: int) -> np.ndarray:
-    """All n^length token sequences in lexicographic order, as an
-    (n^length, length) array."""
-    if n ** length > 10 ** 6:
-        raise ValueError(f"refusing to enumerate {n}^{length} sequences")
-    combos = itertools.product(range(n), repeat=length)
-    return np.array(list(combos), dtype=np.int64).reshape(n ** length, length)
 
 
 def bayes_posterior_oracle(

@@ -125,6 +125,17 @@ def test_duplicate_config_key_rejected(workdir, tmp_path, capsys):
     assert "duplicate key" in capsys.readouterr().err
 
 
+def test_config_that_is_not_utf8_names_its_file(workdir, tmp_path, capsys):
+    cfg = tmp_path / "latin1.txt"
+    cfg.write_bytes((workdir / "cfg.txt").read_bytes() + b"# caf\xe9\n")
+    code = cli.main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "o.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}:") and "not UTF-8 text" in err
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_missing_required_config_key(tmp_path, capsys):
     cfg = tmp_path / "tiny.txt"
     cfg.write_text("kind = uniform\nn = 3\n")
@@ -504,7 +515,9 @@ def test_train_refuses_a_nonfinite_or_nonpositive_lr(workdir, tmp_path,
     (["--length", "0"], "train.txt:1: length 4, expected 0"),
     (["--kind", "absorbing", "--objective", "mdlm_continuous", "--vocab",
       "mask_c.json"], "absorbing training data holds the mask token"),
-], ids=["epochs", "batch", "d_hidden", "n_layers", "n", "length", "mask"])
+    (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+], ids=["epochs", "batch", "d_hidden", "n_layers", "n", "length", "mask",
+        "seed"])
 def test_train_refusals_come_from_the_library(workdir, tmp_path, capsys,
                                               monkeypatch, flags, message):
     # each rule is the library's, written once where the input is read
@@ -709,6 +722,21 @@ def test_train_classifier_then_cbg_sample(workdir, tmp_path, capsys):
         assert code == 0
         assert len((tmp_path / f"{flag}.txt").read_text().splitlines()) == 3
     capsys.readouterr()
+
+
+def test_failed_train_leaves_no_checkpoint(workdir, tmp_path, capsys):
+    # every requested model is trained before any file is written, and a
+    # checkpoint that cannot be written takes the others with it
+    cfg = tmp_path / "clf.txt"
+    cfg.write_text((workdir / "cfg.txt").read_text()
+                   + "train_classifier = true\n"
+                   + f"classifier_out = {tmp_path / 'nodir' / 'clf.json'}\n")
+    code = cli.main(["train", "--config", str(cfg),
+                     "--out", str(tmp_path / "den.json")])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ")
+    assert not (tmp_path / "den.json").exists()
+    assert not (tmp_path / "nodir").exists()
 
 
 def test_cbg_label_is_checked_against_the_classifier(tmp_path, capsys):

@@ -594,6 +594,7 @@ def test_mdlm_unmasked_positions_contribute_nothing():
     for _ in range(64):
         t = float(SCHED.draw_t(rng))
         masked = rng.random(x.shape) >= SCHED.alpha(t)
+        rng.random(x.shape)  # corrupt's prior-token uniforms
         expect += width * masked.sum() * np.log(2.0) / t
     assert np.isfinite(val)
     assert val == pytest.approx(expect / 64, rel=1e-12)

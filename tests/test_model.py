@@ -180,25 +180,32 @@ def test_per_example_condition_rejects_labels_outside_classes(num_classes):
 @pytest.mark.parametrize("kind", ["uniform", "absorbing"])
 def test_one_position_rows_match_the_batch(kind):
     # a lone position runs as two copies: as a one-row product it took
-    # BLAS's vector path, and at d = 64 its rows differed from the batch's
+    # BLAS's vector path, and at d = 64 its rows differed from the batch's.
+    # At L = 3 each absorbing sequence holds one masked position: alone,
+    # its hidden layers and head run on that one row
     vocab = VOCAB4M if kind == "absorbing" else VOCAB3
-    z = np.arange(vocab.size)[:, None]
-    n = len(z)
+    n = vocab.size
+    longer = np.random.default_rng(3).integers(0, 3, size=(n, 3))
+    if kind == "absorbing":
+        longer[np.arange(n), np.arange(n) % 3] = vocab.mask_index
     cases = [(0.4, None), (0.4, 1), (np.full(n, 0.7), [0] * n),
              (np.full(n, 0.7), [None] * n)]
-    for seed in range(4):
-        params = M.init_denoiser(vocab, 1, 2, 64, kind=kind, n_layers=2,
-                                 seed=seed, scale=0.5)
-        for t, cond in cases:
-            batch = M.denoise_batch(params, z, t, cond)
-            for i in range(n):
-                one = M.denoise_batch(
-                    params, z[i:i + 1], t if np.ndim(t) == 0 else t[i:i + 1],
-                    cond if np.ndim(cond) == 0 else cond[i:i + 1])
-                assert one.shape == (1, 1, vocab.size)
-                assert one.tobytes() == batch[i:i + 1].tobytes()
-        assert M.denoise(params, z[1], 0.4).tobytes() \
-            == M.denoise_batch(params, z, 0.4, None)[1].tobytes()
+    for z in (np.arange(n)[:, None], longer):
+        length = z.shape[1]
+        for seed in range(4):
+            params = M.init_denoiser(vocab, length, 2, 64, kind=kind,
+                                     n_layers=2, seed=seed, scale=0.5)
+            for t, cond in cases:
+                batch = M.denoise_batch(params, z, t, cond)
+                for i in range(n):
+                    one = M.denoise_batch(
+                        params, z[i:i + 1],
+                        t if np.ndim(t) == 0 else t[i:i + 1],
+                        cond if np.ndim(cond) == 0 else cond[i:i + 1])
+                    assert one.shape == (1, length, vocab.size)
+                    assert one.tobytes() == batch[i:i + 1].tobytes()
+            assert M.denoise(params, z[1], 0.4).tobytes() \
+                == M.denoise_batch(params, z, 0.4, None)[1].tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -765,17 +772,18 @@ def test_classifier_protocol_batches_match_single_sequences():
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([16, 48, 64]), st.integers(min_value=2, max_value=6),
        st.integers(min_value=1, max_value=2),
-       st.integers(min_value=2, max_value=3),
+       st.integers(min_value=2, max_value=3), st.sampled_from([1, 5]),
        st.integers(min_value=0, max_value=10 ** 6))
 def test_one_sequence_classifier_rows_match_a_small_batch(d, k, n_layers,
-                                                         batch, seed):
+                                                         batch, length, seed):
     # a lone sequence runs as two copies: its pooled (1, d) x (d, K) head
     # product took BLAS's vector path, and most rows differed from the
-    # batch's
-    params = M.init_classifier(VOCAB3, 5, k, d, n_layers=n_layers,
+    # batch's; at L = 1 its hidden products and their deltas have one row
+    # too
+    params = M.init_classifier(VOCAB3, length, k, d, n_layers=n_layers,
                                seed=seed, scale=0.5)
     rng = np.random.default_rng(seed)
-    z = rng.integers(0, 3, size=(batch, 5))
+    z = rng.integers(0, 3, size=(batch, length))
     t, y = float(rng.uniform(0.01, 0.99)), int(rng.integers(k))
     logp = M.classify(params, z, t)
     logp0, grad = M.classify_grad_wrt_onehot(params, z, t, y)
